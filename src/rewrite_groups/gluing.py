@@ -242,15 +242,20 @@ def glued(system_or_aut, s1: RationalSequence, s2: RationalSequence) -> bool:
         probe = len(s.prefix) + 2 * len(s.period) + 1
         if not aut.original.language_contains(s.prefix_of_length(probe)):
             raise NotInSymbolSpace(f"{s} is not in the symbol space")
-    t1 = _normalized_sequence(aut, s1)
-    t2 = _normalized_sequence(aut, s2)
+    return _run_lasso(aut, _normalized_sequence(aut, s1), _normalized_sequence(aut, s2))
+
+
+def _run_lasso(aut: GluingAutomaton, t1: RationalSequence, t2: RationalSequence) -> bool:
+    """Run two sequences of the loop-normalized alphabet on the automaton."""
     state = aut.initial
     seen = set()
     i = 0
+
     def phase(t, i):
         if i < len(t.prefix):
             return ("p", i)
         return ("c", (i - len(t.prefix)) % len(t.period))
+
     while True:
         key = (state, phase(t1, i), phase(t2, i))
         if key in seen:
@@ -384,7 +389,7 @@ def gluing_class(system: ReplacementSystem, s: RationalSequence) -> set:
     root = (aut.initial, 0)
     if root in live:
         dfs(root, [root], [])
-    out = {c for c in out if glued(aut, t, c)}
+    out = {c for c in out if _run_lasso(aut, t, c)}
     out.add(RationalSequence.make(t.prefix, t.period))
     if aut.system is aut.original:
         return out

@@ -56,8 +56,8 @@ class ColoredGraph:
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise ValueError("duplicate vertex names")
-        names = [e.name for e in self.edges]
-        if len(set(names)) != len(names):
+        self._index = {e.name: i for i, e in enumerate(self.edges)}
+        if len(self._index) != len(self.edges):
             raise ValueError("duplicate edge names")
         touched = set()
         for e in self.edges:
@@ -67,21 +67,14 @@ class ColoredGraph:
             touched.add(e.dst)
         if touched != vset:
             raise ValueError(f"isolated vertices: {sorted(vset - touched)}")
-        self._by_name = {e.name: e for e in self.edges}
 
     # -- basic accessors ---------------------------------------------------
 
     def edge(self, name: str) -> Edge:
-        return self._by_name[name]
-
-    def edge_names(self) -> tuple[str, ...]:
-        return tuple(e.name for e in self.edges)
+        return self.edges[self._index[name]]
 
     def edge_index(self, name: str) -> int:
-        for i, e in enumerate(self.edges):
-            if e.name == name:
-                return i
-        raise KeyError(name)
+        return self._index[name]
 
     def out_degree(self, v: str) -> int:
         return sum(1 for e in self.edges if e.src == v)
@@ -97,7 +90,7 @@ class ColoredGraph:
 
     def parallel_index(self, name: str) -> int:
         """1-based index among edges sharing (color, src, dst), in edge order."""
-        e = self._by_name[name]
+        e = self.edge(name)
         z = 0
         for f in self.edges:
             if (f.color, f.src, f.dst) == (e.color, e.src, e.dst):

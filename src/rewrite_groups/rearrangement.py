@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 from .graphs import ColoredGraph
 from .replacement import (
     GraphExpansion,
+    NotReducible,
     RationalSequence,
     ReplacementSystem,
     base_expansion,
@@ -172,32 +173,57 @@ class Rearrangement:
         return out
 
     def expand_domain_to(self, cells: Iterable[Word]) -> "Rearrangement":
-        target = {tuple(c) for c in cells}
-        out = self
-        changed = True
-        while changed:
-            changed = False
-            for w in out.domain.cells:
-                if w not in target and any(t[: len(w)] == w for t in target if len(t) > len(w)):
-                    out = out.expand_at(w)
-                    changed = True
-                    break
-        return out
+        """The diagram with its domain split down to the given cells.
+
+        A domain cell is split into its rule children when it is not itself a
+        target cell but lies strictly above one; its children are split the
+        same way.  A flipped cell that must be split is first expanded one
+        level through psi; below an unflipped pair (w, v) every leaf w+r pairs
+        with v+r.  The new domain and range are each built once, however
+        many cells are split, so one call is linear in the size of the
+        refined forest.
+        """
+        return self._expand_to(cells, on_domain=True)
 
     def expand_range_to(self, cells: Iterable[Word]) -> "Rearrangement":
+        """The diagram with its range split down to the given cells.
+
+        The mirror image of ``expand_domain_to``, at the same cost.
+        """
+        return self._expand_to(cells, on_domain=False)
+
+    def _expand_to(self, cells: Iterable[Word], on_domain: bool) -> "Rearrangement":
         target = {tuple(c) for c in cells}
-        inv = {v: w for w, v in self.phi.items()}
-        out = self
-        changed = True
-        while changed:
-            changed = False
-            inv = {v: w for w, v in out.phi.items()}
-            for v in out.range_.cells:
-                if v not in target and any(t[: len(v)] == v for t in target if len(t) > len(v)):
-                    out = out.expand_at(inv[v])
-                    changed = True
+        # strict prefixes of target cells; the set stays prefix-closed, so the
+        # walk up from each target stops at the first prefix already in it
+        above: set = set()
+        for t in target:
+            for k in range(len(t) - 1, 0, -1):
+                if t[:k] in above:
                     break
-        return out
+                above.add(t[:k])
+
+        def split(c: Word) -> bool:
+            return c not in target and c in above
+
+        out = self
+        for w in sorted(self.flips):
+            if split(w if on_domain else self.phi[w]):
+                out = out.expand_at(w)
+        phi = {}
+        for w, v in out.phi.items():
+            c, side = (w, out.domain) if on_domain else (v, out.range_)
+            if not split(c):
+                phi[w] = v
+                continue
+            for leaf in _split_leaves(self.system, c, side.cell_color(c), split):
+                r = leaf[len(c):]
+                phi[w + r] = v + r
+        if phi == out.phi:
+            return out
+        domain = GraphExpansion(self.system, phi, out.domain.base)
+        range_ = GraphExpansion(self.system, phi.values(), out.range_.base)
+        return Rearrangement(domain, phi, range_, out.flips, _reduced=True)
 
     # -- action on words and sequences ---------------------------------------
 
@@ -253,6 +279,22 @@ class Rearrangement:
         }
 
 
+def _split_leaves(system: ReplacementSystem, cell: Word, color: str, split) -> list:
+    """The leaves left when ``cell``, and every descendant passing ``split``, is split."""
+    out = []
+
+    def walk(word, color):
+        for e in system.rules[color].graph.edges:
+            child = word + (e.name,)
+            if split(child):
+                walk(child, e.color)
+            else:
+                out.append(child)
+
+    walk(cell, color)
+    return out
+
+
 def rearrangement_from_json(system: ReplacementSystem, data: dict) -> Rearrangement:
     phi = {}
     flips = []
@@ -288,8 +330,7 @@ def _reduce(g: Rearrangement, allow_flips: bool = True, rng=None) -> tuple:
             rng.shuffle(order)
         for u in order:
             kids = parents[u]
-            color = domain.cell_color(u + (kids[0][-1],)) if False else None
-            rule_color = _word_color(system, domain.base, u)
+            rule_color = domain.cell_color(u)
             rule = system.rules[rule_color]
             names = {e.name for e in rule.graph.edges}
             if {w[-1] for w in kids} != names:
@@ -314,7 +355,7 @@ def _reduce(g: Rearrangement, allow_flips: bool = True, rng=None) -> tuple:
             try:
                 new_domain = domain.reduce(kids)
                 new_range = range_.reduce([phi[w] for w in kids])
-            except Exception:
+            except NotReducible:
                 continue
             move = (u, vp, kids, flip, new_domain, new_range)
             break
@@ -326,16 +367,6 @@ def _reduce(g: Rearrangement, allow_flips: bool = True, rng=None) -> tuple:
         phi[u] = vp
         if flip:
             flips.add(u)
-
-
-def _word_color(system: ReplacementSystem, base: ColoredGraph, word: Word) -> str:
-    g = base
-    color = None
-    for letter in word:
-        color = g.edge(letter).color
-        g = system.rules[color].graph
-    assert color is not None
-    return color
 
 
 def reduced_flipless(g: Rearrangement) -> Rearrangement:
@@ -360,7 +391,13 @@ def identity(system: ReplacementSystem, base: Optional[ColoredGraph] = None) -> 
 
 
 def compose(g: Rearrangement, h: Rearrangement) -> Rearrangement:
-    """The composite ``g after h`` (apply h first)."""
+    """The composite ``g after h`` (apply h first).
+
+    Both diagrams are split to the common refinement of g's domain and h's
+    range in one step each (``expand_domain_to``, ``expand_range_to``), at a
+    cost linear in the size of the refined forest; reducing the product then
+    rebuilds both expansions once per reduced family.
+    """
     if g.system is not h.system:
         raise SystemMismatch("elements live over different systems")
     if g.domain.base != h.range_.base:
@@ -425,16 +462,6 @@ def product(factors) -> Rearrangement:
 def commutator(a: Rearrangement, b: Rearrangement) -> Rearrangement:
     """[a, b] = a^-1 b^-1 a b, read with the leftmost factor applied first."""
     return product([invert(a), invert(b), a, b])
-
-
-def from_pair(domain: GraphExpansion, phi: dict, range_: GraphExpansion,
-              flips: Iterable[Word] = ()) -> Rearrangement:
-    return Rearrangement(domain, phi, range_, flips)
-
-
-def reduce_pair(g: Rearrangement) -> Rearrangement:
-    """The unique reduced diagram equivalent to the given one."""
-    return Rearrangement(g.domain, g.phi, g.range_, g.flips)
 
 
 def from_cell_map(system: ReplacementSystem, pairs, flips=()) -> Rearrangement:

@@ -97,6 +97,7 @@ class ReplacementSystem:
             if rule.kind == "pair" and rule.iota == rule.tau:
                 raise MalformedSystem(f"rule {c!r}: initial and terminal vertices coincide")
         self._report: Optional[ValidationReport] = None
+        self._psi: dict = {}
 
     # -- graphs and letters --------------------------------------------------
 
@@ -238,15 +239,20 @@ class ReplacementSystem:
         """The fixed orientation-reversing automorphism psi of an undirected color.
 
         Deterministically the least one; None if the color is not undirected.
+        Computed once per color and kept on the system.
         """
+        if color in self._psi:
+            return self._psi[color]
         from .graphs import isomorphisms
 
         rule = self.rules[color]
-        if rule.kind != "pair":
-            return None
-        pin = {rule.iota: rule.tau, rule.tau: rule.iota}
-        isos = isomorphisms(rule.graph, rule.graph, pinned=pin)
-        return isos[0] if isos else None
+        psi = None
+        if rule.kind == "pair":
+            pin = {rule.iota: rule.tau, rule.tau: rule.iota}
+            isos = isomorphisms(rule.graph, rule.graph, pinned=pin)
+            psi = isos[0] if isos else None
+        self._psi[color] = psi
+        return psi
 
     def _loop_uniform(self) -> bool:
         status: dict = {}
@@ -481,22 +487,27 @@ class RationalSequence:
         return " ".join(self.prefix) + (" " if self.prefix else "") + "(" + " ".join(self.period) + ")"
 
 
-def sequence_in_language(system: ReplacementSystem, s: RationalSequence) -> bool:
-    n = len(s.prefix) + 2 * len(s.period)
-    return system.language_contains(s.prefix_of_length(max(n, 1)))
-
-
 # -- graph expansions ----------------------------------------------------------
 
 
-def word_sort_key(system: ReplacementSystem, base: ColoredGraph, word: Word) -> tuple:
-    """Depth-first order of the leaves of the corresponding forest."""
-    key = []
-    g = base
-    for letter in word:
-        key.append(g.edge_index(letter))
-        g = system.rules[g.edge(letter).color].graph
-    return tuple(key)
+def _addresses(system: ReplacementSystem, base: ColoredGraph, words: Iterable[Word]) -> dict:
+    """Sort key (depth-first order of the forest's leaves) and color of each word
+    and of each prefix of one, every prefix walked once.
+
+    Raises KeyError for a word outside the language.
+    """
+    out: dict = {(): ((), None)}
+    for w in words:
+        i = len(w)
+        while w[:i] not in out:
+            i -= 1
+        key, color = out[w[:i]]
+        for j in range(i, len(w)):
+            g = base if color is None else system.rules[color].graph
+            key += (g.edge_index(w[j]),)
+            color = g.edge(w[j]).color
+            out[w[:j + 1]] = (key, color)
+    return out
 
 
 class _UnionFind(dict):
@@ -521,6 +532,11 @@ class GraphExpansion:
 
     ``base`` may differ from the system's base graph: generalized expansions
     over other base graphs are what the replacement groupoid acts on.
+
+    Construction is linear in the size of the forest (the cells and their
+    prefixes), plus one sort of the cells: one color walk that visits each
+    prefix once, one pass over the prefixes for the antichain and
+    completeness checks, and one top-down pass that builds the leaf graph.
     """
 
     def __init__(self, system: ReplacementSystem, cells: Iterable[Word],
@@ -528,43 +544,44 @@ class GraphExpansion:
         self.system = system
         self.base = base if base is not None else system.base
         cells = [tuple(c) for c in cells]
-        self.cells = tuple(sorted(cells, key=lambda w: word_sort_key(system, self.base, w)))
-        self._check_antichain()
-        self.leaf_graph = self._compute_leaf_graph()
+        nodes = _addresses(system, self.base, cells)
+        self.cells = tuple(sorted(cells, key=lambda w: nodes[w][0]))
+        self._colors = {w: nodes[w][1] for w in cells}
+        interior = self._check_antichain(nodes)
+        self.leaf_graph = self._compute_leaf_graph(interior)
 
     # -- structure ---------------------------------------------------------
 
-    def _check_antichain(self):
-        cellset = set(self.cells)
-        if len(cellset) != len(self.cells):
+    def _check_antichain(self, nodes: dict) -> dict:
+        """Raise NotACell unless the cells are the leaves of a complete subforest.
+
+        ``nodes`` holds every prefix of a cell with its color.  One pass over
+        them groups the letters that follow each prefix; the result maps each
+        interior word (strict prefix of a cell) to those letters.
+        """
+        if len(self._colors) != len(self.cells):
             raise NotACell("duplicate cells")
+        children: dict = {}
+        for w in nodes:
+            if w:
+                children.setdefault(w[:-1], set()).add(w[-1])
         for w in self.cells:
             if not w:
                 raise NotACell("empty word is not a cell")
-            for k in range(1, len(w)):
-                if w[:k] in cellset:
-                    raise NotACell(f"{w} extends the cell {w[:k]}")
-        # completeness: repeatedly replace full sibling families by parents
-        words = set(self.cells)
-        changed = True
-        while changed:
-            changed = False
-            parents = {}
-            for w in words:
-                if len(w) > 1:
-                    parents.setdefault(w[:-1], set()).add(w)
-            for p, kids in parents.items():
-                color = self._color_of(p)
-                rule_edges = {e.name for e in self.system.rules[color].graph.edges}
-                if {w[-1] for w in kids} == rule_edges:
-                    words -= kids
-                    words.add(p)
-                    changed = True
-                    break
-        if words != {(e.name,) for e in self.base.edges}:
+            if w in children:
+                longer = next(c for c in self.cells if len(c) > len(w) and c[:len(w)] == w)
+                raise NotACell(f"{longer} extends the cell {w}")
+        # completeness: the base edges, and every rule edge below an interior word
+        if children.pop((), set()) != {e.name for e in self.base.edges}:
             raise NotACell("cells do not form a complete partition")
+        for p, letters in children.items():
+            if letters != {e.name for e in self.system.rules[nodes[p][1]].graph.edges}:
+                raise NotACell("cells do not form a complete partition")
+        return children
 
     def _color_of(self, word: Word) -> str:
+        if word in self._colors:
+            return self._colors[word]
         g = self.base
         color = None
         for letter in word:
@@ -573,11 +590,14 @@ class GraphExpansion:
         assert color is not None
         return color
 
+    def _child_letters(self, word: Word) -> set:
+        return {e.name for e in self.system.rules[self._color_of(word)].graph.edges}
+
     def cell_color(self, word: Word) -> str:
         return self._color_of(word)
 
-    def _compute_leaf_graph(self) -> ColoredGraph:
-        # expand breadth-first from the base, tracking endpoints by union-find
+    def _compute_leaf_graph(self, interior: dict) -> ColoredGraph:
+        # expand top-down from the base, tracking endpoints by union-find
         uf = _UnionFind()
         ends: dict = {}
         for e in self.base.edges:
@@ -585,51 +605,40 @@ class GraphExpansion:
             uf.add(s), uf.add(t)
             ends[(e.name,)] = (s, t, e.color)
         frontier = list(ends)
-        cellset = set(self.cells)
-        prefixes = {w[:k] for w in self.cells for k in range(1, len(w))}
         while frontier:
             w = frontier.pop()
-            if w in cellset:
+            if w in self._colors:
                 continue
-            if w not in prefixes:
+            if w not in interior:
                 raise NotACell(f"{w} is neither a cell nor a prefix of one")
             s, t, color = ends[w]
             rule = self.system.rules[color]
             if rule.kind == "loop":
                 uf.union(s, t)
-            sub = {}
+                sub = {rule.iota: s}
+            else:
+                sub = {rule.iota: s, rule.tau: t}
             for v in rule.graph.vertices:
-                if rule.kind == "pair" and v == rule.iota:
-                    sub[v] = s
-                elif rule.kind == "pair" and v == rule.tau:
-                    sub[v] = t
-                elif rule.kind == "loop" and v == rule.iota:
-                    sub[v] = s
-                else:
+                if v not in sub:
                     node = ("i", w, v)
                     uf.add(node)
                     sub[v] = node
             for e in rule.graph.edges:
                 ends[w + (e.name,)] = (sub[e.src], sub[e.dst], e.color)
                 frontier.append(w + (e.name,))
-        # canonical vertex names: least incident (word, endpoint marker)
-        reps: dict = {}
-        for w in self.cells:
-            s, t, _ = ends[w]
-            for node, mark in ((s, "s"), (t, "t")):
-                key = (word_sort_key(self.system, self.base, w), mark)
-                root = uf.find(node)
-                if root not in reps or key < reps[root][0]:
-                    reps[root] = (key, f"{' '.join(w)}/{mark}")
-        verts = []
+        # a vertex is named after its first endpoint in cell order, s before t;
+        # the cells are sorted, so that is its least incident (word, marker)
+        names: dict = {}
+        verts: dict = {}
         edges = []
         for w in self.cells:
             s, t, color = ends[w]
-            sv, tv = reps[uf.find(s)][1], reps[uf.find(t)][1]
-            for v in (sv, tv):
-                if v not in verts:
-                    verts.append(v)
-            edges.append(Edge(" ".join(w), color, sv, tv))
+            label = " ".join(w)
+            sv = names.setdefault(uf.find(s), f"{label}/s")
+            tv = names.setdefault(uf.find(t), f"{label}/t")
+            verts.setdefault(sv)
+            verts.setdefault(tv)
+            edges.append(Edge(label, color, sv, tv))
         return ColoredGraph(verts, edges)
 
     def cell_edge(self, word: Word) -> Edge:
@@ -645,10 +654,9 @@ class GraphExpansion:
 
     def expand(self, word: Word) -> "GraphExpansion":
         word = tuple(word)
-        if word not in set(self.cells):
+        if word not in self._colors:
             raise NotACell(f"{word} is not a cell of this expansion")
-        color = self._color_of(word)
-        kids = [word + (e.name,) for e in self.system.rules[color].graph.edges]
+        kids = [word + (e.name,) for e in self.system.rules[self._colors[word]].graph.edges]
         cells = [c for c in self.cells if c != word] + kids
         return GraphExpansion(self.system, cells, self.base)
 
@@ -660,15 +668,12 @@ class GraphExpansion:
         if len(parents) != 1:
             raise NotReducible("family members are not siblings")
         parent = parents.pop()
-        color = self._color_of(parent)
-        rule_edges = {e.name for e in self.system.rules[color].graph.edges}
-        if {w[-1] for w in family} != rule_edges:
+        if {w[-1] for w in family} != self._child_letters(parent):
             raise NotReducible("family is not the full set of children")
-        if not family <= set(self.cells):
+        if not family <= self._colors.keys():
             raise NotReducible("family members are not all cells")
         # interior vertices of the pattern must carry no extra incidences
-        boundary = set()
-        rule = self.system.rules[color]
+        rule = self.system.rules[self._color_of(parent)]
         for w in family:
             e = self.cell_edge(w)
             rule_edge = rule.graph.edge(w[-1])
@@ -688,9 +693,7 @@ class GraphExpansion:
             if len(w) > 1:
                 parents.setdefault(w[:-1], []).append(w)
         for p, kids in sorted(parents.items()):
-            color = self._color_of(p)
-            rule_edges = {e.name for e in self.system.rules[color].graph.edges}
-            if {w[-1] for w in kids} == rule_edges:
+            if {w[-1] for w in kids} == self._child_letters(p):
                 try:
                     self.reduce(kids)
                 except NotReducible:
@@ -721,11 +724,14 @@ def base_expansion(system: ReplacementSystem, base: Optional[ColoredGraph] = Non
 
 
 def full_expansion(system: ReplacementSystem, depth: int) -> GraphExpansion:
-    """E_depth: every edge expanded at every step; cells have length depth+1."""
+    """E_depth: every edge expanded at every step; cells have length depth+1.
+
+    One expansion is built per level, from the children of all current cells.
+    """
     exp = base_expansion(system)
     for _ in range(depth):
-        for w in list(exp.cells):
-            exp = exp.expand(w)
+        exp = GraphExpansion(system, [w + (e.name,) for w in exp.cells
+                                      for e in system.rules[exp.cell_color(w)].graph.edges])
     return exp
 
 

@@ -194,3 +194,10 @@ def test_system_from_json_file(tmp_path):
     code, out, _ = run(["validate", "--system", str(path), "--json"])
     assert code == 0
     assert json.loads(out)["undirected_colors"] == ["b"]
+
+
+def test_expand_dendrite_depth_five():
+    code, out, _ = run(["expand", "--system", "dendrite:3", "--depth", "5"])
+    assert code == 0
+    cells = out.strip().split("\n")
+    assert len(cells) == 729 and len(set(cells)) == 729

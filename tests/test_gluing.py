@@ -212,3 +212,19 @@ def test_automaton_emitters():
     assert dot.startswith("digraph") and "q0(0)" in dot
     data = gl.automaton_to_json(aut)
     assert len(data["transitions"]) == 7
+
+
+@pytest.mark.parametrize("name, point, expected", [
+    ("circle_T", (("s", "0"), ("1",)), {"s 0 (1)", "s 1 (0)"}),
+    ("circle_T", (("s",), ("0",)), {"s (0)", "s (1)"}),
+    ("basilica", (("R",), ("2",)), {"L (0)", "L (2)", "R (0)", "R (2)"}),
+])
+def test_gluing_class_of_loop_normalized_systems(name, point, expected):
+    # these systems are loop-normalized first; classes come back in the original alphabet
+    S = catalog(name)
+    s = RS.make(*point)
+    cls = gl.gluing_class(S, s)
+    assert {str(m) for m in cls} == expected
+    for m in cls:
+        assert gl.glued_brute_force(S, s, m)
+        assert gl.gluing_class(S, m) == cls

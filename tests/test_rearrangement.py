@@ -199,3 +199,77 @@ def test_random_sampler_produces_nontrivial(rng):
     F, _, _ = f_generators()
     got = sum(not random_rearrangement(F, rng, 3, 2).is_identity() for _ in range(20))
     assert got >= 10
+
+
+def _lies_above(c, target):
+    return c not in target and any(len(t) > len(c) and t[:len(c)] == c for t in target)
+
+
+def _expand_stepwise(g, cells, on_domain):
+    """Reference for expand_domain_to/expand_range_to: one expand_at per split
+    cell, rescanning the cells after every step."""
+    target = {tuple(c) for c in cells}
+    out = g
+    while True:
+        inv = {v: w for w, v in out.phi.items()}
+        side = out.domain.cells if on_domain else out.range_.cells
+        hit = next((c for c in side if _lies_above(c, target)), None)
+        if hit is None:
+            return out
+        out = out.expand_at(hit if on_domain else inv[hit])
+
+
+def _random_words(S, rng, count):
+    words = []
+    for _ in range(count):
+        ctx, w = None, []
+        for _i in range(rng.randint(1, 5)):
+            e = rng.choice(S.graph_of(ctx).edges)
+            w.append(e.name)
+            ctx = e.color
+        words.append(tuple(w))
+    return words
+
+
+def test_expand_to_matches_stepwise_expansion(rng):
+    from rewrite_groups.analysis import dendrite_generators
+
+    F, x0, x1 = f_generators()
+    samples = [(F, product([x0, x1, invert(x0)])), (F, compose(x1, power(x0, 3)))]
+    samples += [(S, random_rearrangement(S, rng, 3, 2))
+                for S in map(catalog, ["circle_T", "cantor_V", "basilica", "airplane",
+                                       "dendrite:3"]) for _ in range(6)]
+    samples += [(g.system, g) for g in dendrite_generators(3).values()]
+    split_flips = 0
+    for S, g in samples:
+        for on_domain in (True, False):
+            for _ in range(4):
+                target = _random_words(S, rng, rng.randint(1, 4))
+                flipped = sorted(g.flips) if on_domain else [g.phi[w] for w in g.flips]
+                split_flips += any(_lies_above(c, target) for c in flipped)
+                fast = g.expand_domain_to(target) if on_domain else g.expand_range_to(target)
+                ref = _expand_stepwise(g, target, on_domain)
+                assert fast.encoding() == ref.encoding()
+                assert fast.domain.cells == ref.domain.cells
+                assert fast.range_.cells == ref.range_.cells
+                assert fast.flips == ref.flips
+    assert split_flips >= 10
+
+
+def test_compose_builds_the_same_number_of_expansions_at_any_power(monkeypatch):
+    F, x0, x1 = f_generators()
+    built = {}
+    init = GraphExpansion.__init__
+    for n in (8, 32):
+        P = power(x0, n)
+        calls = []
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GraphExpansion, "__init__", counting)
+        assert compose(x1, P).apply_word(("s", "1")) == x1.apply_word(P.apply_word(("s", "1")))
+        monkeypatch.setattr(GraphExpansion, "__init__", init)
+        built[n] = len(calls)
+    assert built[8] == built[32]

@@ -228,3 +228,28 @@ def test_rational_sequence_normalization():
     # the trailing letter of the prefix is absorbed into a rotated period
     assert t.prefix == ("a",) and t.period == ("b", "c")
     assert [t.letter(i) for i in range(5)] == ["a", "b", "c", "b", "c"]
+
+
+@pytest.mark.parametrize("cells, error", [
+    ([("s", "0"), ("s", "0"), ("s", "1")], NotACell),  # duplicate cells
+    ([("s",), ("s", "0"), ("s", "1")], NotACell),  # a cell extending another
+    ([("s", "0", "0"), ("s", "1")], NotACell),  # sibling s 0 1 missing
+    ([(), ("s",)], NotACell),  # the empty word
+    ([("s", "0"), ("s", "2")], KeyError),  # letter outside the language
+])
+def test_expansion_constructor_rejects(cells, error):
+    with pytest.raises(error):
+        GraphExpansion(catalog("interval_F"), cells)
+
+
+@pytest.mark.parametrize("name, depth", [
+    ("dendrite:3", 3), ("airplane", 3), ("basilica", 3), ("circle_T", 4)])
+def test_full_expansion_equals_cell_by_cell(name, depth):
+    S = catalog(name)
+    exp = base_expansion(S)
+    for _ in range(depth):
+        for w in list(exp.cells):
+            exp = exp.expand(w)
+    fast = full_expansion(S, depth)
+    assert fast.cells == exp.cells
+    assert fast.leaf_graph.encoding() == exp.leaf_graph.encoding()
