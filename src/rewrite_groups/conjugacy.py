@@ -13,7 +13,9 @@ groupoid elements attached to the transformations performed along the way.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from .graphs import ColoredGraph, Edge
@@ -38,6 +40,10 @@ class NotAdjacent(ValueError):
 
 class WitnessInvalid(ValueError):
     pass
+
+
+class ConjugatorInvalid(RuntimeError):
+    """A conjugator assembled from a found similarity failed verification."""
 
 
 # -- virtual reductions (augmented rule sets) -----------------------------------------
@@ -180,6 +186,7 @@ class ClosedDiagram:
         self.nodes = dict(nodes)
         self.strands = dict(strands)
         self.counter = counter
+        self._traversal = None
         self._index()
 
     def _index(self):
@@ -188,9 +195,9 @@ class ClosedDiagram:
             self._out.setdefault(s.src[0], {})[s.src[1]] = sid
             self._in.setdefault(s.dst[0], {})[s.dst[1]] = sid
         for nid, kind in self.nodes.items():
-            if kind == "bp":
-                assert sorted(self._out.get(nid, {})) == [0], f"bp {nid} out"
-                assert sorted(self._in.get(nid, {})) == [0], f"bp {nid} in"
+            if kind == "bp" and not (list(self._out.get(nid, {})) == [0]
+                                     and list(self._in.get(nid, {})) == [0]):
+                raise NotXDiagram(f"base point {nid} needs exactly one strand in and out")
 
     def fresh(self, n=1):
         ids = list(range(self.counter, self.counter + n))
@@ -282,18 +289,43 @@ class ClosedDiagram:
         return key
 
     def _canonical_traversal(self):
-        comps = self.components()
+        """(key, node order) of the least traversal; computed once per diagram.
+
+        A diagram is never changed after construction, so the key, equality,
+        hashing and node matching all share this one traversal.
+        """
+        if self._traversal is None:
+            self._traversal = self._least_traversal()
+        return self._traversal
+
+    def _least_anchors(self, comp) -> tuple:
+        """The least row sequence of a component and every anchor reaching it.
+
+        Each anchor's rows are compared with the best so far one row at a
+        time, and the anchor is dropped at its first larger row.  Every
+        traversal of a component gives one row per strand, so all its row
+        sequences have the same length.
+        """
+        best = None
+        anchors = []
+        for a in sorted(comp, key=repr):
+            rows = self._rows_from(a)
+            if best is None:
+                best, anchors = tuple(rows), [a]
+                continue
+            for i, row in enumerate(rows):
+                if row != best[i]:
+                    if row < best[i]:
+                        best, anchors = best[:i] + (row,) + tuple(rows), [a]
+                    break
+            else:
+                anchors.append(a)
+        return best, anchors
+
+    def _least_traversal(self):
         locals_ = []
-        for c in comps:
-            best = None
-            anchors = []
-            for a in sorted(c, key=repr):
-                rows = tuple(self._rows_from(a))
-                if best is None or rows < best:
-                    best = rows
-                    anchors = [a]
-                elif rows == best:
-                    anchors.append(a)
+        for c in self.components():
+            best, anchors = self._least_anchors(c)
             locals_.append((best, anchors, c))
         locals_.sort(key=lambda x: x[0])
         groups = []
@@ -310,26 +342,22 @@ class ClosedDiagram:
             rows_all = []
             node_order = []
             for anchor in sequence:
-                rows = self._rows_from(anchor, sym_ids, node_order)
-                rows_all.append(tuple(rows))
+                rows_all.append(tuple(self._rows_from(anchor, sym_ids, node_order)))
             return tuple(rows_all), node_order
-
-        import itertools as _it
 
         choices_per_group = []
         for _lk, members in groups:
             if len(members) == 1:
-                choices_per_group.append([ [members[0][0][0]] ] if len(members[0][0]) == 1
-                                         else [[a] for a in members[0][0]])
+                choices_per_group.append([[a] for a in members[0][0]])
             else:
-                perms = _it.permutations(members) if len(members) <= 4 else [tuple(members)]
+                perms = itertools.permutations(members) if len(members) <= 4 else [tuple(members)]
                 opts = []
                 for perm in perms:
                     anchor_lists = [m[0] for m in perm]
-                    for combo in _it.product(*anchor_lists):
+                    for combo in itertools.product(*anchor_lists):
                         opts.append(list(combo))
                 choices_per_group.append(opts)
-        for combo in _it.product(*choices_per_group):
+        for combo in itertools.product(*choices_per_group):
             seq = [a for part in combo for a in part]
             key, order = emit(seq)
             if best_key is None or key < best_key:
@@ -338,13 +366,13 @@ class ClosedDiagram:
         return best_key if best_key is not None else (), best_order or []
 
     def _rows_from(self, start_sid, sym_ids: Optional[dict] = None,
-                   node_order: Optional[list] = None) -> list:
+                   node_order: Optional[list] = None):
+        """The rows of a breadth-first traversal from one strand, one at a time."""
         node_ids: dict = {}
         if sym_ids is None:
             sym_ids = {}
-        rows = []
         seen = set()
-        queue = [start_sid]
+        queue = deque([start_sid])
 
         def nsym(x):
             return sym_ids.setdefault(x, len(sym_ids))
@@ -352,10 +380,9 @@ class ClosedDiagram:
         def nid_of(n):
             if n not in node_ids:
                 node_ids[n] = len(node_ids)
-                if node_order is not None:
-                    kind = self.nodes[n]
-                    node_order.append((n, "bp" if kind == "bp" else kind))
                 kind = self.nodes[n]
+                if node_order is not None:
+                    node_order.append((n, kind))
                 if kind == "bp":
                     queue.append(self.out_strand(n))
                     queue.append(self.in_strand(n))
@@ -370,7 +397,7 @@ class ClosedDiagram:
             return node_ids[n]
 
         while queue:
-            sid = queue.pop(0)
+            sid = queue.popleft()
             if sid in seen:
                 continue
             seen.add(sid)
@@ -378,12 +405,11 @@ class ClosedDiagram:
             ku, kd = self.nodes[s.src[0]], self.nodes[s.dst[0]]
             # the z index is determined by port structure where it matters
             # and is meaningless across expansions, so it is not part of keys
-            rows.append((
+            yield (
                 nid_of(s.src[0]), s.src[1], nid_of(s.dst[0]), s.dst[1],
                 "bp" if ku == "bp" else ku[0], "bp" if kd == "bp" else kd[0],
                 s.color, nsym(s.label[0]), nsym(s.label[1]),
-            ))
-        return rows
+            )
 
     def _component_strands(self, sid) -> set:
         seen = set()
@@ -463,10 +489,12 @@ def close_element(g: Rearrangement) -> ClosedDiagram:
 
 # -- moves ----------------------------------------------------------------------------
 #
-# Every move returns (new_diagram, conjugator) where the conjugator is a
-# generalized rearrangement E between expansions of the old and new base
-# graphs with o(new) = E^-1 o(old) E (checked by the tests in both roles, see
-# _expansion_element for the orientation actually constructed).
+# Every move returns a Move: the new diagram, plus a conjugator built on first
+# access.  The conjugator is a generalized rearrangement E between expansions
+# of the old and new base graphs with o(new) = E^-1 o(old) E (checked by the
+# tests in both roles, see _expansion_element for the orientation actually
+# constructed).  Searches probe and explore many moves but keep few, so only
+# the kept ones pay for their conjugators.
 
 
 def _instantiate(system, color, v, w, fresh_syms):
@@ -474,7 +502,8 @@ def _instantiate(system, color, v, w, fresh_syms):
     rule = system.rules[color]
     sub = {}
     if rule.kind == "loop":
-        assert v == w
+        if v != w:
+            raise ValueError(f"a loop of color {color!r} needs equal endpoints")
         sub[rule.iota] = v
     else:
         sub[rule.iota], sub[rule.tau] = v, w
@@ -535,12 +564,20 @@ def _expansion_element(system: ReplacementSystem, old_base: ColoredGraph,
 
 
 class Move:
-    """A performed transformation plus its conjugator data."""
+    """A performed transformation: its kind, the new diagram and its conjugator.
 
-    def __init__(self, kind, diagram, conj):
+    ``build`` makes the conjugator Rearrangement; it runs on the first access
+    of ``conj``, and its result is kept.
+    """
+
+    def __init__(self, kind, diagram, build):
         self.kind = kind
         self.diagram = diagram
-        self.conj = conj  # None (element unchanged) or Rearrangement
+        self._build = build
+
+    @cached_property
+    def conj(self) -> Rearrangement:
+        return self._build()
 
 
 def _repair_cond2(d: ClosedDiagram, fresh: set) -> ClosedDiagram:
@@ -593,7 +630,6 @@ def shift_down_split(d: ClosedDiagram, bp) -> Move:
     rule = d.system.rules[color]
     arity = len(rule.graph.edges)
     up = d.strands[d.in_strand(bp)]
-    old_base = d.base_graph()
     nodes = dict(d.nodes)
     strands = dict(d.strands)
     counter = d.counter
@@ -614,10 +650,8 @@ def shift_down_split(d: ClosedDiagram, bp) -> Move:
         strands[("u", nb)] = Strand(child.color, new_labels[p], (snode, p), (nb, 0))
         strands[child_sid] = replace(child, src=(nb, 0))
     out_diag = _repair_cond2(ClosedDiagram(d.system, nodes, strands, counter), set(fresh))
-    new_base = out_diag.base_graph()
-    conj = _expansion_element(d.system, old_base, new_base, str(bp),
-                              [str(b) for b in new_bps])
-    return Move("shift_down_split", out_diag, conj)
+    return Move("shift_down_split", out_diag, lambda: _expansion_element(
+        d.system, d.base_graph(), out_diag.base_graph(), str(bp), [str(b) for b in new_bps]))
 
 
 def shift_up_split(d: ClosedDiagram, snode) -> Move:
@@ -640,7 +674,6 @@ def shift_up_split(d: ClosedDiagram, snode) -> Move:
     if m is None:
         raise NotAdjacent("labels below the line are not a faithful copy")
     v, w, _sub = m
-    old_base = d.base_graph()
     nodes = dict(d.nodes)
     strands = dict(d.strands)
     counter = d.counter
@@ -659,10 +692,8 @@ def shift_up_split(d: ClosedDiagram, snode) -> Move:
         del nodes[bp]
         strands[low_sid] = replace(strands[low_sid], src=(snode, p))
     out_diag = ClosedDiagram(d.system, nodes, strands, counter)
-    new_base = out_diag.base_graph()
-    conj = _expansion_element(d.system, new_base, old_base, str(nb),
-                              [str(b) for b in bps])
-    return Move("shift_up_split", out_diag, invert(conj))
+    return Move("shift_up_split", out_diag, lambda: invert(_expansion_element(
+        d.system, out_diag.base_graph(), d.base_graph(), str(nb), [str(b) for b in bps])))
 
 
 def shift_up_merge(d: ClosedDiagram, bp) -> Move:
@@ -676,7 +707,6 @@ def shift_up_merge(d: ClosedDiagram, bp) -> Move:
     rule = d.system.rules[color]
     arity = len(rule.graph.edges)
     low = d.strands[d.out_strand(bp)]
-    old_base = d.base_graph()
     nodes = dict(d.nodes)
     strands = dict(d.strands)
     counter = d.counter
@@ -697,10 +727,8 @@ def shift_up_merge(d: ClosedDiagram, bp) -> Move:
         strands[in_sid] = replace(top, dst=(nb, 0))
         strands[("d", nb)] = Strand(top.color, new_labels[p], (nb, 0), (mnode, p))
     out_diag = _repair_cond2(ClosedDiagram(d.system, nodes, strands, counter), set(fresh))
-    new_base = out_diag.base_graph()
-    conj = _expansion_element(d.system, old_base, new_base, str(bp),
-                              [str(b) for b in new_bps])
-    return Move("shift_up_merge", out_diag, conj)
+    return Move("shift_up_merge", out_diag, lambda: _expansion_element(
+        d.system, d.base_graph(), out_diag.base_graph(), str(bp), [str(b) for b in new_bps]))
 
 
 def shift_down_merge(d: ClosedDiagram, mnode) -> Move:
@@ -723,7 +751,6 @@ def shift_down_merge(d: ClosedDiagram, mnode) -> Move:
     if m is None:
         raise NotAdjacent("labels above the line are not a faithful copy")
     v, w, _sub = m
-    old_base = d.base_graph()
     nodes = dict(d.nodes)
     strands = dict(d.strands)
     counter = d.counter
@@ -742,10 +769,8 @@ def shift_down_merge(d: ClosedDiagram, mnode) -> Move:
         del nodes[bp]
         strands[up_sid] = replace(strands[up_sid], dst=(mnode, p))
     out_diag = ClosedDiagram(d.system, nodes, strands, counter)
-    new_base = out_diag.base_graph()
-    conj = _expansion_element(d.system, new_base, old_base, str(nb),
-                              [str(b) for b in bps])
-    return Move("shift_down_merge", out_diag, invert(conj))
+    return Move("shift_down_merge", out_diag, lambda: invert(_expansion_element(
+        d.system, out_diag.base_graph(), d.base_graph(), str(nb), [str(b) for b in bps])))
 
 
 def _flippable_loop_colors(system, d, sids) -> bool:
@@ -775,30 +800,32 @@ def flip_loop(d: ClosedDiagram, bps: tuple) -> Move:
     b_list, sids = loops[key]
     if not _flippable_loop_colors(d.system, d, sids):
         raise NotAdjacent("loop colors are not (involutively) undirected")
-    old_base = d.base_graph()
     strands = dict(d.strands)
     for sid in sids:
         st = strands[sid]
         strands[sid] = replace(st, label=(st.label[1], st.label[0], st.label[2]))
     out_diag = ClosedDiagram(d.system, d.nodes, strands, d.counter)
-    new_base = out_diag.base_graph()
-    # conjugator: each flipped letter's cone maps through psi one level down
-    phi = {}
-    system = d.system
-    flipped = set(str(b) for b in b_list)
-    for e in new_base.edges:
-        if e.name not in flipped:
-            phi[(e.name,)] = (e.name,)
-    for b in b_list:
-        letter = str(b)
-        color = old_base.edge(letter).color
-        psi = system.reversing_automorphism(color).edge_map
-        for x in system.rules[color].graph.edges:
-            phi[(letter, x.name)] = (letter, psi[x.name])
-    dom = GraphExpansion(system, list(phi), new_base)
-    ran = GraphExpansion(system, list(phi.values()), old_base)
-    conj = Rearrangement(dom, phi, ran)
-    return Move("flip_loop", out_diag, conj)
+
+    def conjugator():
+        # each flipped letter's cone maps through psi one level down
+        old_base, new_base = d.base_graph(), out_diag.base_graph()
+        phi = {}
+        system = d.system
+        flipped = set(str(b) for b in b_list)
+        for e in new_base.edges:
+            if e.name not in flipped:
+                phi[(e.name,)] = (e.name,)
+        for b in b_list:
+            letter = str(b)
+            color = old_base.edge(letter).color
+            psi = system.reversing_automorphism(color).edge_map
+            for x in system.rules[color].graph.edges:
+                phi[(letter, x.name)] = (letter, psi[x.name])
+        dom = GraphExpansion(system, list(phi), new_base)
+        ran = GraphExpansion(system, list(phi.values()), old_base)
+        return Rearrangement(dom, phi, ran)
+
+    return Move("flip_loop", out_diag, conjugator)
 
 
 def all_flips(d: ClosedDiagram) -> list:
@@ -956,11 +983,6 @@ def pure_loops(d: ClosedDiagram) -> list:
     return out
 
 
-def _loop_label(d, strands, offset, r):
-    sid = strands[(offset + r) % len(strands)]
-    return d.strands[sid].label, d.strands[sid].color
-
-
 def _type3_matches(d: ClosedDiagram, pattern_edges, winding_loops):
     """Assign loop variants and rotations to pattern edges, block by block.
 
@@ -1092,7 +1114,8 @@ def find_type3(d: ClosedDiagram, virtual: tuple = (), allow_flips: bool = False,
 
 def apply_type3(d: ClosedDiagram, match) -> Move:
     tag, key, edges, rule, assign, subs, cand, w, flips = match
-    assert not flips, "apply flips before applying the reduction" 
+    if flips:
+        raise ValueError("apply the match's loop flips before the reduction")
     system = d.system
     old_base = d.base_graph()
     nodes = dict(d.nodes)
@@ -1163,7 +1186,7 @@ def apply_type3(d: ClosedDiagram, match) -> Move:
     dom = GraphExpansion(system, list(phi), new_base)
     ran = GraphExpansion(system, list(phi.values()), old_base)
     conj = Rearrangement(dom, phi, ran)
-    return Move("type3", out_diag, conj)
+    return Move("type3", out_diag, lambda: conj)
 
 
 # -- reduction of closed diagrams ------------------------------------------------------
@@ -1317,10 +1340,10 @@ def similarity_canonical_key(d: ClosedDiagram, slack: int = 8,
     """
     seen = {d.canonical_key()}
     best_bps = len(d.bps())
-    frontier = [d]
+    frontier = deque([d])
     explored = 0
     while frontier and explored < max_states:
-        cur = frontier.pop(0)
+        cur = frontier.popleft()
         explored += 1
         best_bps = min(best_bps, len(cur.bps()))
         for spec in all_similarity_moves(cur):
@@ -1348,10 +1371,8 @@ def _canonical_flip_orientation(d: ClosedDiagram, log: list):
     if not flippable:
         return d, log
     if len(flippable) <= 6:
-        import itertools as _it
-
         best = (d.canonical_key(), (), d)
-        for mask in _it.product([False, True], repeat=len(flippable)):
+        for mask in itertools.product([False, True], repeat=len(flippable)):
             if not any(mask):
                 continue
             cur = d
@@ -1360,12 +1381,12 @@ def _canonical_flip_orientation(d: ClosedDiagram, log: list):
                 if flip:
                     mv = flip_loop(cur, bps)
                     cur = mv.diagram
-                    moves.append(mv.conj)
+                    moves.append(mv)
             key = cur.canonical_key()
             if key < best[0]:
                 best = (key, tuple(moves), cur)
         _key, moves, cur = best
-        log.extend(moves)
+        log.extend(mv.conj for mv in moves)
         return cur, log
     # too many loops: greedy, loop by loop
     changed = True
@@ -1439,9 +1460,9 @@ def _bald_key(d: ClosedDiagram) -> tuple:
         best = None
         for anchor in real:
             ids = {anchor: 0}
-            queue = [anchor]
+            queue = deque([anchor])
             while queue:
-                n = queue.pop(0)
+                n = queue.popleft()
                 for role, pp, other, po, c in sorted(adj.get(n, []), key=repr):
                     if other not in ids:
                         ids[other] = len(ids)
@@ -1494,7 +1515,7 @@ def similarity_search(eta: ClosedDiagram, zeta: ClosedDiagram,
     bound = max(len(eta.bps()), len(zeta.bps())) + slack
 
     sides = {"L": {}, "M": {}}
-    frontier = []
+    frontier = deque()
 
     def add(side, diag, path):
         key = diag.canonical_key()
@@ -1511,7 +1532,7 @@ def similarity_search(eta: ClosedDiagram, zeta: ClosedDiagram,
     hit = hit or add("M", zeta, ())
     explored = 0
     while frontier and explored < max_states and hit is None:
-        side, diag, path = frontier.pop(0)
+        side, diag, path = frontier.popleft()
         explored += 1
         for mvspec in all_similarity_moves(diag):
             try:
@@ -1531,13 +1552,6 @@ def similarity_search(eta: ClosedDiagram, zeta: ClosedDiagram,
     if corr is None:
         return None
     return dL, dM, corr, pathL, pathM
-
-
-def _path_conjugator(system, start: ClosedDiagram, path, base) -> Rearrangement:
-    K = identity(system, base)
-    for _diag, mv in path:
-        K = compose(K, mv.conj)
-    return K
 
 
 def conjugate(g: Rearrangement, h: Rearrangement, *, rules=None,
@@ -1570,20 +1584,20 @@ def conjugate(g: Rearrangement, h: Rearrangement, *, rules=None,
     zeta, logh = reduce_closed(zeta0, virtual, collect=logh)
     Kg = Kg0
     for e in logg:
-        Kg = _chain(Kg, e)
+        Kg = compose(Kg, e)
     Kh = Kh0
     for e in logh:
-        Kh = _chain(Kh, e)
+        Kh = compose(Kh, e)
     found = similarity_search(eta, zeta, max_states=max_states)
     if found is None:
         return None
     dL, dM, corr, pathL, pathM = found
     L = identity(system, eta.base_graph())
     for _d, mv in pathL:
-        L = _chain(L, mv.conj)
+        L = compose(L, mv.conj)
     M = identity(system, zeta.base_graph())
     for _d, mv in pathM:
-        M = _chain(M, mv.conj)
+        M = compose(M, mv.conj)
     P = _correspondence_element(system, dM, dL, corr)
     # o(eta) = Kg^-1 g Kg, o(dL) = L^-1 o(eta) L, o(dM) = M^-1 o(zeta) M and
     # o(dM) = P^-1 o(dL) P together give h = k^-1 g k for the chain below.
@@ -1593,12 +1607,7 @@ def conjugate(g: Rearrangement, h: Rearrangement, *, rules=None,
     k2 = invert(k)
     if conjugate_by(g, k2) == h:
         return k2
-    raise AssertionError("similarity found but conjugator verification failed")
-
-
-def _chain(K: Rearrangement, E: Rearrangement) -> Rearrangement:
-    """Extend a logged conjugator chain by one move's element."""
-    return compose(K, E)
+    raise ConjugatorInvalid("similarity found but conjugator verification failed")
 
 
 # -- stable and vanishing symbols ---------------------------------------------------
@@ -1775,30 +1784,6 @@ def _all_reductions(host: ColoredGraph, patterns) -> list:
             result = _apply_pattern(host, pat, match)
             out.append((pat, match, result))
     return out
-
-
-def _pinned_encoding(g: ColoredGraph, pinned: set, undirected: frozenset) -> tuple:
-    """Canonical encoding with the pinned vertices held fixed.
-
-    Unpinned vertices are canonicalized by brute force (graphs here are tiny);
-    edges of undirected colors are normalized to one orientation so reductions
-    differing only by the hidden reversing automorphism compare equal.
-    """
-    free = [v for v in g.vertices if v not in pinned]
-    best = None
-    for perm in itertools.permutations(free):
-        names = {v: ("o", v) for v in g.vertices if v in pinned}
-        names.update({v: ("f", i) for i, v in enumerate(perm)})
-        rows = []
-        for e in g.edges:
-            a, b = names[e.src], names[e.dst]
-            if e.color in undirected and b < a:
-                a, b = b, a
-            rows.append((e.color, a, b))
-        key = tuple(sorted(rows))
-        if best is None or key < best:
-            best = key
-    return best if best is not None else ()
 
 
 def _iso_class_key(g: ColoredGraph, undirected: frozenset) -> tuple:

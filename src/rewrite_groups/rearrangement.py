@@ -314,8 +314,14 @@ def rearrangement_from_json(system: ReplacementSystem, data: dict) -> Rearrangem
 def _reduce(g: Rearrangement, allow_flips: bool = True, rng=None) -> tuple:
     """Apply reductions until none is possible; returns the reduced pieces.
 
-    The result does not depend on the candidate order; ``rng`` shuffles it
-    for the order-independence property tests.
+    Reduction runs in rounds: one scan collects every family that is
+    reducible now, all of them are merged, and the domain and range are
+    built once per round.  The families of a round have distinct parents, and
+    so do their images; an interior vertex that passes the degree check
+    carries no edge of another family, so the round gives what merging its
+    families one at a time in any order gives.  Reduced diagrams are unique,
+    so the result does not depend on the candidate order; ``rng`` shuffles
+    it for the order-independence property tests.
     """
     domain, range_, phi, flips = g.domain, g.range_, dict(g.phi), set(g.flips)
     system = g.system
@@ -324,7 +330,7 @@ def _reduce(g: Rearrangement, allow_flips: bool = True, rng=None) -> tuple:
         for w in domain.cells:
             if len(w) > 1 and w not in flips:
                 parents.setdefault(w[:-1], []).append(w)
-        move = None
+        moves = []
         order = sorted(parents)
         if rng is not None:
             rng.shuffle(order)
@@ -353,20 +359,21 @@ def _reduce(g: Rearrangement, allow_flips: bool = True, rng=None) -> tuple:
             if flip is None:
                 continue
             try:
-                new_domain = domain.reduce(kids)
-                new_range = range_.reduce([phi[w] for w in kids])
+                domain.check_reducible(kids)
+                range_.check_reducible(images)
             except NotReducible:
                 continue
-            move = (u, vp, kids, flip, new_domain, new_range)
-            break
-        if move is None:
+            moves.append((u, vp, kids, flip))
+        if not moves:
             return domain, range_, phi, frozenset(flips)
-        u, vp, kids, flip, domain, range_ = move
-        for w in kids:
-            del phi[w]
-        phi[u] = vp
-        if flip:
-            flips.add(u)
+        for u, vp, kids, flip in moves:
+            for w in kids:
+                del phi[w]
+            phi[u] = vp
+            if flip:
+                flips.add(u)
+        domain = GraphExpansion(system, phi, domain.base)
+        range_ = GraphExpansion(system, phi.values(), range_.base)
 
 
 def reduced_flipless(g: Rearrangement) -> Rearrangement:
@@ -396,7 +403,7 @@ def compose(g: Rearrangement, h: Rearrangement) -> Rearrangement:
     Both diagrams are split to the common refinement of g's domain and h's
     range in one step each (``expand_domain_to``, ``expand_range_to``), at a
     cost linear in the size of the refined forest; reducing the product then
-    rebuilds both expansions once per reduced family.
+    builds both expansions once per round of reductions (see ``_reduce``).
     """
     if g.system is not h.system:
         raise SystemMismatch("elements live over different systems")

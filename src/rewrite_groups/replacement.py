@@ -662,6 +662,17 @@ class GraphExpansion:
 
     def reduce(self, family: Iterable[Word]) -> "GraphExpansion":
         family = {tuple(w) for w in family}
+        parent = self.check_reducible(family)
+        cells = [c for c in self.cells if c not in family] + [parent]
+        return GraphExpansion(self.system, cells, self.base)
+
+    def check_reducible(self, family: Iterable[Word]) -> Word:
+        """The parent of ``family`` if ``reduce`` may merge it; raise NotReducible if not.
+
+        The family must be the full set of children of one word, all cells,
+        and the interior vertices of its pattern must carry no other edge.
+        """
+        family = {tuple(w) for w in family}
         if not family or any(len(w) < 2 for w in family):
             raise NotReducible("family must consist of words of length >= 2")
         parents = {w[:-1] for w in family}
@@ -683,8 +694,7 @@ class GraphExpansion:
                     expected = rule.graph.degree(rv)
                     if deg != expected:
                         raise NotReducible(f"vertex {v} has outside incidences")
-        cells = [c for c in self.cells if c not in family] + [parent]
-        return GraphExpansion(self.system, cells, self.base)
+        return parent
 
     def reducible_families(self) -> list:
         out = []
@@ -695,7 +705,7 @@ class GraphExpansion:
         for p, kids in sorted(parents.items()):
             if {w[-1] for w in kids} == self._child_letters(p):
                 try:
-                    self.reduce(kids)
+                    self.check_reducible(kids)
                 except NotReducible:
                     continue
                 out.append(tuple(sorted(kids)))

@@ -201,3 +201,32 @@ def test_expand_dendrite_depth_five():
     assert code == 0
     cells = out.strip().split("\n")
     assert len(cells) == 729 and len(set(cells)) == 729
+
+
+def test_conj_under_python_optimize(tmp_path, x0_file, x1_file):
+    """With asserts stripped (-O), conj still prints only a verified conjugator."""
+    from pathlib import Path
+
+    from rewrite_groups.rearrangement import conjugate_by, rearrangement_from_json
+
+    F, x0, x1 = f_generators()
+    h = conjugate_by(x0, x1)
+    h_file = tmp_path / "h.json"
+    h_file.write_text(json.dumps(h.to_json()))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def conj(g_path, h_path):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "rewrite_groups.cli", "conj", "--system",
+             "interval_F", g_path, h_path, "--json"],
+            capture_output=True, text=True, env=env,
+        )
+
+    proc = conj(x0_file, str(h_file))
+    assert proc.returncode == 0, proc.stderr
+    k = rearrangement_from_json(F, json.loads(proc.stdout)["conjugator"])
+    assert conjugate_by(x0, k) == h
+    proc = conj(x0_file, x1_file)
+    assert proc.returncode == 1 and json.loads(proc.stdout) == {"conjugate": False}

@@ -10,8 +10,10 @@ from rewrite_groups.rearrangement import (
     Rearrangement,
     compose,
     conjugate_by,
+    from_cell_map,
     identity,
     invert,
+    product,
     random_rearrangement,
 )
 from rewrite_groups.replacement import GraphExpansion, ReplacementSystem, Rule, base_expansion
@@ -343,3 +345,235 @@ def test_closed_dot_emitter():
     eta, _ = cj.reduce_closed(cj.close_element(x0))
     dot = cj.closed_to_dot(eta)
     assert dot.startswith("digraph") and "dashed" in dot
+
+
+# -- canonical keys ------------------------------------------------------------------
+
+
+def _reference_rows(d, start_sid, sym_ids=None, node_order=None):
+    """Rows of the breadth-first traversal from one strand, as a list."""
+    node_ids = {}
+    sym_ids = {} if sym_ids is None else sym_ids
+    rows, seen, queue = [], set(), [start_sid]
+
+    def nid_of(n):
+        if n not in node_ids:
+            node_ids[n] = len(node_ids)
+            kind = d.nodes[n]
+            if node_order is not None:
+                node_order.append((n, kind))
+            if kind == "bp":
+                queue.extend([d.out_strand(n), d.in_strand(n)])
+            else:
+                arity = len(d.system.rules[kind[1]].graph.edges)
+                if kind[0] == "split":
+                    queue.append(d.in_strand(n))
+                    queue.extend(d.out_strand(n, p) for p in range(arity))
+                else:
+                    queue.append(d.out_strand(n))
+                    queue.extend(d.in_strand(n, p) for p in range(arity))
+        return node_ids[n]
+
+    while queue:
+        sid = queue.pop(0)
+        if sid in seen:
+            continue
+        seen.add(sid)
+        s = d.strands[sid]
+        ku, kd = d.nodes[s.src[0]], d.nodes[s.dst[0]]
+        rows.append((nid_of(s.src[0]), s.src[1], nid_of(s.dst[0]), s.dst[1],
+                     "bp" if ku == "bp" else ku[0], "bp" if kd == "bp" else kd[0],
+                     s.color, sym_ids.setdefault(s.label[0], len(sym_ids)),
+                     sym_ids.setdefault(s.label[1], len(sym_ids))))
+    return rows
+
+
+def _reference_traversal(d):
+    """Reference for _canonical_traversal: every anchor's rows in full."""
+    import itertools
+
+    locals_ = []
+    for c in d.components():
+        best, anchors = None, []
+        for a in sorted(c, key=repr):
+            rows = tuple(_reference_rows(d, a))
+            if best is None or rows < best:
+                best, anchors = rows, [a]
+            elif rows == best:
+                anchors.append(a)
+        locals_.append((best, anchors))
+    locals_.sort(key=lambda x: x[0])
+    groups = []
+    for lk, anchors in locals_:
+        if groups and groups[-1][0] == lk:
+            groups[-1][1].append(anchors)
+        else:
+            groups.append((lk, [anchors]))
+    choices = []
+    for _lk, members in groups:
+        perms = itertools.permutations(members) if len(members) <= 4 else [tuple(members)]
+        choices.append([list(combo) for perm in perms for combo in itertools.product(*perm)])
+    best_key, best_order = None, []
+    for combo in itertools.product(*choices):
+        sym_ids, order = {}, []
+        key = tuple(tuple(_reference_rows(d, a, sym_ids, order))
+                    for part in combo for a in part)
+        if best_key is None or key < best_key:
+            best_key, best_order = key, order
+    return best_key if best_key is not None else (), best_order
+
+
+def _renamed(d, rng):
+    """The same diagram with shuffled node ids, strand ids and symbols."""
+    nodes = list(d.nodes)
+    node_ids = rng.sample(range(3 * len(nodes) + 3), len(nodes))
+    rename = {n: (i if d.nodes[n] == "bp" else ("n", i)) for n, i in zip(nodes, node_ids)}
+    syms = sorted(d.symbols(), key=repr)
+    sym = dict(zip(syms, (f"q{i}" for i in rng.sample(range(len(syms)), len(syms)))))
+    sids = list(d.strands)
+    rng.shuffle(sids)
+    strands = {}
+    for i, sid in enumerate(sids):
+        s = d.strands[sid]
+        strands[("r", i)] = sd.Strand(s.color, (sym[s.label[0]], sym[s.label[1]], s.label[2]),
+                                      (rename[s.src[0]], s.src[1]), (rename[s.dst[0]], s.dst[1]))
+    return cj.ClosedDiagram(d.system, {rename[n]: k for n, k in d.nodes.items()}, strands,
+                            max(node_ids) + 1)
+
+
+KEY_SYSTEMS = ["interval_F", "circle_T", "cantor_V", "basilica", "airplane", "dendrite:3"]
+
+
+def _key_corpus(rng):
+    """Closures and reduced closures with their similarity neighbours."""
+    out = []
+    for name in KEY_SYSTEMS:
+        S = catalog(name)
+        for _ in range(3):
+            eta0 = cj.close_element(random_rearrangement(S, rng, 3, 2))
+            eta, _ = cj.reduce_closed(eta0)
+            out += [eta0, eta] + [cj.apply_shift(eta, spec).diagram
+                                  for spec in cj.all_similarity_moves(eta)]
+    return out
+
+
+def test_canonical_keys_match_the_all_anchors_traversal(rng):
+    ties = 0
+    for d in _key_corpus(rng):
+        key, order = d._canonical_traversal()
+        assert (key, order) == _reference_traversal(d)
+        assert d.canonical_key() == key
+        ties += any(len(d._least_anchors(c)[1]) > 1 for c in d.components())
+    assert ties >= 5  # components with several least anchors
+
+
+def test_canonical_keys_survive_renaming(rng):
+    for d in _key_corpus(rng):
+        for _ in range(2):
+            e = _renamed(d, rng)
+            assert e.canonical_key() == d.canonical_key()
+            assert e == d and hash(e) == hash(d)
+            corr = cj._matching(e, d)
+            assert corr is not None and all(e.nodes[n] == d.nodes[corr[n]] for n in corr)
+
+
+# -- lazy move conjugators -----------------------------------------------------------
+
+
+def test_every_similarity_move_conjugator_verified(rng):
+    F, x0, x1 = f_generators()
+    samples = [x0, x1, compose(x0, x1)]
+    samples += [random_rearrangement(catalog(name), rng, 3, 2) for _ in range(3)
+                for name in ["circle_T", "airplane", "basilica", "dendrite:3"]]
+    checked = 0
+    for g in samples:
+        eta0 = cj.close_element(g)
+        K = cj.initial_renaming(g.system, eta0, g)
+        eta, log = cj.reduce_closed(eta0, collect=[])
+        for e in log:
+            K = compose(K, e)
+        # the reduced closure and its neighbours, with their conjugators
+        states = [(eta, K)] + [(mv.diagram, compose(K, mv.conj))
+                               for mv in (cj.apply_shift(eta, spec)
+                                          for spec in cj.all_similarity_moves(eta))]
+        for d, Kd in states:
+            for spec in cj.all_similarity_moves(d):
+                mv = cj.apply_shift(d, spec)
+                assert mv.conj is mv.conj  # built once
+                assert mv.diagram.open_element() == conjugate_by(g, compose(Kd, mv.conj)), spec
+                checked += 1
+    assert checked >= 100
+
+
+def test_shift_probes_build_no_elements(rng, monkeypatch):
+    diagrams = []
+    for name in ["interval_F", "cantor_V", "basilica", "dendrite:3"]:
+        S = catalog(name)
+        for _ in range(3):
+            eta, _ = cj.reduce_closed(cj.close_element(random_rearrangement(S, rng, 2, 2)))
+            diagrams += [eta] + [cj.apply_shift(eta, s).diagram for s in cj.all_shifts(eta)]
+    built = []
+    for cls in (GraphExpansion, Rearrangement):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    specs = [spec for d in diagrams for spec in cj.all_shifts(d)]
+    moves = [cj.apply_shift(d, spec) for d in diagrams for spec in cj.all_shifts(d)]
+    assert built == []
+    assert {s[0] for s in specs} >= {"shift_up_split", "shift_down_merge",
+                                     "shift_down_split", "shift_up_merge"}
+    assert moves[0].conj is not None and built  # forcing a conjugator builds it
+
+
+def _word(gens, rng, length):
+    return product([gens[rng.choice(sorted(gens))] for _ in range(length)])
+
+
+def test_conjugate_round_trip_on_generator_words(rng):
+    F, x0, x1 = f_generators()
+    rot = [(("s", "0"), ("s", "1", "1")), (("s", "1", "0"), ("s", "0")),
+           (("s", "1", "1"), ("s", "1", "0"))]
+    swap = [(("s", "0"), ("s", "1")), (("s", "1"), ("s", "0"))]
+    x0_pairs = [(("s", "0", "0"), ("s", "0")), (("s", "0", "1"), ("s", "1", "0")),
+                (("s", "1"), ("s", "1", "1"))]
+    x1_pairs = [(("s", "0"), ("s", "0")), (("s", "1", "0", "0"), ("s", "1", "0")),
+                (("s", "1", "0", "1"), ("s", "1", "1", "0")), (("s", "1", "1"), ("s", "1", "1", "1"))]
+    tables = {"interval_F": [x0_pairs, x1_pairs], "circle_T": [x0_pairs, x1_pairs, rot],
+              "cantor_V": [x0_pairs, x1_pairs, rot, swap]}
+    for name, maps in tables.items():
+        S = catalog(name)
+        gens = {}
+        for i, pairs in enumerate(maps):
+            gens[i] = from_cell_map(S, pairs)
+            gens[-1 - i] = invert(gens[i])
+        done = 0
+        while done < 6:
+            g, k = _word(gens, rng, 3), _word(gens, rng, 2)
+            if g.is_identity() or k.is_identity():
+                continue
+            h = conjugate_by(g, k)
+            k2 = cj.conjugate(g, h, assume_confluent=True)
+            assert k2 is not None and conjugate_by(g, k2) == h, name
+            done += 1
+
+
+def test_typed_errors_replace_asserts(monkeypatch):
+    F, x0, _ = f_generators()
+    eta = cj.close_element(x0)
+    bp = eta.bps()[0]
+    strands = {sid: s for sid, s in eta.strands.items() if s.src[0] != bp}
+    with pytest.raises(cj.NotXDiagram):
+        cj.ClosedDiagram(F, eta.nodes, strands, eta.counter)
+    from rewrite_groups.replacement import normalize_loops
+
+    with pytest.raises(ValueError):  # a loop cell with two distinct endpoints
+        cj._instantiate(normalize_loops(catalog("circle_T")), "1~", "a", "b", ["z0", "z1"])
+    with pytest.raises(ValueError):
+        cj.apply_type3(eta, ("rule", None, [], None, [], [], [], 1, {(bp,)}))
+    monkeypatch.setattr(cj, "conjugate_by", lambda g, k: None)
+    with pytest.raises(cj.ConjugatorInvalid):
+        cj.conjugate(x0, x0)

@@ -273,3 +273,120 @@ def test_compose_builds_the_same_number_of_expansions_at_any_power(monkeypatch):
         monkeypatch.setattr(GraphExpansion, "__init__", init)
         built[n] = len(calls)
     assert built[8] == built[32]
+
+
+# -- reduction in rounds ---------------------------------------------------------
+
+
+def _reduce_one_family_at_a_time(g, rng=None):
+    """Reference for _reduce: merge the first reducible family, rebuild both
+    expansions, rescan every family, until none is left."""
+    from rewrite_groups.replacement import NotReducible
+
+    domain, range_, phi, flips = g.domain, g.range_, dict(g.phi), set(g.flips)
+    system = g.system
+    while True:
+        parents = {}
+        for w in domain.cells:
+            if len(w) > 1 and w not in flips:
+                parents.setdefault(w[:-1], []).append(w)
+        move = None
+        order = sorted(parents)
+        if rng is not None:
+            rng.shuffle(order)
+        for u in order:
+            kids = parents[u]
+            rule_color = domain.cell_color(u)
+            names = {e.name for e in system.rules[rule_color].graph.edges}
+            if {w[-1] for w in kids} != names:
+                continue
+            vparents = {phi[w][:-1] for w in kids}
+            if len(vparents) != 1:
+                continue
+            vp = vparents.pop()
+            if not vp:
+                continue
+            letter_map = {w[-1]: phi[w][-1] for w in kids}
+            flip = None
+            if all(letter_map[e] == e for e in names):
+                flip = False
+            elif rule_color in system.validate().undirected_colors:
+                psi = system.reversing_automorphism(rule_color)
+                if psi is not None and all(letter_map[e] == psi.edge_map[e] for e in names):
+                    flip = True
+            if flip is None:
+                continue
+            try:
+                new_domain = domain.reduce(kids)
+                new_range = range_.reduce([phi[w] for w in kids])
+            except NotReducible:
+                continue
+            move = (u, vp, kids, flip, new_domain, new_range)
+            break
+        if move is None:
+            return Rearrangement(domain, phi, range_, flips, _reduced=True)
+        u, vp, kids, flip, domain, range_ = move
+        for w in kids:
+            del phi[w]
+        phi[u] = vp
+        if flip:
+            flips.add(u)
+
+
+def _unreduced_compose(g, h):
+    """compose(g, h) up to, but not including, the reduction of the product."""
+    from rewrite_groups.replacement import minimal_refinement
+
+    gf, hf = g.flipless(), h.flipless()
+    mid = minimal_refinement(gf.domain, hf.range_)
+    gf = gf.expand_domain_to(mid.cells)
+    hf = hf.expand_range_to(mid.cells)
+    hinv = {v: w for w, v in hf.phi.items()}
+    return Rearrangement(hf.domain, {hinv[m]: gf.phi[m] for m in mid.cells}, gf.range_,
+                         _reduced=True)
+
+
+def _unreduced_inverse(g):
+    return Rearrangement(g.range_, {v: w for w, v in g.phi.items()}, g.domain,
+                         [g.phi[w] for w in g.flips], _reduced=True)
+
+
+def _same_reduction(raw, ref):
+    from rewrite_groups.rearrangement import _reduce
+
+    domain, range_, phi, flips = _reduce(raw)
+    got = Rearrangement(domain, phi, range_, flips, _reduced=True)
+    assert got.encoding() == ref.encoding()
+    assert (got.domain.cells, got.range_.cells, got.flips) == \
+        (ref.domain.cells, ref.range_.cells, ref.flips)
+
+
+def test_reduction_rounds_match_one_family_at_a_time(rng):
+    from rewrite_groups.rearrangement import reduce_with_order
+
+    F, x0, x1 = f_generators()
+    samples = [(F, x) for x in (x0, x1, power(x0, 3), product([x1, x0, invert(x1)]))]
+    samples += [(S, random_rearrangement(S, rng, 3, 2))
+                for S in map(catalog, ["interval_F", "circle_T", "cantor_V", "basilica",
+                                       "airplane", "dendrite:3"]) for _ in range(5)]
+    raws = []
+    for S, g in samples:
+        h = samples[rng.randrange(len(samples))][1]
+        if h.system is S:
+            raws.append(_unreduced_compose(g, h))
+        raws.append(_unreduced_compose(g, g))
+        raws.append(_unreduced_inverse(g))
+        for on_domain in (True, False):
+            target = _random_words(S, rng, rng.randint(1, 4))
+            raws.append(g.expand_domain_to(target) if on_domain else g.expand_range_to(target))
+    multi_round = 0
+    for raw in raws:
+        ref = _reduce_one_family_at_a_time(raw)
+        _same_reduction(raw, ref)
+        multi_round += len(raw.domain.reducible_families()) >= 2
+        for seed in range(3):
+            shuffled = reduce_with_order(raw, random.Random(seed))
+            assert shuffled.encoding() == ref.encoding()
+            assert shuffled.encoding() == _reduce_one_family_at_a_time(
+                raw, random.Random(seed)).encoding()
+    assert multi_round >= 20  # first rounds that merge two families or more
