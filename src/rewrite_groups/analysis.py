@@ -331,7 +331,8 @@ def _branch_index(system, expansion, vertex) -> dict:
         prefix_len += 1
     out = {}
     for w in words:
-        assert len(w) > prefix_len, "incident word too short for a branch index"
+        if len(w) <= prefix_len:
+            raise ValueError("incident word too short for a branch index")
         out[w] = int(w[prefix_len])
     return out
 

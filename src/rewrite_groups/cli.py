@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 __version__ = "0.1.0"
@@ -333,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         if system:
             sp.add_argument("--system", required=True, help="catalog id or JSON path")
         sp.add_argument("--json", action="store_true", help="machine-readable output")
-        sp.add_argument("--seed", type=int, default=None)
         return sp
 
     sp = sub.add_parser("catalog", help="list or dump built-in systems")
@@ -431,11 +429,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = os.environ.get("REWRITE_GROUPS_SEED")
-    if seed is not None:
-        random.seed(int(seed))
     try:
         return args.func(args)
     except UsageError as e:

@@ -18,16 +18,20 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
-from .graphs import ColoredGraph, Edge
+from .graphs import ColoredGraph, Edge, UnionFind
 from .replacement import GraphExpansion, ReplacementSystem, base_expansion
 from .rearrangement import Rearrangement, compose, conjugate_by, identity, invert
-from .strand import Strand, StrandDiagram, from_rearrangement, to_rearrangement
+from .strand import (
+    Diagram,
+    NotXDiagram,
+    Strand,
+    StrandDiagram,
+    copy_defect,
+    from_rearrangement,
+    to_rearrangement,
+)
 
 Word = tuple
-
-
-class NotXDiagram(ValueError):
-    pass
 
 
 class RulesNotConfluent(RuntimeError):
@@ -171,7 +175,7 @@ def augment_airplane(system: Optional[ReplacementSystem] = None) -> AugmentedRul
 # -- closed diagrams --------------------------------------------------------------------
 
 
-class ClosedDiagram:
+class ClosedDiagram(Diagram):
     """A strand diagram closed around the hole; base points are the cut marks.
 
     Nodes are ("split", c) / ("merge", c) / "bp".  Base points have exactly one
@@ -180,6 +184,8 @@ class ClosedDiagram:
     operations never depend on the order, so base points form a plain set.
     """
 
+    END_PORTS = {"bp": (frozenset({0}), frozenset({0}))}
+
     def __init__(self, system: ReplacementSystem, nodes: dict, strands: dict,
                  counter: int = 0):
         self.system = system
@@ -187,17 +193,10 @@ class ClosedDiagram:
         self.strands = dict(strands)
         self.counter = counter
         self._traversal = None
-        self._index()
+        self._wire()
 
-    def _index(self):
-        self._out, self._in = {}, {}
-        for sid, s in self.strands.items():
-            self._out.setdefault(s.src[0], {})[s.src[1]] = sid
-            self._in.setdefault(s.dst[0], {})[s.dst[1]] = sid
-        for nid, kind in self.nodes.items():
-            if kind == "bp" and not (list(self._out.get(nid, {})) == [0]
-                                     and list(self._in.get(nid, {})) == [0]):
-                raise NotXDiagram(f"base point {nid} needs exactly one strand in and out")
+    def _with(self, nodes: dict, strands: dict) -> "ClosedDiagram":
+        return ClosedDiagram(self.system, nodes, strands, self.counter)
 
     def fresh(self, n=1):
         ids = list(range(self.counter, self.counter + n))
@@ -205,25 +204,6 @@ class ClosedDiagram:
 
     def bps(self):
         return sorted(n for n, k in self.nodes.items() if k == "bp")
-
-    def splits(self):
-        return [n for n, k in self.nodes.items() if isinstance(k, tuple) and k[0] == "split"]
-
-    def merges(self):
-        return [n for n, k in self.nodes.items() if isinstance(k, tuple) and k[0] == "merge"]
-
-    def out_strand(self, nid, port=0):
-        return self._out[nid][port]
-
-    def in_strand(self, nid, port=0):
-        return self._in[nid][port]
-
-    def symbols(self):
-        out = set()
-        for s in self.strands.values():
-            out.add(s.label[0])
-            out.add(s.label[1])
-        return out
 
     def fresh_symbols(self, n):
         taken = self.symbols()
@@ -517,32 +497,6 @@ def _instantiate(system, color, v, w, fresh_syms):
     return labels
 
 
-def _match_instance(system, color, labels):
-    """If labels form a faithful copy of color's tree, return (v, w, sub)."""
-    rule = system.rules[color]
-    sub: dict = {}
-    for e, (a, b, _z) in zip(rule.graph.edges, labels):
-        for rv, sym in ((e.src, a), (e.dst, b)):
-            if sub.setdefault(rv, sym) != sym:
-                return None
-    # injective except that iota and tau coincide when the edge is a loop
-    collisions = len(sub) - len(set(sub.values()))
-    if collisions > 1:
-        return None
-    if collisions == 1:
-        if rule.kind != "pair" or sub.get(rule.iota) != sub.get(rule.tau):
-            return None
-    groups: dict = {}
-    for e, (a, b, z) in zip(rule.graph.edges, labels):
-        groups.setdefault((a, b), []).append(z)
-    for zs in groups.values():
-        if len(set(zs)) != len(zs):
-            return None
-    v = sub[rule.iota]
-    w = sub[rule.iota] if rule.kind == "loop" else sub[rule.tau]
-    return v, w, sub
-
-
 def _expansion_element(system: ReplacementSystem, old_base: ColoredGraph,
                        new_base: ColoredGraph, letter: str, child_names: list) -> Rearrangement:
     """The groupoid element identifying Omega(new base) with Omega(old base).
@@ -590,17 +544,9 @@ def _repair_cond2(d: ClosedDiagram, fresh: set) -> ClosedDiagram:
     """
     while True:
         renaming: dict = {}
-        for sid, s in d.strands.items():
-            ku, kd = d.nodes[s.src[0]], d.nodes[s.dst[0]]
-            if not (isinstance(ku, tuple) and ku[0] == "merge"
-                    and isinstance(kd, tuple) and kd[0] == "split"
-                    and s.src[1] == 0 and s.dst[1] == 0 and ku[1] == kd[1]):
-                continue
-            arity = len(d.system.rules[ku[1]].graph.edges)
-            for p in range(arity):
-                a = d.strands[d.in_strand(s.src[0], p)].label
-                b = d.strands[d.out_strand(s.dst[0], p)].label
-                for x, y in ((a[0], b[0]), (a[1], b[1])):
+        for mnode, snode in d.type2_candidates():
+            for a, b in d.mirrored(mnode, snode):
+                for x, y in zip(d.strands[a].label[:2], d.strands[b].label[:2]):
                     if x == y:
                         continue
                     if x in fresh:
@@ -609,14 +555,8 @@ def _repair_cond2(d: ClosedDiagram, fresh: set) -> ClosedDiagram:
                         renaming[y] = x
         if not renaming:
             return d
-        strands = {
-            sid: replace(s, label=(renaming.get(s.label[0], s.label[0]),
-                                   renaming.get(s.label[1], s.label[1]),
-                                   s.label[2]))
-            for sid, s in d.strands.items()
-        }
         fresh = fresh - set(renaming)
-        d = ClosedDiagram(d.system, d.nodes, strands, d.counter)
+        d = d.rename(renaming)
 
 
 def shift_down_split(d: ClosedDiagram, bp) -> Move:
@@ -670,10 +610,10 @@ def shift_up_split(d: ClosedDiagram, snode) -> Move:
         lowers.append(d.strands[d.out_strand(s.dst[0])])
     if len(set(bps)) != arity:
         raise NotAdjacent("children share base points")
-    m = _match_instance(d.system, color, [s.label for s in lowers])
-    if m is None:
+    sub: dict = {}
+    if copy_defect(rule, lowers, sub) is not None:
         raise NotAdjacent("labels below the line are not a faithful copy")
-    v, w, _sub = m
+    v, w = sub[rule.iota], sub[rule.tau]
     nodes = dict(d.nodes)
     strands = dict(d.strands)
     counter = d.counter
@@ -747,10 +687,10 @@ def shift_down_merge(d: ClosedDiagram, mnode) -> Move:
         uppers.append(d.strands[d.in_strand(s.src[0])])
     if len(set(bps)) != arity:
         raise NotAdjacent("inputs share base points")
-    m = _match_instance(d.system, color, [s.label for s in uppers])
-    if m is None:
+    sub: dict = {}
+    if copy_defect(rule, uppers, sub) is not None:
         raise NotAdjacent("labels above the line are not a faithful copy")
-    v, w, _sub = m
+    v, w = sub[rule.iota], sub[rule.tau]
     nodes = dict(d.nodes)
     strands = dict(d.strands)
     counter = d.counter
@@ -880,75 +820,6 @@ def apply_shift(d: ClosedDiagram, move) -> Move:
 
 def all_similarity_moves(d: ClosedDiagram) -> list:
     return all_shifts(d) + all_flips(d)
-
-
-# -- type 1/2 reductions on closed diagrams ------------------------------------------
-
-
-def _closed_type1(d: ClosedDiagram):
-    for snode in d.splits():
-        color = d.nodes[snode][1]
-        arity = len(d.system.rules[color].graph.edges)
-        targets = set()
-        ok = True
-        for p in range(arity):
-            s = d.strands[d.out_strand(snode, p)]
-            k = d.nodes[s.dst[0]]
-            if not (isinstance(k, tuple) and k[0] == "merge" and s.dst[1] == p):
-                ok = False
-                break
-            targets.add(s.dst[0])
-        if ok and len(targets) == 1 and d.nodes[targets.copy().pop()][1] == color:
-            yield (snode, targets.pop())
-
-
-def _closed_type2(d: ClosedDiagram):
-    for sid, s in d.strands.items():
-        ku, kd = d.nodes[s.src[0]], d.nodes[s.dst[0]]
-        if (isinstance(ku, tuple) and ku[0] == "merge" and s.src[1] == 0
-                and isinstance(kd, tuple) and kd[0] == "split" and s.dst[1] == 0
-                and ku[1] == kd[1]):
-            yield (s.src[0], s.dst[0])
-
-
-def reduce_type1(d: ClosedDiagram, snode, mnode) -> ClosedDiagram:
-    color = d.nodes[snode][1]
-    arity = len(d.system.rules[color].graph.edges)
-    nodes = dict(d.nodes)
-    strands = dict(d.strands)
-    top_sid = d.in_strand(snode)
-    bottom = d.strands[d.out_strand(mnode)]
-    for p in range(arity):
-        del strands[d.out_strand(snode, p)]
-    del strands[d.out_strand(mnode)]
-    if top_sid in strands:
-        strands[top_sid] = replace(strands[top_sid], dst=bottom.dst)
-    del nodes[snode]
-    del nodes[mnode]
-    # a split directly closing onto its own merge leaves a free loop through
-    # base points only when the surrounding strands survive; if the top strand
-    # was the bottom strand we would have a strand from the merge to the split,
-    # which the candidate scan excludes.
-    return ClosedDiagram(d.system, nodes, strands, d.counter)
-
-
-def reduce_type2(d: ClosedDiagram, mnode, snode) -> ClosedDiagram:
-    color = d.nodes[mnode][1]
-    arity = len(d.system.rules[color].graph.edges)
-    nodes = dict(d.nodes)
-    strands = dict(d.strands)
-    shared = d.out_strand(mnode)
-    for p in range(arity):
-        a = d.in_strand(mnode, p)
-        b = d.out_strand(snode, p)
-        if d.strands[a].label != d.strands[b].label:
-            raise NotAdjacent("type 2 with unequal labels")
-        strands[a] = replace(strands[a], dst=d.strands[b].dst)
-        del strands[b]
-    del strands[shared]
-    del nodes[mnode]
-    del nodes[snode]
-    return ClosedDiagram(d.system, nodes, strands, d.counter)
 
 
 # -- pure loops and type 3 ----------------------------------------------------------
@@ -1249,13 +1120,15 @@ def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None, collect=None)
         return rng.choice(options) if rng is not None else options[0]
 
     while True:
-        c1 = pick(_closed_type1(d))
+        c1 = pick(d.type1_candidates())
         if c1 is not None:
-            d = reduce_type1(d, *c1)
+            d = d.cancel_type1(*c1)
             continue
-        c2 = pick(_closed_type2(d))
+        c2 = pick(d.type2_candidates())
         if c2 is not None:
-            d = reduce_type2(d, *c2)
+            if any(d.strands[a].label != d.strands[b].label for a, b in d.mirrored(*c2)):
+                raise NotAdjacent("type 2 with unequal labels")
+            d = d.cancel_type2(*c2)
             continue
         chained = list(_find_chained_type1(d)) + list(_find_chained_type2(d))
         if rng is not None:
@@ -1907,36 +1780,24 @@ def _glue(p1, p2, matching):
     """Pushout of the two patterns along the matched edges."""
     tag1, key1, lhs1, ends1, int1 = p1
     tag2, key2, lhs2, ends2, int2 = p2
-    parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
+    uf = UnionFind()
     for v in lhs1.vertices:
-        find(("1", v))
+        uf.add(("1", v))
     for v in lhs2.vertices:
-        find(("2", v))
+        uf.add(("2", v))
     matched2 = set()
     for i, f in matching:
         e = lhs1.edges[i]
         if e.color != f.color:
             return None
-        union(("1", e.src), ("2", f.src))
-        union(("1", e.dst), ("2", f.dst))
+        uf.union(("1", e.src), ("2", f.src))
+        uf.union(("1", e.dst), ("2", f.dst))
         matched2.add(f.name)
     # identification within one pattern only allowed for its boundary pair
     def self_ok(tagged, lhs, ends, tag):
         classes: dict = {}
         for v in lhs.vertices:
-            classes.setdefault(find((tagged, v)), []).append(v)
+            classes.setdefault(uf.find((tagged, v)), []).append(v)
         for vs in classes.values():
             if len(vs) > 2:
                 return False
@@ -1949,9 +1810,9 @@ def _glue(p1, p2, matching):
         return None
     vname = {}
     for v in lhs1.vertices:
-        vname[("1", v)] = f"h{find(('1', v))}"
+        vname[("1", v)] = f"h{uf.find(('1', v))}"
     for v in lhs2.vertices:
-        vname[("2", v)] = f"h{find(('2', v))}"
+        vname[("2", v)] = f"h{uf.find(('2', v))}"
     edges = []
     emap1 = {}
     emap2 = {}

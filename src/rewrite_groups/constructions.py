@@ -279,11 +279,6 @@ def unglue(system: ReplacementSystem) -> ReplacementSystem:
     return ReplacementSystem(system.colors, base, rules)
 
 
-def color_graph_plain(system: ReplacementSystem) -> ColoredGraph:
-    """The color graph with per-state letters, suitable for tfg()."""
-    return system.color_graph()
-
-
 def contract_out_degree_one(graph: ColoredGraph, start: str):
     """Contract non-loop edges out of out-degree-1 vertices; word map drops them.
 
@@ -356,18 +351,6 @@ def binaryfy(graph: ColoredGraph, start: str):
     return binary, letter_map
 
 
-def _word_to_binary_stream(graph: ColoredGraph, start: str, word) -> list:
-    """State-annotated letters of a walk, for feeding the cascade letter map."""
-    out = []
-    state = start
-    for letter in word:
-        e = graph.edge(letter)
-        assert str(e.src) == str(state), f"walk breaks at {letter}"
-        out.append((str(state), letter))
-        state = e.dst
-    return out
-
-
 class EmbeddingIntoV:
     """The pipeline carrying a system's elements into Thompson's group V."""
 
@@ -385,28 +368,26 @@ class EmbeddingIntoV:
         self.bit = {}
         for v in self.binary.vertices:
             out = [e for e in self.binary.edges if e.src == v]
-            assert len(out) == 2
+            if len(out) != 2:
+                raise ValueError(f"binary cascade vertex {v!r} has out-degree {len(out)}")
             self.bit[out[0].name] = "0"
             self.bit[out[1].name] = "1"
         self.target = cantor()
 
     def word_to_bits(self, word: Word) -> Word:
         """Translate a system word into the V system's language (s + bits)."""
-        # walk the original color graph, dropping contracted letters
-        letters = []
-        state = "q(0)"
-        ctx = None
-        for letter in word:
-            color = self.system.letter_color(ctx, letter)
-            name = letter if ctx is None else f"{ctx}:{letter}"
-            if name not in self.dropped:
-                letters.append(name)
-            ctx = color
-        stream = _word_to_binary_stream_safe(self.contracted, self.start, letters)
+        # walk the color graph, skip contracted letters and follow the rest
+        # on the contracted graph, each through its binary cascade
         bits = []
-        for state, name in stream:
-            for _st, nm in self.letter_map[(state, name)]:
+        ctx, state = None, self.start
+        for e in self.system.walk(word):
+            name = e.name if ctx is None else f"{ctx}:{e.name}"
+            ctx = e.color
+            if name in self.dropped:
+                continue
+            for _st, nm in self.letter_map[(str(state), name)]:
                 bits.append(self.bit[nm])
+            state = self.contracted.edge(name).dst
         return ("s",) + tuple(bits)
 
     def __call__(self, g: Rearrangement) -> Rearrangement:
@@ -417,16 +398,6 @@ class EmbeddingIntoV:
         for w in gf.domain.cells:
             pairs.append((self.word_to_bits(w), self.word_to_bits(gf.phi[w])))
         return from_cell_map(self.target, pairs)
-
-
-def _word_to_binary_stream_safe(graph: ColoredGraph, start, letters):
-    out = []
-    state = start
-    for name in letters:
-        e = graph.edge(name)
-        out.append((str(state), name))
-        state = e.dst
-    return out
 
 
 def embed_in_V(g: Rearrangement) -> Rearrangement:

@@ -410,7 +410,8 @@ def _translate_back(aut: GluingAutomaton, t: RationalSequence) -> RationalSequen
         letters.append(origin.get((ctx, letter), letter))
         ctx = aut.system.letter_color(ctx, letter)
     for k in range(len(t.prefix), n - len(t.period)):
-        assert letters[k] == letters[k + len(t.period)], "translation not periodic"
+        if letters[k] != letters[k + len(t.period)]:
+            raise RuntimeError("translation not periodic")
     return RationalSequence.make(
         tuple(letters[: len(t.prefix)]),
         tuple(letters[len(t.prefix): len(t.prefix) + len(t.period)]),

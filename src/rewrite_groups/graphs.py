@@ -12,6 +12,39 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 
+class UnionFind(dict):
+    """Disjoint sets of hashable items, stored as item -> parent.
+
+    ``union(a, b)`` makes the root of b's set the root of the merged set, so
+    a caller that names each set after its root gets names fixed by the
+    order of its unions.
+    """
+
+    def add(self, x):
+        if x not in self:
+            self[x] = x
+
+    def find(self, x):
+        while self[x] != x:
+            self[x] = self[self[x]]
+            x = self[x]
+        return x
+
+    def union(self, a, b):
+        self.add(a)
+        self.add(b)
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self[ra] = rb
+
+    def classes(self) -> dict:
+        """Root -> members of its set, members in the order they were added."""
+        out: dict = {}
+        for x in self:
+            out.setdefault(self.find(x), []).append(x)
+        return out
+
+
 @dataclass(frozen=True)
 class Edge:
     name: str
@@ -140,22 +173,10 @@ class ColoredGraph:
             classes = new
 
     def _component_vertex_sets(self) -> list[set]:
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        uf = UnionFind((v, v) for v in self.vertices)
         for e in self.edges:
-            a, b = find(e.src), find(e.dst)
-            if a != b:
-                parent[a] = b
-        comps: dict = {}
-        for v in self.vertices:
-            comps.setdefault(find(v), set()).add(v)
-        return list(comps.values())
+            uf.union(e.src, e.dst)
+        return [set(vs) for vs in uf.classes().values()]
 
     def _encode_with_order(self, order: list) -> tuple:
         idx = {v: i for i, v in enumerate(order)}
@@ -208,7 +229,8 @@ class ColoredGraph:
                 rec(self._refine(nxt), fixed + 1)
 
         rec(self._refine(base), 0)
-        assert best is not None
+        if best is None:
+            raise RuntimeError("a component has no canonical vertex order")
         return best
 
     def canonical_form(self) -> "ColoredGraph":

@@ -141,7 +141,8 @@ class Rearrangement:
 
     def psi(self, color: str):
         iso = self.system.reversing_automorphism(color)
-        assert iso is not None, f"no reversing automorphism for color {color!r}"
+        if iso is None:
+            raise BadFlip(f"no reversing automorphism for color {color!r}")
         return iso
 
     def expand_at(self, w: Word) -> "Rearrangement":
@@ -251,7 +252,8 @@ class Rearrangement:
             if s.prefix_of_length(k) in set(self.domain.cells):
                 d = s.prefix_of_length(k)
                 break
-        assert d is not None, "domain cells do not cover the sequence"
+        if d is None:
+            raise ValueError("domain cells do not cover the sequence")
         k = len(d)
         v = self.phi[d]
         head = list(v)
@@ -379,7 +381,8 @@ def _reduce(g: Rearrangement, allow_flips: bool = True, rng=None) -> tuple:
 def reduced_flipless(g: Rearrangement) -> Rearrangement:
     h = g.flipless()
     domain, range_, phi, flips = _reduce(h, allow_flips=False)
-    assert not flips
+    if flips:
+        raise RuntimeError("a reduction without flips left a flip")
     return Rearrangement(domain, phi, range_, (), _reduced=True)
 
 

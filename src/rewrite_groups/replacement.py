@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graphs import ColoredGraph, Edge
+from .graphs import ColoredGraph, Edge, UnionFind
 
 Word = tuple  # tuple[str, ...]; first letter from the base graph
 
@@ -51,15 +51,12 @@ class Rule:
 
     @property
     def iota(self) -> str:
-        if self.boundary[0] == "pair":
-            return self.boundary[1]
         return self.boundary[1]
 
     @property
     def tau(self) -> str:
-        if self.boundary[0] == "pair":
-            return self.boundary[2]
-        return self.boundary[1]
+        """The terminal vertex; a loop rule's only boundary vertex is both."""
+        return self.boundary[-1]
 
     def boundary_vertices(self) -> tuple:
         return (self.iota,) if self.kind == "loop" else (self.iota, self.tau)
@@ -108,31 +105,34 @@ class ReplacementSystem:
     def letter_color(self, context: Optional[str], letter: str) -> str:
         return self.graph_of(context).edge(letter).color
 
-    def word_colors(self, word: Word) -> list:
-        """Color of each letter; raises KeyError for words outside the language."""
+    def walk(self, word: Word, base: Optional[ColoredGraph] = None) -> list:
+        """The edge each letter names, read as a walk on the color graph.
+
+        The first letter is looked up in ``base`` (the system's base graph by
+        default), every later one in the rule graph of the color before it.
+        Raises KeyError for a word outside the language.
+        """
+        g = self.base if base is None else base
         out = []
-        ctx = None
         for letter in word:
-            c = self.letter_color(ctx, letter)
-            out.append(c)
-            ctx = c
+            e = g.edge(letter)
+            out.append(e)
+            g = self.rules[e.color].graph
         return out
 
+    def word_colors(self, word: Word) -> list:
+        """Color of each letter; raises KeyError for words outside the language."""
+        return [e.color for e in self.walk(word)]
+
     def word_color(self, word: Word) -> str:
-        return self.word_colors(word)[-1]
+        return self.walk(word)[-1].color
 
     def language_contains(self, word: Iterable) -> bool:
         word = tuple(word)
-        if not word:
+        try:
+            return bool(self.walk(word))
+        except KeyError:
             return False
-        ctx = None
-        for letter in word:
-            g = self.graph_of(ctx)
-            try:
-                ctx = g.edge(letter).color
-            except KeyError:
-                return False
-        return True
 
     def children(self, word: Word) -> list:
         c = self.word_color(word)
@@ -510,21 +510,45 @@ def _addresses(system: ReplacementSystem, base: ColoredGraph, words: Iterable[Wo
     return out
 
 
-class _UnionFind(dict):
-    def find(self, x):
-        while self[x] != x:
-            self[x] = self[self[x]]
-            x = self[x]
-        return x
+def forest_ends(system: ReplacementSystem, base: ColoredGraph, cells, interior) -> tuple:
+    """Endpoints of every word of the forest whose leaves are ``cells``.
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self[ra] = rb
-
-    def add(self, x):
-        if x not in self:
-            self[x] = x
+    The forest is expanded top-down from the edges of ``base``; ``interior``
+    holds its strict prefixes.  Returns (uf, ends): ``ends`` maps each word
+    to (s, t, color), where s and t are union-find items ("b", base vertex)
+    or ("i", word, rule vertex); two items are one vertex of the leaf graph
+    exactly when ``uf`` gives them the same root.  Roots are left to the
+    caller to resolve, for the words it needs.
+    """
+    uf = UnionFind()
+    ends: dict = {}
+    for e in base.edges:
+        s, t = ("b", e.src), ("b", e.dst)
+        uf.add(s), uf.add(t)
+        ends[(e.name,)] = (s, t, e.color)
+    frontier = list(ends)
+    while frontier:
+        w = frontier.pop()
+        if w in cells:
+            continue
+        if w not in interior:
+            raise NotACell(f"{w} is neither a cell nor a prefix of one")
+        s, t, color = ends[w]
+        rule = system.rules[color]
+        if rule.kind == "loop":
+            uf.union(s, t)
+            sub = {rule.iota: s}
+        else:
+            sub = {rule.iota: s, rule.tau: t}
+        for v in rule.graph.vertices:
+            if v not in sub:
+                node = ("i", w, v)
+                uf.add(node)
+                sub[v] = node
+        for e in rule.graph.edges:
+            ends[w + (e.name,)] = (sub[e.src], sub[e.dst], e.color)
+            frontier.append(w + (e.name,))
+    return uf, ends
 
 
 class GraphExpansion:
@@ -582,13 +606,7 @@ class GraphExpansion:
     def _color_of(self, word: Word) -> str:
         if word in self._colors:
             return self._colors[word]
-        g = self.base
-        color = None
-        for letter in word:
-            color = g.edge(letter).color
-            g = self.system.rules[color].graph
-        assert color is not None
-        return color
+        return self.system.walk(word, self.base)[-1].color
 
     def _child_letters(self, word: Word) -> set:
         return {e.name for e in self.system.rules[self._color_of(word)].graph.edges}
@@ -597,35 +615,7 @@ class GraphExpansion:
         return self._color_of(word)
 
     def _compute_leaf_graph(self, interior: dict) -> ColoredGraph:
-        # expand top-down from the base, tracking endpoints by union-find
-        uf = _UnionFind()
-        ends: dict = {}
-        for e in self.base.edges:
-            s, t = ("b", e.src), ("b", e.dst)
-            uf.add(s), uf.add(t)
-            ends[(e.name,)] = (s, t, e.color)
-        frontier = list(ends)
-        while frontier:
-            w = frontier.pop()
-            if w in self._colors:
-                continue
-            if w not in interior:
-                raise NotACell(f"{w} is neither a cell nor a prefix of one")
-            s, t, color = ends[w]
-            rule = self.system.rules[color]
-            if rule.kind == "loop":
-                uf.union(s, t)
-                sub = {rule.iota: s}
-            else:
-                sub = {rule.iota: s, rule.tau: t}
-            for v in rule.graph.vertices:
-                if v not in sub:
-                    node = ("i", w, v)
-                    uf.add(node)
-                    sub[v] = node
-            for e in rule.graph.edges:
-                ends[w + (e.name,)] = (sub[e.src], sub[e.dst], e.color)
-                frontier.append(w + (e.name,))
+        uf, ends = forest_ends(self.system, self.base, self._colors, interior)
         # a vertex is named after its first endpoint in cell order, s before t;
         # the cells are sorted, so that is its least incident (word, marker)
         names: dict = {}

@@ -6,6 +6,12 @@ are splits (copies of a rule's replacement tree, read downward) and merges
 the endpoints of the edge they represent, with z separating parallel edges.
 Reduced diagrams cut uniquely into a pair of forest expansions and therefore
 represent generalized rearrangements between possibly different base graphs.
+
+Open diagrams (``StrandDiagram``, ended by sources and sinks) and closed ones
+(``conjugacy.ClosedDiagram``, ended by base points) share one wiring and
+reduction core, ``Diagram``: the port index and its check, the faithful-copy
+test of a split or merge, the Type 1/Type 2 candidate scans and the splice
+that cancels a Type 1 or Type 2 pair.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .graphs import ColoredGraph
-from .replacement import GraphExpansion, ReplacementSystem
+from .graphs import ColoredGraph, UnionFind
+from .replacement import GraphExpansion, ReplacementSystem, Rule, forest_ends
 from .rearrangement import Rearrangement, reduced_flipless
 
 Word = tuple
@@ -43,48 +49,89 @@ class Strand:
     dst: tuple    # (node id, in port)
 
 
-class StrandDiagram:
-    """Nodes are "source"/"sink"/("split", color)/("merge", color).
+def copy_defect(rule: Rule, kids: list, sub: dict) -> Optional[str]:
+    """Why the strands ``kids`` (in port order) are no faithful copy of a rule's tree.
 
-    Sources have a single out strand, sinks a single in strand; a split has
-    one in strand and one out strand per rule edge, in rule order; merges are
-    the mirror image.  ``sources`` and ``sinks`` order the ends.
+    Returns None for a faithful copy.  ``sub`` maps rule vertices to symbols;
+    it may hold the branching endpoints already and is completed in place.
+    A faithful copy has the rule's colors, a consistent substitution that is
+    injective except that iota and tau of a pair rule may coincide, and
+    distinct z indices on parallel strands.
+    """
+    for e, strand in zip(rule.graph.edges, kids):
+        if strand.color != e.color:
+            return f"port color {strand.color!r} should be {e.color!r}"
+        a, b, _ = strand.label
+        for rv, sym in ((e.src, a), (e.dst, b)):
+            if sub.setdefault(rv, sym) != sym:
+                return f"inconsistent substitution at {rv}"
+    collisions = len(sub) - len(set(sub.values()))
+    if collisions > 1 or (collisions == 1 and (
+            rule.kind != "pair" or sub[rule.iota] != sub[rule.tau])):
+        return "substitution not injective"
+    labels = [s.label for s in kids]
+    if len(set(labels)) != len(labels):
+        return "parallel strands share a z index"
+    return None
+
+
+_NO_PORTS: dict = {}
+
+
+class Diagram:
+    """Nodes joined port to port by strands: the core of open and closed diagrams.
+
+    Node kinds are ("split", c) and ("merge", c) plus the end kinds in
+    ``END_PORTS``.  A split has one in strand (port 0) and one out strand per
+    edge of c's rule, in rule order; a merge is the mirror image; an end kind
+    maps to its (in ports, out ports).  A subclass sets ``system``,
+    ``nodes`` and ``strands``, calls ``_wire`` and builds its own kind of
+    diagram in ``_with``.
     """
 
-    def __init__(self, system: ReplacementSystem, nodes: dict, strands: dict,
-                 sources: list, sinks: list):
-        self.system = system
-        self.nodes = dict(nodes)
-        self.strands = dict(strands)
-        self.sources = list(sources)
-        self.sinks = list(sinks)
-        self._check_wiring()
+    END_PORTS: dict = {}
 
-    # -- structure ------------------------------------------------------------
+    def _wire(self):
+        """Index strands by port; raise NotXDiagram unless the wiring is exact.
 
-    def _check_wiring(self):
+        Every node must have exactly the ports of its kind, and every strand
+        must leave and enter a port of a node of the diagram that no other
+        strand uses.
+        """
         outs: dict = {}
         ins: dict = {}
         for sid, s in self.strands.items():
             outs.setdefault(s.src[0], {})[s.src[1]] = sid
             ins.setdefault(s.dst[0], {})[s.dst[1]] = sid
+        # node kind -> (in ports, out ports), filled in as kinds are met
+        ports = dict(self.END_PORTS)
+        used = 0
         for nid, kind in self.nodes.items():
-            o = outs.get(nid, {})
-            i = ins.get(nid, {})
-            if kind == "source":
-                assert sorted(o) == [0] and not i, f"bad source {nid}"
-            elif kind == "sink":
-                assert sorted(i) == [0] and not o, f"bad sink {nid}"
-            else:
-                tag, color = kind
-                arity = len(self.system.rules[color].graph.edges)
-                if tag == "split":
-                    assert sorted(i) == [0], f"split {nid} needs one input"
-                    assert sorted(o) == list(range(arity)), f"split {nid} ports"
-                else:
-                    assert sorted(o) == [0], f"merge {nid} needs one output"
-                    assert sorted(i) == list(range(arity)), f"merge {nid} ports"
+            want = ports.get(kind)
+            if want is None:
+                want = ports[kind] = self._tree_ports(nid, kind)
+            i, o = ins.get(nid, _NO_PORTS), outs.get(nid, _NO_PORTS)
+            if i.keys() != want[0] or o.keys() != want[1]:
+                raise NotXDiagram(f"{kind} node {nid!r} has in ports {sorted(i)} "
+                                  f"and out ports {sorted(o)}")
+            used += len(i) + len(o)
+        if used != 2 * len(self.strands):
+            raise NotXDiagram("a strand ends at no node, or two strands share a port")
         self._out, self._in = outs, ins
+
+    def _tree_ports(self, nid, kind) -> tuple:
+        """(in ports, out ports) of a split or merge kind."""
+        rules = self.system.rules
+        if not (isinstance(kind, tuple) and len(kind) == 2
+                and kind[0] in ("split", "merge") and kind[1] in rules):
+            raise NotXDiagram(f"node {nid!r} has unknown kind {kind!r}")
+        one, tree = frozenset({0}), frozenset(range(len(rules[kind[1]].graph.edges)))
+        return (one, tree) if kind[0] == "split" else (tree, one)
+
+    def _with(self, nodes: dict, strands: dict) -> "Diagram":
+        raise NotImplementedError
+
+    # -- structure ------------------------------------------------------------
 
     def out_strand(self, nid, port=0) -> str:
         return self._out[nid][port]
@@ -92,8 +139,9 @@ class StrandDiagram:
     def in_strand(self, nid, port=0) -> str:
         return self._in[nid][port]
 
-    def kind(self, nid):
-        return self.nodes[nid]
+    def arity(self, nid) -> int:
+        """Number of rule edges of a split or merge."""
+        return len(self.system.rules[self.nodes[nid][1]].graph.edges)
 
     def splits(self):
         return [n for n, k in self.nodes.items() if isinstance(k, tuple) and k[0] == "split"]
@@ -107,6 +155,104 @@ class StrandDiagram:
             out.add(s.label[0])
             out.add(s.label[1])
         return out
+
+    def tree_strands(self, nid) -> tuple:
+        """(branch strand, rule-edge strands in port order) of a split or merge."""
+        ports = range(self.arity(nid))
+        if self.nodes[nid][0] == "split":
+            return (self.strands[self.in_strand(nid)],
+                    [self.strands[self.out_strand(nid, p)] for p in ports])
+        return (self.strands[self.out_strand(nid)],
+                [self.strands[self.in_strand(nid, p)] for p in ports])
+
+    def mirrored(self, merge_nid, split_nid) -> list:
+        """(strand into merge port p, strand out of split port p) for each port p."""
+        return [(self.in_strand(merge_nid, p), self.out_strand(split_nid, p))
+                for p in range(self.arity(merge_nid))]
+
+    def rename(self, mapping: dict) -> "Diagram":
+        """The same diagram with each symbol x in ``mapping`` replaced by mapping[x]."""
+        strands = {
+            sid: replace(s, label=(mapping.get(s.label[0], s.label[0]),
+                                   mapping.get(s.label[1], s.label[1]),
+                                   s.label[2]))
+            for sid, s in self.strands.items()
+        }
+        return self._with(self.nodes, strands)
+
+    # -- type 1 and type 2 reductions ------------------------------------------
+
+    def type1_candidates(self) -> list:
+        """(split, merge) pairs: out port p of the split feeds port p of the merge."""
+        out = []
+        for nid in self.splits():
+            ends = [self.strands[self.out_strand(nid, p)].dst for p in range(self.arity(nid))]
+            m = ends[0][0]
+            if (self.nodes[m] == ("merge", self.nodes[nid][1])
+                    and ends == [(m, p) for p in range(len(ends))]):
+                out.append((nid, m))
+        return out
+
+    def type2_candidates(self) -> list:
+        """(merge, split) pairs of one color: the merge's out strand feeds the split."""
+        out = []
+        for s in self.strands.values():
+            up, down = s.src[0], s.dst[0]
+            ku = self.nodes[up]
+            if (isinstance(ku, tuple) and ku[0] == "merge"
+                    and self.nodes[down] == ("split", ku[1])):
+                out.append((up, down))
+        return out
+
+    def cancel_type1(self, split_nid, merge_nid) -> "Diagram":
+        """Remove a type 1 pair; the split's in strand ends where the merge's out strand did."""
+        nodes, strands = dict(self.nodes), dict(self.strands)
+        for p in range(self.arity(split_nid)):
+            del strands[self.out_strand(split_nid, p)]
+        bottom = strands.pop(self.out_strand(merge_nid))
+        top = self.in_strand(split_nid)
+        strands[top] = replace(strands[top], dst=bottom.dst)
+        del nodes[split_nid], nodes[merge_nid]
+        return self._with(nodes, strands)
+
+    def cancel_type2(self, merge_nid, split_nid) -> "Diagram":
+        """Remove a type 2 pair; strand p into the merge ends where split port p's strand did."""
+        nodes, strands = dict(self.nodes), dict(self.strands)
+        for a, b in self.mirrored(merge_nid, split_nid):
+            strands[a] = replace(strands[a], dst=strands[b].dst)
+            del strands[b]
+        del strands[self.out_strand(merge_nid)]
+        del nodes[merge_nid], nodes[split_nid]
+        return self._with(nodes, strands)
+
+
+class StrandDiagram(Diagram):
+    """Nodes are "source"/"sink"/("split", color)/("merge", color).
+
+    Sources have a single out strand, sinks a single in strand; a split has
+    one in strand and one out strand per rule edge, in rule order; merges are
+    the mirror image.  ``sources`` and ``sinks`` order the ends.
+    """
+
+    END_PORTS = {"source": (frozenset(), frozenset({0})),
+                 "sink": (frozenset({0}), frozenset())}
+
+    def __init__(self, system: ReplacementSystem, nodes: dict, strands: dict,
+                 sources: list, sinks: list):
+        self.system = system
+        self.nodes = dict(nodes)
+        self.strands = dict(strands)
+        self.sources = list(sources)
+        self.sinks = list(sinks)
+        self._wire()
+
+    def _with(self, nodes: dict, strands: dict) -> "StrandDiagram":
+        return StrandDiagram(self.system, nodes, strands, self.sources, self.sinks)
+
+    # -- structure ------------------------------------------------------------
+
+    def kind(self, nid):
+        return self.nodes[nid]
 
     def source_labels(self) -> list:
         return [self.strands[self.out_strand(n)].label for n in self.sources]
@@ -124,43 +270,13 @@ class StrandDiagram:
 
     def _faithful(self, nid) -> Optional[str]:
         """Check one split/merge against its replacement tree; None if ok."""
-        tag, color = self.nodes[nid]
-        rule = self.system.rules[color]
-        if tag == "split":
-            branch = self.strands[self.in_strand(nid)]
-            kids = [self.strands[self.out_strand(nid, p)] for p in range(len(rule.graph.edges))]
-        else:
-            branch = self.strands[self.out_strand(nid)]
-            kids = [self.strands[self.in_strand(nid, p)] for p in range(len(rule.graph.edges))]
+        rule = self.system.rules[self.nodes[nid][1]]
+        branch, kids = self.tree_strands(nid)
         v, w, _ = branch.label
-        sub = {}
-        if rule.kind == "loop":
-            if v != w:
-                return f"loop-colored strand at {nid} with distinct endpoints"
-            sub[rule.iota] = v
-        else:
-            sub[rule.iota] = v
-            sub[rule.tau] = w
-        for e, strand in zip(rule.graph.edges, kids):
-            if strand.color != e.color:
-                return f"{nid}: port color {strand.color!r} should be {e.color!r}"
-            a, b, _ = strand.label
-            for rv, sym in ((e.src, a), (e.dst, b)):
-                if sub.setdefault(rv, sym) != sym:
-                    return f"{nid}: inconsistent substitution at {rv}"
-        collisions = len(sub) - len(set(sub.values()))
-        if collisions > 1 or (collisions == 1 and (
-                rule.kind != "pair" or v != w or sub.get(rule.iota) != sub.get(rule.tau))):
-            return f"{nid}: substitution not injective"
-        # parallel strands must carry distinct z indices
-        groups: dict = {}
-        for strand in kids:
-            a, b, z = strand.label
-            groups.setdefault((a, b), []).append(z)
-        for zs in groups.values():
-            if len(set(zs)) != len(zs):
-                return f"{nid}: parallel strands share a z index"
-        return None
+        if rule.kind == "loop" and v != w:
+            return f"loop-colored strand at {nid} with distinct endpoints"
+        defect = copy_defect(rule, kids, {rule.iota: v, rule.tau: w})
+        return None if defect is None else f"{nid}: {defect}"
 
     def r_branching_report(self):
         """(ok, violated condition index or None, message or None)."""
@@ -183,98 +299,26 @@ class StrandDiagram:
             if isinstance(ku, tuple) and ku[0] == "merge" and isinstance(kd, tuple) and kd[0] == "split":
                 if not self._mirror_labels_equal(up, down):
                     raise NotRBranching(2, f"merge {up} above split {down} differ in labels")
-        gen_split: dict = {}
-        gen_merge: dict = {}
-        for nid in self.splits():
-            branch = self.strands[self.in_strand(nid)].label
-            bsyms = {branch[0], branch[1]}
-            tag, color = self.nodes[nid]
-            for p in range(len(self.system.rules[color].graph.edges)):
-                a, b, _ = self.strands[self.out_strand(nid, p)].label
-                for sym in (a, b):
-                    if sym not in bsyms:
-                        gen_split.setdefault(sym, set()).add(branch)
-        for nid in self.merges():
-            branch = self.strands[self.out_strand(nid)].label
-            bsyms = {branch[0], branch[1]}
-            tag, color = self.nodes[nid]
-            for p in range(len(self.system.rules[color].graph.edges)):
-                a, b, _ = self.strands[self.in_strand(nid, p)].label
-                for sym in (a, b):
-                    if sym not in bsyms:
-                        gen_merge.setdefault(sym, set()).add(branch)
-        for sym, branches in itertools.chain(gen_split.items(), gen_merge.items()):
+        # condition 3: splits (and merges) generate each symbol under one label
+        generated: dict = {"split": {}, "merge": {}}
+        for nid in self.splits() + self.merges():
+            branch, kids = self.tree_strands(nid)
+            gen = generated[self.nodes[nid][0]]
+            for s in kids:
+                for sym in s.label[:2]:
+                    if sym not in branch.label[:2]:
+                        gen.setdefault(sym, set()).add(branch.label)
+        for sym, branches in itertools.chain(*(gen.items() for gen in generated.values())):
             if len({(v, w) for v, w, _ in branches}) > 1:
                 raise NotRBranching(3, f"symbol {sym!r} generated under different labels")
 
     def _mirror_labels_equal(self, merge_nid, split_nid) -> bool:
-        km, ks = self.nodes[merge_nid], self.nodes[split_nid]
-        if km[1] != ks[1]:
+        if self.nodes[merge_nid][1] != self.nodes[split_nid][1]:
             return False
-        arity = len(self.system.rules[km[1]].graph.edges)
-        for p in range(arity):
-            a = self.strands[self.in_strand(merge_nid, p)]
-            b = self.strands[self.out_strand(split_nid, p)]
-            if a.label != b.label:
-                return False
-            # nested chains must mirror as well; recurse when both continue
-            up, down = a.src[0], b.dst[0]
-            ku, kd = self.nodes[up], self.nodes[down]
-            if isinstance(ku, tuple) and ku[0] == "merge" and isinstance(kd, tuple) and kd[0] == "split":
-                if self.strands[self.in_strand(merge_nid, p)].src[1] == 0:
-                    pass
-        return True
+        return all(self.strands[a].label == self.strands[b].label
+                   for a, b in self.mirrored(merge_nid, split_nid))
 
     # -- reductions ---------------------------------------------------------------
-
-    def _type1_candidates(self):
-        out = []
-        for nid in self.splits():
-            color = self.nodes[nid][1]
-            arity = len(self.system.rules[color].graph.edges)
-            targets = set()
-            ok = True
-            for p in range(arity):
-                s = self.strands[self.out_strand(nid, p)]
-                if not (isinstance(self.nodes[s.dst[0]], tuple) and self.nodes[s.dst[0]][0] == "merge"):
-                    ok = False
-                    break
-                if s.dst[1] != p:
-                    ok = False
-                    break
-                targets.add(s.dst[0])
-            if ok and len(targets) == 1:
-                m = targets.pop()
-                if self.nodes[m][1] == color:
-                    out.append((nid, m))
-        return out
-
-    def _type2_candidates(self):
-        out = []
-        for sid, s in self.strands.items():
-            up, down = s.src[0], s.dst[0]
-            ku, kd = self.nodes[up], self.nodes[down]
-            if (isinstance(ku, tuple) and ku[0] == "merge" and s.src[1] == 0
-                    and isinstance(kd, tuple) and kd[0] == "split" and s.dst[1] == 0
-                    and ku[1] == kd[1]):
-                out.append((up, down))
-        return out
-
-    def _apply_type1(self, split_nid, merge_nid) -> "StrandDiagram":
-        color = self.nodes[split_nid][1]
-        arity = len(self.system.rules[color].graph.edges)
-        top = self.strands[self.in_strand(split_nid)]
-        bottom = self.strands[self.out_strand(merge_nid)]
-        strands = dict(self.strands)
-        nodes = dict(self.nodes)
-        for p in range(arity):
-            del strands[self.out_strand(split_nid, p)]
-        tid = self.in_strand(split_nid)
-        del strands[self.out_strand(merge_nid)]
-        strands[tid] = replace(top, dst=bottom.dst)
-        del nodes[split_nid]
-        del nodes[merge_nid]
-        return StrandDiagram(self.system, nodes, strands, self.sources, self.sinks)
 
     def _unify_mirror_labels(self, merge_nid, split_nid) -> "StrandDiagram":
         """Rename symbols so a merge-above-split pair carries equal labels.
@@ -282,66 +326,32 @@ class StrandDiagram:
         Reductions can bring a merge and a split face to face whose copies
         were named independently (e.g. across a composition interface); the
         mirrored-chain condition forces their labels equal, so the renaming
-        is the one the condition dictates.  Fails if the sides are genuinely
-        incompatible.
+        is the one the condition dictates: each symbol becomes the least
+        (by repr) symbol it is forced equal to.
         """
-        color = self.nodes[merge_nid][1]
-        arity = len(self.system.rules[color].graph.edges)
-        parent = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = min(rx, ry, key=repr)
-                parent[max(rx, ry, key=repr)] = min(rx, ry, key=repr)
-
-        for p in range(arity):
-            a = self.strands[self.in_strand(merge_nid, p)].label
-            b = self.strands[self.out_strand(split_nid, p)].label
-            union(a[0], b[0])
-            union(a[1], b[1])
-        mapping = {x: find(x) for x in parent}
-        if all(mapping[x] == x for x in mapping):
-            raise NotRBranching(2, "type 2 with unequal labels")
+        uf = UnionFind()
+        for a, b in self.mirrored(merge_nid, split_nid):
+            for x, y in zip(self.strands[a].label[:2], self.strands[b].label[:2]):
+                uf.union(x, y)
+        mapping = {}
+        for members in uf.classes().values():
+            least = min(members, key=repr)
+            mapping.update((x, least) for x in members)
         return self.rename(mapping)
 
     def _apply_type2(self, merge_nid, split_nid) -> "StrandDiagram":
-        color = self.nodes[merge_nid][1]
-        arity = len(self.system.rules[color].graph.edges)
         d = self
-        for p in range(arity):
-            a = d.strands[d.in_strand(merge_nid, p)].label
-            b = d.strands[d.out_strand(split_nid, p)].label
-            if a[:2] != b[:2]:
-                d = d._unify_mirror_labels(merge_nid, split_nid)
-                break
-        strands = dict(d.strands)
-        nodes = dict(d.nodes)
-        shared = d.out_strand(merge_nid)
-        for p in range(arity):
-            a = d.in_strand(merge_nid, p)
-            b = d.out_strand(split_nid, p)
-            if strands[a].label[:2] != strands[b].label[:2]:
-                raise NotRBranching(2, "type 2 with unequal labels")
-            strands[a] = replace(strands[a], dst=strands[b].dst)
-            del strands[b]
-        del strands[shared]
-        del nodes[merge_nid]
-        del nodes[split_nid]
-        return StrandDiagram(d.system, nodes, strands, d.sources, d.sinks)
+        if any(self.strands[a].label[:2] != self.strands[b].label[:2]
+               for a, b in self.mirrored(merge_nid, split_nid)):
+            d = self._unify_mirror_labels(merge_nid, split_nid)
+        return d.cancel_type2(merge_nid, split_nid)
 
     def reduce(self, rng=None) -> "StrandDiagram":
         """The unique reduced equivalent; candidate order may be randomized."""
         d = self
         while True:
-            moves = [("1",) + c for c in d._type1_candidates()]
-            moves += [("2",) + c for c in d._type2_candidates()]
+            moves = [("1",) + c for c in d.type1_candidates()]
+            moves += [("2",) + c for c in d.type2_candidates()]
             if not moves:
                 return d
             if rng is not None:
@@ -349,23 +359,14 @@ class StrandDiagram:
             else:
                 move = sorted(moves, key=repr)[0]
             if move[0] == "1":
-                d = d._apply_type1(move[1], move[2])
+                d = d.cancel_type1(move[1], move[2])
             else:
                 d = d._apply_type2(move[1], move[2])
 
     def is_reduced(self) -> bool:
-        return not self._type1_candidates() and not self._type2_candidates()
+        return not self.type1_candidates() and not self.type2_candidates()
 
     # -- identity and renaming -----------------------------------------------------
-
-    def rename(self, mapping: dict) -> "StrandDiagram":
-        strands = {
-            sid: replace(s, label=(mapping.get(s.label[0], s.label[0]),
-                                   mapping.get(s.label[1], s.label[1]),
-                                   s.label[2]))
-            for sid, s in self.strands.items()
-        }
-        return StrandDiagram(self.system, self.nodes, strands, self.sources, self.sinks)
 
     def canonical_key(self) -> tuple:
         """Equality key invariant under renaming symbols and node/strand ids."""
@@ -395,8 +396,7 @@ class StrandDiagram:
             elif kind[0] == "split":
                 if nid not in seen_nodes:
                     seen_nodes[nid] = len(seen_nodes)
-                    arity = len(self.system.rules[kind[1]].graph.edges)
-                    for p in range(arity):
+                    for p in range(self.arity(nid)):
                         queue.append(("sp", (seen_nodes[nid], p), self.out_strand(nid, p)))
             else:
                 if nid not in seen_nodes:
@@ -419,65 +419,6 @@ class StrandDiagram:
 # -- construction from rearrangements ---------------------------------------------
 
 
-def _symbolic_ends(system: ReplacementSystem, base: ColoredGraph, cells) -> dict:
-    """Endpoint identities (union-find roots) for every prefix and cell word."""
-
-    class UF(dict):
-        def find(self, x):
-            while self[x] != x:
-                self[x] = self[self[x]]
-                x = self[x]
-            return x
-
-        def union(self, a, b):
-            self[self.find(a)] = self.find(b)
-
-        def add(self, x):
-            self.setdefault(x, x)
-
-    uf = UF()
-    ends = {}
-    for e in base.edges:
-        uf.add(("b", e.src))
-        uf.add(("b", e.dst))
-        ends[(e.name,)] = (("b", e.src), ("b", e.dst), e.color)
-    cellset = {tuple(c) for c in cells}
-    prefixes = {w[:k] for w in cellset for k in range(1, len(w))}
-    frontier = [w for w in ends]
-    while frontier:
-        w = frontier.pop()
-        if w in cellset:
-            continue
-        assert w in prefixes, w
-        s, t, color = ends[w]
-        rule = system.rules[color]
-        if rule.kind == "loop":
-            uf.union(s, t)
-        sub = {}
-        for v in rule.graph.vertices:
-            if v == rule.iota:
-                sub[v] = s
-            elif rule.kind == "pair" and v == rule.tau:
-                sub[v] = t
-            else:
-                node = ("i", w, v)
-                uf.add(node)
-                sub[v] = node
-        for e in rule.graph.edges:
-            ends[w + (e.name,)] = (sub[e.src], sub[e.dst], e.color)
-            frontier.append(w + (e.name,))
-    return {w: (uf.find(s), uf.find(t), c) for w, (s, t, c) in ends.items()}
-
-
-def _label_z(system: ReplacementSystem, base: ColoredGraph, word: Word) -> int:
-    if len(word) == 1:
-        return base.parallel_index(word[0])
-    g = base
-    for letter in word[:-1]:
-        g = system.rules[g.edge(letter).color].graph
-    return g.parallel_index(word[-1])
-
-
 def from_rearrangement(g: Rearrangement, reduce: bool = True) -> StrandDiagram:
     """Glue the domain forest above the upside-down range forest along phi.
 
@@ -487,91 +428,61 @@ def from_rearrangement(g: Rearrangement, reduce: bool = True) -> StrandDiagram:
     """
     g = reduced_flipless(g) if reduce else g.flipless()
     system = g.system
-    dends = _symbolic_ends(system, g.domain.base, g.domain.cells)
-    rends = _symbolic_ends(system, g.range_.base, g.range_.cells)
-
-    class UF(dict):
-        def find(self, x):
-            while self[x] != x:
-                self[x] = self[self[x]]
-                x = self[x]
-            return x
-
-    uf = UF()
-    for w, (s, t, _) in dends.items():
-        uf.setdefault(("D", s), ("D", s))
-        uf.setdefault(("D", t), ("D", t))
-    for w, (s, t, _) in rends.items():
-        uf.setdefault(("R", s), ("R", s))
-        uf.setdefault(("R", t), ("R", t))
-
-    def union(a, b):
-        ra, rb = uf.find(a), uf.find(b)
-        if ra != rb:
-            uf[ra] = rb
-
-    for w in g.domain.cells:
-        ds, dt, _ = dends[w]
-        rs, rt, _ = rends[g.phi[w]]
-        union(("D", ds), ("R", rs))
-        union(("D", dt), ("R", rt))
+    dom, ran = g.domain, g.range_
+    dcells, rcells = set(dom.cells), set(ran.cells)
+    dprefix = {w[:k] for w in dcells for k in range(1, len(w))}
+    rprefix = {v[:k] for v in rcells for k in range(1, len(v))}
+    duf, dends = forest_ends(system, dom.base, dcells, dprefix)
+    ruf, rends = forest_ends(system, ran.base, rcells, rprefix)
+    # a symbol is a vertex of the domain leaf graph glued along phi to one of
+    # the range leaf graph
+    uf = UnionFind()
+    for w in dom.cells:
+        (ds, dt, _), (rs, rt, _) = dends[w], rends[g.phi[w]]
+        uf.union(("D", duf.find(ds)), ("R", ruf.find(rs)))
+        uf.union(("D", duf.find(dt)), ("R", ruf.find(rt)))
     names: dict = {}
 
-    def sym(side, node):
-        root = uf.find((side, node))
-        return names.setdefault(root, f"x{len(names)}")
+    def holder(ends: dict, base: ColoredGraph, w: Word) -> ColoredGraph:
+        """The graph in which the last letter of w is an edge."""
+        return base if len(w) == 1 else system.rules[ends[w[:-1]][2]].graph
+
+    def label(side, forest, ends, base, w: Word) -> tuple:
+        syms = [names.setdefault(uf.find((side, forest.find(x))), f"x{len(names)}")
+                for x in ends[w][:2]]
+        return (syms[0], syms[1], holder(ends, base, w).parallel_index(w[-1]))
 
     nodes: dict = {}
     strands: dict = {}
     sources, sinks = [], []
-    for i, e in enumerate(g.domain.base.edges):
+    for i, e in enumerate(dom.base.edges):
         nodes[("src", i)] = "source"
         sources.append(("src", i))
-    for i, e in enumerate(g.range_.base.edges):
+    for i, e in enumerate(ran.base.edges):
         nodes[("snk", i)] = "sink"
         sinks.append(("snk", i))
-    dcells = set(g.domain.cells)
-    dprefix = {w[:k] for w in dcells for k in range(1, len(w))}
-    rcells = set(g.range_.cells)
-    rprefix = {w[:k] for w in rcells for k in range(1, len(w))}
     for w in sorted(dprefix, key=len):
-        color = dends[w][2]
-        nodes[("sp", w)] = ("split", color)
+        nodes[("sp", w)] = ("split", dends[w][2])
     for v in sorted(rprefix, key=len):
-        color = rends[v][2]
-        nodes[("mg", v)] = ("merge", color)
-    inv = {v: w for w, v in g.phi.items()}
+        nodes[("mg", v)] = ("merge", rends[v][2])
 
     def upper_end(w: Word):
-        if len(w) == 1:
-            return (("src", g.domain.base.edge_index(w[0])), 0)
-        parent = w[:-1]
-        rule = system.rules[dends[parent][2]]
-        return (("sp", parent), rule.graph.edge_index(w[-1]))
+        i = holder(dends, dom.base, w).edge_index(w[-1])
+        return (("src", i), 0) if len(w) == 1 else (("sp", w[:-1]), i)
 
     def lower_end(v: Word):
-        if len(v) == 1:
-            return (("snk", g.range_.base.edge_index(v[0])), 0)
-        parent = v[:-1]
-        rule = system.rules[rends[parent][2]]
-        return (("mg", parent), rule.graph.edge_index(v[-1]))
+        i = holder(rends, ran.base, v).edge_index(v[-1])
+        return (("snk", i), 0) if len(v) == 1 else (("mg", v[:-1]), i)
 
     sid = 0
     for w in sorted(dprefix | dcells, key=lambda x: (len(x), x)):
-        s, t, color = dends[w]
-        label = (sym("D", s), sym("D", t), _label_z(system, g.domain.base, w))
-        src = upper_end(w)
-        if w in dprefix:
-            dst = (("sp", w), 0)
-        else:
-            v = g.phi[w]
-            dst = lower_end(v)
-        strands[f"s{sid}"] = Strand(color, label, src, dst)
+        dst = (("sp", w), 0) if w in dprefix else lower_end(g.phi[w])
+        strands[f"s{sid}"] = Strand(dends[w][2], label("D", duf, dends, dom.base, w),
+                                    upper_end(w), dst)
         sid += 1
     for v in sorted(rprefix, key=lambda x: (len(x), x)):
-        s, t, color = rends[v]
-        label = (sym("R", s), sym("R", t), _label_z(system, g.range_.base, v))
-        strands[f"s{sid}"] = Strand(color, label, (("mg", v), 0), lower_end(v))
+        strands[f"s{sid}"] = Strand(rends[v][2], label("R", ruf, rends, ran.base, v),
+                                    (("mg", v), 0), lower_end(v))
         sid += 1
     return StrandDiagram(system, nodes, strands, sources, sinks)
 
@@ -725,7 +636,7 @@ def compose(f: StrandDiagram, g: StrandDiagram) -> StrandDiagram:
         branch = g.strands[g.out_strand(nid)]
         merge_table.setdefault((branch.color, branch.label[0], branch.label[1]), []).append(nid)
     fresh = itertools.count()
-    g_symbols = {s for st in g.strands.values() for s in (st.label[0], st.label[1])}
+    g_symbols = g.symbols()
 
     def fresh_symbol():
         while True:

@@ -1,0 +1,94 @@
+"""The wiring and reduction core shared by open and closed strand diagrams."""
+
+from dataclasses import replace
+
+import pytest
+
+from conftest import f_generators
+
+from rewrite_groups import conjugacy as cj
+from rewrite_groups import strand as sd
+from rewrite_groups.catalog import catalog
+from rewrite_groups.graphs import ColoredGraph, Edge
+from rewrite_groups.replacement import ReplacementSystem, Rule
+
+
+def _kids(color, *labels):
+    return [sd.Strand(color, label, (None, 0), (None, 0)) for label in labels]
+
+
+def test_copy_defect_names_each_defect():
+    rule = catalog("interval_F").rules["1"]  # p0 -0-> p1 -1-> p2, iota p0, tau p2
+    sub = {}
+    assert sd.copy_defect(rule, _kids("1", ("a", "b", 1), ("b", "c", 1)), sub) is None
+    assert sub == {"p0": "a", "p1": "b", "p2": "c"}
+    # iota and tau may coincide: the copy of a loop cell
+    assert sd.copy_defect(rule, _kids("1", ("a", "b", 1), ("b", "a", 1)), {}) is None
+    assert sd.copy_defect(rule, _kids("x", ("a", "b", 1), ("b", "c", 1)), {}) == \
+        "port color 'x' should be '1'"
+    assert sd.copy_defect(rule, _kids("1", ("a", "b", 1), ("c", "d", 1)), {}) == \
+        "inconsistent substitution at p1"
+    assert sd.copy_defect(rule, _kids("1", ("a", "a", 1), ("a", "c", 1)), {}) == \
+        "substitution not injective"
+    # seeded branching endpoints must agree with the copy
+    assert sd.copy_defect(rule, _kids("1", ("a", "b", 1), ("b", "c", 1)),
+                          {"p0": "a", "p2": "d"}) == "inconsistent substitution at p2"
+
+
+def test_copy_defect_parallel_strands_need_distinct_z():
+    tree = ColoredGraph(["i", "m", "t"], [Edge("e1", "a", "i", "m"), Edge("e2", "a", "i", "m"),
+                                          Edge("e3", "a", "m", "t")])
+    system = ReplacementSystem(["a"], ColoredGraph(["u", "v"], [Edge("s", "a", "u", "v")]),
+                               {"a": Rule(tree, ("pair", "i", "t"))})
+    rule = system.rules["a"]
+    assert sd.copy_defect(rule, _kids("a", ("p", "q", 1), ("p", "q", 2), ("q", "r", 1)), {}) is None
+    assert sd.copy_defect(rule, _kids("a", ("p", "q", 1), ("p", "q", 1), ("q", "r", 1)), {}) == \
+        "parallel strands share a z index"
+
+
+def test_faithful_copy_violation_is_condition_1():
+    F = catalog("interval_F")
+    nodes = {"so": "source", "sp": ("split", "1"), "si1": "sink", "si2": "sink"}
+    strands = {
+        "t": sd.Strand("1", ("i", "t", 1), ("so", 0), ("sp", 0)),
+        "a": sd.Strand("1", ("i", "c", 1), ("sp", 0), ("si1", 0)),
+        "b": sd.Strand("1", ("x", "t", 1), ("sp", 1), ("si2", 0)),
+    }
+    d = sd.StrandDiagram(F, nodes, strands, ["so"], ["si1", "si2"])
+    ok, cond, message = d.r_branching_report()
+    assert not ok and cond == 1 and "inconsistent substitution at p1" in message
+
+
+def test_type2_pair_with_differing_labels_is_unified():
+    # a merge feeding a split whose copies named the middle vertex c and x
+    F = catalog("interval_F")
+    nodes = {"so1": "source", "so2": "source", "m": ("merge", "1"), "sp": ("split", "1"),
+             "si1": "sink", "si2": "sink"}
+    strands = {
+        "a": sd.Strand("1", ("i", "c", 1), ("so1", 0), ("m", 0)),
+        "b": sd.Strand("1", ("c", "t", 1), ("so2", 0), ("m", 1)),
+        "mid": sd.Strand("1", ("i", "t", 1), ("m", 0), ("sp", 0)),
+        "d": sd.Strand("1", ("i", "x", 1), ("sp", 0), ("si1", 0)),
+        "e": sd.Strand("1", ("x", "t", 1), ("sp", 1), ("si2", 0)),
+    }
+    d = sd.StrandDiagram(F, nodes, strands, ["so1", "so2"], ["si1", "si2"])
+    r = d.reduce()
+    assert not r.splits() and not r.merges()
+    assert r.source_labels() == [("i", "c", 1), ("c", "t", 1)]
+    assert r.sink_labels() == r.source_labels()
+
+
+def test_closed_shift_refuses_labels_that_are_no_faithful_copy():
+    _F, x0, _ = f_generators()
+    eta = cj.close_element(x0)
+    bp = next(b for kind, b in cj.all_shifts(eta) if kind == "shift_down_split")
+    d = cj.shift_down_split(eta, bp).diagram
+    snode = next(n for kind, n in cj.all_shifts(d) if kind == "shift_up_split")
+    cj.shift_up_split(d, snode)
+    below = d.out_strand(d.strands[d.out_strand(snode, 0)].dst[0])
+    strands = dict(d.strands)
+    v, _w, z = strands[below].label  # _w is also the first symbol below port 1
+    strands[below] = replace(strands[below], label=(v, "fresh", z))
+    broken = cj.ClosedDiagram(d.system, d.nodes, strands, d.counter)
+    with pytest.raises(cj.NotAdjacent):
+        cj.shift_up_split(broken, snode)
