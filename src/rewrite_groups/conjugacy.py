@@ -20,7 +20,8 @@ from typing import Optional
 
 from .graphs import ColoredGraph, Edge, UnionFind
 from .replacement import GraphExpansion, ReplacementSystem, base_expansion
-from .rearrangement import Rearrangement, compose, conjugate_by, identity, invert
+# compose is re-exported: callers reach it as conjugacy.compose
+from .rearrangement import Rearrangement, compose, conjugate_by, invert, product  # noqa: F401
 from .strand import (
     Diagram,
     NotXDiagram,
@@ -1434,6 +1435,22 @@ def conjugate(g: Rearrangement, h: Rearrangement, *, rules=None,
 
     Requires reduction-confluent rules (checked unless ``assume_confluent`` or
     an AugmentedRules value is supplied); raises RulesNotConfluent otherwise.
+
+    Which of k and k^-1 the chain gives.  Write ab for "b, then a" and o(d)
+    for the element of a closed diagram d.  Every logged or path conjugator
+    E of a move d -> d' satisfies o(d') = E^-1 o(d) E, and the initial
+    renamings give o(eta0) = Kg0^-1 g Kg0 and o(zeta0) = Kh0^-1 h Kh0.  By
+    induction over the logs e1..en of g and f1..fq of h, with
+    Kg = Kg0 e1 .. en and Kh = Kh0 f1 .. fq, o(eta) = Kg^-1 g Kg and
+    o(zeta) = Kh^-1 h Kh.  Likewise L = L1 .. Lm and M = M1 .. Mp along the
+    two search paths give o(dL) = L^-1 o(eta) L and o(dM) = M^-1 o(zeta) M,
+    and the correspondence gives o(dM) = P^-1 o(dL) P.  So
+    M^-1 Kh^-1 h Kh M = P^-1 L^-1 Kg^-1 g Kg L P, that is h = k^-1 g k for
+    k = Kg L P M^-1 Kh^-1, which is k itself and not k^-1.  k is built as
+    one ``product`` (leftmost factor applied first) of
+    Kh0^-1, f1^-1 .. fq^-1, M1^-1 .. Mp^-1, P, Lm .. L1, en .. e1, Kg0,
+    reduced once.  The final check ``conjugate_by(g, k) == h`` stays and
+    raises ConjugatorInvalid if it fails.
     """
     system = g.system
     if h.system is not system:
@@ -1451,36 +1468,19 @@ def conjugate(g: Rearrangement, h: Rearrangement, *, rules=None,
     zeta0 = close_element(h)
     Kg0 = initial_renaming(system, eta0, g)
     Kh0 = initial_renaming(system, zeta0, h)
-    logg: list = []
-    logh: list = []
-    eta, logg = reduce_closed(eta0, virtual, collect=logg)
-    zeta, logh = reduce_closed(zeta0, virtual, collect=logh)
-    Kg = Kg0
-    for e in logg:
-        Kg = compose(Kg, e)
-    Kh = Kh0
-    for e in logh:
-        Kh = compose(Kh, e)
+    eta, logg = reduce_closed(eta0, virtual, collect=[])
+    zeta, logh = reduce_closed(zeta0, virtual, collect=[])
     found = similarity_search(eta, zeta, max_states=max_states)
     if found is None:
         return None
     dL, dM, corr, pathL, pathM = found
-    L = identity(system, eta.base_graph())
-    for _d, mv in pathL:
-        L = compose(L, mv.conj)
-    M = identity(system, zeta.base_graph())
-    for _d, mv in pathM:
-        M = compose(M, mv.conj)
     P = _correspondence_element(system, dM, dL, corr)
-    # o(eta) = Kg^-1 g Kg, o(dL) = L^-1 o(eta) L, o(dM) = M^-1 o(zeta) M and
-    # o(dM) = P^-1 o(dL) P together give h = k^-1 g k for the chain below.
-    k = compose(Kg, compose(L, compose(P, compose(invert(M), invert(Kh)))))
-    if conjugate_by(g, k) == h:
-        return k
-    k2 = invert(k)
-    if conjugate_by(g, k2) == h:
-        return k2
-    raise ConjugatorInvalid("similarity found but conjugator verification failed")
+    chain = [invert(e) for e in [Kh0, *logh, *(mv.conj for _d, mv in pathM)]]
+    chain += [P, *(mv.conj for _d, mv in reversed(pathL)), *reversed(logg), Kg0]
+    k = product(chain)
+    if conjugate_by(g, k) != h:
+        raise ConjugatorInvalid("similarity found but conjugator verification failed")
+    return k
 
 
 # -- stable and vanishing symbols ---------------------------------------------------

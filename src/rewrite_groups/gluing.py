@@ -119,7 +119,9 @@ def _type2_single(rule: Rule, gamma: str, edge) -> Optional[str]:
 def build(system: ReplacementSystem) -> GluingAutomaton:
     """Compile the gluing automaton of an expanding system.
 
-    Loops are normalized away first; unreachable states are trimmed.
+    Loops are normalized away first; unreachable states are trimmed.  Every
+    call compiles anew; ``glued`` and ``gluing_class`` keep one automaton per
+    system instead.
     """
     norm = normalize_loops(system)
     if not norm.validate().expanding:
@@ -231,13 +233,27 @@ def _normalized_sequence(aut: GluingAutomaton, s: RationalSequence) -> RationalS
     raise NotInSymbolSpace("translation did not stabilize; not periodic")
 
 
+def _automaton(system_or_aut) -> GluingAutomaton:
+    """The automaton passed, or the system's own, compiled once and kept on it.
+
+    A system that ``build`` refuses keeps nothing, so each query raises anew.
+    """
+    if isinstance(system_or_aut, GluingAutomaton):
+        return system_or_aut
+    if system_or_aut._gluing is None:
+        system_or_aut._gluing = build(system_or_aut)
+    return system_or_aut._gluing
+
+
 def glued(system_or_aut, s1: RationalSequence, s2: RationalSequence) -> bool:
     """Decide the gluing relation on two rational sequences.
 
     The synchronized pair is run on the automaton until the lasso state
     (automaton state, phase of each input) repeats, which decides acceptance.
+    Given a system, the automaton is compiled on the first query and kept on
+    the system, so later queries on it reuse it.
     """
-    aut = system_or_aut if isinstance(system_or_aut, GluingAutomaton) else build(system_or_aut)
+    aut = _automaton(system_or_aut)
     for s in (s1, s2):
         probe = len(s.prefix) + 2 * len(s.period) + 1
         if not aut.original.language_contains(s.prefix_of_length(probe)):
@@ -310,12 +326,14 @@ def gluing_class(system: ReplacementSystem, s: RationalSequence) -> set:
 
     Partners are read off the product of the automaton with s's lasso: the
     product is deterministic in the partner letter, so its live infinite paths
-    biject with the class; finite branching keeps the path set finite.
+    biject with the class; finite branching keeps the path set finite.  The
+    automaton is the system's own, compiled on the first query and kept on
+    the system, as ``glued`` keeps it.
     """
     if not system.validate().finite_branching_sufficient:
         raise FiniteBranchingUnknown(
             "gluing classes are only enumerated under the degree-one condition")
-    aut = build(system)
+    aut = _automaton(system)
     t = _normalized_sequence(aut, s)
     L = len(t.prefix)
     P = len(t.period)

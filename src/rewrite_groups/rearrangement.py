@@ -9,11 +9,15 @@ representative used for equality and hashing.
 
 The same diagrams, taken over base graphs other than the system's own,
 form the replacement groupoid; composition below is implemented at that
-generality so the strand-diagram machinery can reuse it.
+generality so the conjugacy machinery can reuse it.  Every composition
+(``product``, and ``compose``, ``power`` and ``conjugate_by`` through it)
+multiplies the factors as prefix exchanges on words and builds, validates
+and reduces one diagram at the end.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Optional
 
 from .graphs import ColoredGraph
@@ -23,7 +27,6 @@ from .replacement import (
     RationalSequence,
     ReplacementSystem,
     base_expansion,
-    minimal_refinement,
 )
 
 Word = tuple
@@ -167,11 +170,17 @@ class Rearrangement:
                              _reduced=True)
 
     def flipless(self) -> "Rearrangement":
-        """Equivalent diagram with every flip expanded away."""
-        out = self
-        while out.flips:
-            out = out.expand_at(next(iter(sorted(out.flips))))
-        return out
+        """Equivalent diagram with every flip expanded away.
+
+        Every flipped pair is split one level through psi at once (see
+        ``_flipless_map``), and the new domain and range are built once.
+        """
+        if not self.flips:
+            return self
+        phi = _flipless_map(self)
+        return Rearrangement(GraphExpansion(self.system, phi, self.domain.base), phi,
+                             GraphExpansion(self.system, phi.values(), self.range_.base),
+                             _reduced=True)
 
     def expand_domain_to(self, cells: Iterable[Word]) -> "Rearrangement":
         """The diagram with its domain split down to the given cells.
@@ -297,6 +306,73 @@ def _split_leaves(system: ReplacementSystem, cell: Word, color: str, split) -> l
     return out
 
 
+def _flipless_map(g: Rearrangement) -> dict:
+    """g's cell map with every flipped pair w -> v split into w+e -> v+psi(e).
+
+    e runs over the rule edges of w's color, and the children are unflipped,
+    as ``expand_at`` makes them.  The cell map itself is returned when g has
+    no flips.
+    """
+    if not g.flips:
+        return g.phi
+    phi = {}
+    for w, v in g.phi.items():
+        if w not in g.flips:
+            phi[w] = v
+            continue
+        color = g.domain.cell_color(w)
+        psi = g.psi(color).edge_map
+        for e in g.system.rules[color].graph.edges:
+            phi[w + (e.name,)] = v + (psi[e.name],)
+    return phi
+
+
+def _then(first: dict, second: dict) -> dict:
+    """The prefix-replacement map "first, then second", on the common refinement.
+
+    Both maps send cells (words) to cells, and first's range cells and
+    second's domain cells are complete antichains over one base.  For each
+    cell u -> a of first, one of two cases holds: a prefix d of a is a cell of
+    second, and u -> second(d) + rest; or a splits into second's cells a+r
+    below it, and u+r -> second(a+r).  In the sorted cells of second, the one
+    that is a prefix of a is the last one not after a, and the ones below a
+    follow it, so one bisection finds either.
+    """
+    keys = sorted(second)
+    out = {}
+    for u, a in first.items():
+        i = bisect_right(keys, a)
+        if i and a[:len(keys[i - 1])] == keys[i - 1]:
+            d = keys[i - 1]
+            out[u] = second[d] + a[len(d):]
+            continue
+        n = len(a)
+        while i < len(keys) and keys[i][:n] == a:
+            c = keys[i]
+            out[u + c[n:]] = second[c]
+            i += 1
+    return out
+
+
+def _product_map(factors: list) -> tuple:
+    """(phi, domain base, range base) of the unreduced product of ``factors``.
+
+    The leftmost factor is applied first.  Every junction is checked: the
+    factors live over one system, and each factor's domain base is the range
+    base of the one before it.
+    """
+    first = prev = factors[0]
+    phi = _flipless_map(first)
+    for g in factors[1:]:
+        if g.system is not prev.system:
+            raise SystemMismatch("elements live over different systems")
+        if g.domain.base != prev.range_.base:
+            raise SystemMismatch("inner base graphs do not match")
+        phi = _then(phi, _flipless_map(g))
+        prev = g
+    return phi, first.domain.base, prev.range_.base
+
+
 def rearrangement_from_json(system: ReplacementSystem, data: dict) -> Rearrangement:
     phi = {}
     flips = []
@@ -401,24 +477,8 @@ def identity(system: ReplacementSystem, base: Optional[ColoredGraph] = None) -> 
 
 
 def compose(g: Rearrangement, h: Rearrangement) -> Rearrangement:
-    """The composite ``g after h`` (apply h first).
-
-    Both diagrams are split to the common refinement of g's domain and h's
-    range in one step each (``expand_domain_to``, ``expand_range_to``), at a
-    cost linear in the size of the refined forest; reducing the product then
-    builds both expansions once per round of reductions (see ``_reduce``).
-    """
-    if g.system is not h.system:
-        raise SystemMismatch("elements live over different systems")
-    if g.domain.base != h.range_.base:
-        raise SystemMismatch("inner base graphs do not match")
-    gf, hf = g.flipless(), h.flipless()
-    mid = minimal_refinement(gf.domain, hf.range_)
-    gf = gf.expand_domain_to(mid.cells)
-    hf = hf.expand_range_to(mid.cells)
-    hinv = {v: w for w, v in hf.phi.items()}
-    phi = {hinv[m]: gf.phi[m] for m in mid.cells}
-    return Rearrangement(hf.domain, phi, gf.range_)
+    """The composite ``g after h`` (apply h first): ``product([h, g])``."""
+    return product([h, g])
 
 
 def invert(g: Rearrangement) -> Rearrangement:
@@ -445,28 +505,51 @@ def equals(g: Rearrangement, h: Rearrangement) -> bool:
 
 
 def power(g: Rearrangement, n: int) -> Rearrangement:
+    """g^n as one product of |n| factors (of g^-1 for negative n)."""
     if n < 0:
         return power(invert(g), -n)
-    out = identity(g.system, g.domain.base)
-    for _ in range(n):
-        out = compose(g, out)
-    return out
+    if n == 0:
+        return identity(g.system, g.domain.base)
+    return product([g] * n)
 
 
 def conjugate_by(g: Rearrangement, k: Rearrangement) -> Rearrangement:
-    """k^-1 g k."""
-    return compose(invert(k), compose(g, k))
+    """k^-1 g k (apply k first): ``product([k, g, invert(k)])``."""
+    return product([k, g, invert(k)])
 
 
 def product(factors) -> Rearrangement:
-    """Group word read left to right, leftmost factor applied first."""
+    """Group word read left to right, leftmost factor applied first.
+
+    The factors are multiplied as prefix exchanges on words: each is made
+    flipless at word level (``_flipless_map``), the cell maps are folded
+    into one map on their iterated common refinement (``_then``), the
+    domain and range are built once from its cells, and ``Rearrangement``
+    validates and reduces the result once.  No partial product is built,
+    validated or reduced.
+
+    Why one reduction is enough: reduced diagrams are unique, so reducing
+    the unreduced diagram of the whole product gives the same reduced
+    element as reducing after every binary step.
+
+    Size bound: a common refinement of two complete antichains A and B has
+    at most |A| + |B| leaves (each leaf is a cell of A or of B), so the
+    unreduced map has at most the sum, over the factors, of the cells of
+    their flipless cell maps.
+
+    Groupoid elements multiply too; the factors must live over one system
+    and each factor's domain base must be the previous factor's range base
+    (``SystemMismatch`` otherwise).  A single factor is returned as it is.
+    """
     factors = list(factors)
     if not factors:
         raise ValueError("empty product")
-    out = factors[0]
-    for g in factors[1:]:
-        out = compose(g, out)
-    return out
+    if len(factors) == 1:
+        return factors[0]
+    phi, dbase, rbase = _product_map(factors)
+    system = factors[0].system
+    return Rearrangement(GraphExpansion(system, phi, dbase), phi,
+                         GraphExpansion(system, phi.values(), rbase))
 
 
 def commutator(a: Rearrangement, b: Rearrangement) -> Rearrangement:
@@ -493,10 +576,9 @@ def random_rearrangement(system: ReplacementSystem, rng, expansions: int = 3,
     matching color sequences and a random leaf-graph isomorphism between
     them (orientation flips allowed on undirected colors).
     """
-    out = identity(system)
-    for _ in range(factors):
-        out = compose(out, _random_elementary(system, rng, expansions))
-    return out
+    elementary = [_random_elementary(system, rng, expansions) for _ in range(factors)]
+    # the last one drawn is applied first
+    return product(elementary[::-1]) if elementary else identity(system)
 
 
 def _random_elementary(system: ReplacementSystem, rng, expansions: int) -> Rearrangement:

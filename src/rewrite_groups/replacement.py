@@ -95,6 +95,7 @@ class ReplacementSystem:
                 raise MalformedSystem(f"rule {c!r}: initial and terminal vertices coincide")
         self._report: Optional[ValidationReport] = None
         self._psi: dict = {}
+        self._gluing = None  # the gluing automaton, compiled on first use (gluing.py)
 
     # -- graphs and letters --------------------------------------------------
 

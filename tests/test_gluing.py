@@ -228,3 +228,46 @@ def test_gluing_class_of_loop_normalized_systems(name, point, expected):
     for m in cls:
         assert gl.glued_brute_force(S, s, m)
         assert gl.gluing_class(S, m) == cls
+
+
+def _count_builds(monkeypatch):
+    """The systems gl.build is called on, in order."""
+    built = []
+    build = gl.build
+
+    def counting(system):
+        built.append(system)
+        return build(system)
+
+    monkeypatch.setattr(gl, "build", counting)
+    return built
+
+
+def test_queries_on_one_system_compile_one_automaton(rng, monkeypatch):
+    S = catalog("dendrite:3")
+    points = [random_rational(S, rng) for _ in range(6)]
+    fresh = gl.build(S)
+    expected_classes = [gl.gluing_class(fresh.original, p) for p in points]
+    expected_answers = [gl.glued(fresh, a, b) for a in points for b in points]
+    S = catalog("dendrite:3")  # a second system, with no automaton yet
+    built = _count_builds(monkeypatch)
+    for _ in range(2):
+        assert [gl.gluing_class(S, p) for p in points] == expected_classes
+        assert [gl.glued(S, a, b) for a in points for b in points] == expected_answers
+    assert built == [S]
+
+
+def test_refused_automaton_is_not_kept(monkeypatch):
+    from rewrite_groups.graphs import ColoredGraph, Edge
+    from rewrite_groups.replacement import ReplacementSystem, Rule
+
+    # one edge replaced by one edge: not expanding
+    rule = ColoredGraph(["i", "t"], [Edge("0", "1", "i", "t")])
+    base = ColoredGraph(["x", "y"], [Edge("s", "1", "x", "y")])
+    S = ReplacementSystem(["1"], base, {"1": Rule(rule, ("pair", "i", "t"))})
+    built = _count_builds(monkeypatch)
+    s = RS.make(("s",), ("0",))
+    for _ in range(2):
+        with pytest.raises(gl.NotExpanding):
+            gl.glued(S, s, s)
+    assert built == [S, S]

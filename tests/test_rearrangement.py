@@ -333,11 +333,21 @@ def _reduce_one_family_at_a_time(g, rng=None):
             flips.add(u)
 
 
+def _flipless_stepwise(g):
+    """Reference for Rearrangement.flipless: one expand_at per flipped cell."""
+    out = g
+    while out.flips:
+        out = out.expand_at(sorted(out.flips)[0])
+    return out
+
+
 def _unreduced_compose(g, h):
-    """compose(g, h) up to, but not including, the reduction of the product."""
+    """compose(g, h) up to, but not including, the reduction of the product:
+    the binary composition of the common refinement, kept as the reference
+    for the product kernel."""
     from rewrite_groups.replacement import minimal_refinement
 
-    gf, hf = g.flipless(), h.flipless()
+    gf, hf = _flipless_stepwise(g), _flipless_stepwise(h)
     mid = minimal_refinement(gf.domain, hf.range_)
     gf = gf.expand_domain_to(mid.cells)
     hf = hf.expand_range_to(mid.cells)
@@ -390,3 +400,149 @@ def test_reduction_rounds_match_one_family_at_a_time(rng):
             assert shuffled.encoding() == _reduce_one_family_at_a_time(
                 raw, random.Random(seed)).encoding()
     assert multi_round >= 20  # first rounds that merge two families or more
+
+
+# -- the product kernel ------------------------------------------------------------
+
+
+def _compose_reference(g, h):
+    """compose(g, h) the binary way: refine, expand both sides, reduce."""
+    raw = _unreduced_compose(g, h)
+    return Rearrangement(raw.domain, raw.phi, raw.range_, raw.flips)
+
+
+def _product_reference(factors):
+    out = factors[0]
+    for g in factors[1:]:
+        out = _compose_reference(g, out)
+    return out
+
+
+def _same_element(got, ref):
+    assert got.encoding() == ref.encoding()
+    assert (got.domain.cells, got.range_.cells, got.flips) == \
+        (ref.domain.cells, ref.range_.cells, ref.flips)
+    assert got.domain.leaf_graph == ref.domain.leaf_graph
+    assert got.range_.leaf_graph == ref.range_.leaf_graph
+
+
+def _check_product(factors):
+    from rewrite_groups.rearrangement import _product_map
+
+    _same_element(product(factors), _product_reference(factors))
+    if len(factors) > 1:
+        phi = _product_map(factors)[0]
+        assert len(phi) <= sum(len(_flipless_stepwise(f).phi) for f in factors)
+
+
+def test_flipless_matches_one_expand_at_per_flip(rng):
+    from rewrite_groups.analysis import dendrite_generators
+
+    samples = [("dendrite:3", g) for g in dendrite_generators(3).values()]
+    for name in ("circle_T", "basilica", "airplane", "dendrite:3"):
+        S = catalog(name)
+        samples += [(name, random_rearrangement(S, rng, 3, 2)) for _ in range(12)]
+    for _name, g in samples:
+        fast, ref = g.flipless(), _flipless_stepwise(g)
+        assert not fast.flips
+        assert fast.phi == ref.phi
+        assert (fast.domain.cells, fast.range_.cells) == (ref.domain.cells, ref.range_.cells)
+        assert fast.domain.leaf_graph == ref.domain.leaf_graph
+        assert fast.range_.leaf_graph == ref.range_.leaf_graph
+        assert fast.encoding() == ref.encoding()
+    # circle_T and basilica have no undirected color, so no element of theirs is flipped
+    flipped = [(name, g) for name, g in samples if g.flips]
+    assert {name for name, _g in flipped} == {"airplane", "dendrite:3"}
+    assert len(flipped) >= 10 and sum(len(g.flips) for _name, g in flipped) >= 20
+
+
+def test_product_matches_binary_compose(rng):
+    from rewrite_groups.analysis import dendrite_generators
+
+    F, x0, x1 = f_generators()
+    T, y = t_rotation()
+    gens = {"interval_F": [x0, x1], "circle_T": [y], "cantor_V": [],
+            "basilica": [], "airplane": [], "dendrite:3": list(dendrite_generators(3).values())}
+    flipped = 0
+    for name, letters in gens.items():
+        S = letters[0].system if letters else catalog(name)
+        pool = letters + [invert(g) for g in letters]
+        pool += [random_rearrangement(S, rng, 3, 2) for _ in range(4)]
+        for _ in range(6):
+            factors = [rng.choice(pool) for _ in range(rng.randint(2, 6))]
+            flipped += any(f.flips for f in factors)
+            _check_product(factors)
+    assert flipped >= 6
+
+
+def test_power_compose_and_conjugate_by_match_binary_compose(rng):
+    F, x0, x1 = f_generators()
+    for n in (1, 2, 5, 17):
+        _same_element(power(x0, n), _product_reference([x0] * n))
+    _same_element(power(x1, -3), _product_reference([invert(x1)] * 3))
+    assert power(x0, 0) == identity(F)
+    P = power(x0, 24)
+    for u in (x0, x1, invert(x0), invert(x1)):
+        _same_element(compose(u, P), _compose_reference(u, P))
+        _same_element(compose(P, u), _compose_reference(P, u))
+    for name in ("circle_T", "cantor_V", "basilica", "airplane", "dendrite:3"):
+        S = catalog(name)
+        for _ in range(3):
+            g = random_rearrangement(S, rng, 3, 2)
+            k = random_rearrangement(S, rng, 2, 2)
+            ref = _compose_reference(invert(k), _compose_reference(g, k))
+            _same_element(conjugate_by(g, k), ref)
+            _same_element(power(g, 3), _product_reference([g] * 3))
+
+
+def test_groupoid_chains_of_closed_reduction_logs(rng):
+    from rewrite_groups import conjugacy as cj
+    from rewrite_groups.analysis import dendrite_generators
+
+    F, x0, x1 = f_generators()
+    samples = []
+    for letters in ([x0, x1], list(dendrite_generators(3).values())):
+        pool = letters + [invert(g) for g in letters]
+        samples += [product([rng.choice(pool) for _ in range(4)]) for _ in range(5)]
+    samples += [random_rearrangement(catalog(name), rng, 3, 2)
+                for name in ("circle_T", "basilica") for _ in range(2)]
+    logged = 0
+    for g in samples:
+        eta0 = cj.close_element(g)
+        K0 = cj.initial_renaming(g.system, eta0, g)
+        _eta, log = cj.reduce_closed(eta0, collect=[])
+        logged += len(log) >= 2
+        # K = K0 e1 .. en (apply en first) and its inverse
+        _check_product([*reversed(log), K0])
+        _check_product([invert(K0), *(invert(e) for e in log)])
+    assert logged >= 8
+
+
+def test_product_builds_one_element(monkeypatch):
+    from rewrite_groups.analysis import dendrite_generators
+
+    D = dendrite_generators(3)
+    factors = [D["g0"], D["g1"], invert(D["g0"]), D["g1"], D["g0"]]
+    assert any(f.flips for f in factors)
+    built = []
+    init = Rearrangement.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Rearrangement, "__init__", counting)
+    product(factors)
+    monkeypatch.setattr(Rearrangement, "__init__", init)
+    assert len(built) == 1
+
+
+def test_product_checks_every_junction():
+    from rewrite_groups.rearrangement import SystemMismatch
+
+    F, x0, x1 = f_generators()
+    T, y = t_rotation()
+    with pytest.raises(SystemMismatch):
+        product([x0, x1, y])
+    with pytest.raises(ValueError):
+        product([])

@@ -1,0 +1,41 @@
+"""The library names that the benchmark's tracer (``bench/spans.py``) wraps.
+
+The tracer looks each name of its ``LAYER_CALLS`` up in the ``__dict__`` of
+the module or class that defines it, so moving or deleting one of them breaks
+traced benchmark runs.  These tests catch that in the ordinary suite.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from rewrite_groups import rearrangement, replacement
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls():
+    spans = _load_spans()
+    compose = rearrangement.compose
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert rearrangement.compose is not compose
+    finally:
+        tracer.uninstall()
+    assert rearrangement.compose is compose
+
+
+def test_composition_names_stay_in_their_own_bodies():
+    R = rearrangement.Rearrangement
+    assert "minimal_refinement" in vars(replacement)
+    for name in ("expand_at", "flipless", "expand_domain_to", "expand_range_to"):
+        assert name in vars(R), name
+    for name in ("compose", "product", "power", "conjugate_by"):
+        assert name in vars(rearrangement), name
