@@ -8,6 +8,7 @@ opaque; two graphs are "the same" when their canonical forms coincide.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -100,6 +101,7 @@ class ColoredGraph:
             touched.add(e.dst)
         if touched != vset:
             raise ValueError(f"isolated vertices: {sorted(vset - touched)}")
+        self._degrees: Optional[tuple] = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -109,14 +111,21 @@ class ColoredGraph:
     def edge_index(self, name: str) -> int:
         return self._index[name]
 
+    def _degree_counts(self) -> tuple:
+        """(out-degree, in-degree) per vertex, counted on first use; the graph never changes."""
+        if self._degrees is None:
+            self._degrees = (Counter(e.src for e in self.edges), Counter(e.dst for e in self.edges))
+        return self._degrees
+
     def out_degree(self, v: str) -> int:
-        return sum(1 for e in self.edges if e.src == v)
+        return self._degree_counts()[0][v]
 
     def in_degree(self, v: str) -> int:
-        return sum(1 for e in self.edges if e.dst == v)
+        return self._degree_counts()[1][v]
 
     def degree(self, v: str) -> int:
-        return self.out_degree(v) + self.in_degree(v)
+        out, into = self._degree_counts()
+        return out[v] + into[v]
 
     def incident(self, v: str) -> list[Edge]:
         return [e for e in self.edges if e.src == v or e.dst == v]
@@ -280,8 +289,6 @@ def iter_isomorphisms(
 ) -> Iterator[Iso]:
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return
-    from collections import Counter
-
     if Counter(e.color for e in g1.edges) != Counter(e.color for e in g2.edges):
         return
     vmap = dict(pinned) if pinned else {}

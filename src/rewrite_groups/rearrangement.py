@@ -89,9 +89,9 @@ class Rearrangement:
             vmap[a] = b
 
         for w, v in self.phi.items():
-            if self.domain.cell_type(w) != self.range_.cell_type(v):
-                raise TypeMismatch(f"cells {w} and {v} have different types")
             ed, er = self.domain.cell_edge(w), self.range_.cell_edge(v)
+            if (ed.color, ed.is_loop) != (er.color, er.is_loop):
+                raise TypeMismatch(f"cells {w} and {v} have different types")
             if w in self.flips:
                 if ed.color not in undirected:
                     raise BadFlip(f"flip on directed color {ed.color!r}")

@@ -11,6 +11,7 @@ expansion is the antichain of words at the leaves of a complete subforest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .graphs import ColoredGraph, Edge, UnionFind
@@ -60,6 +61,19 @@ class Rule:
 
     def boundary_vertices(self) -> tuple:
         return (self.iota,) if self.kind == "loop" else (self.iota, self.tau)
+
+    @cached_property
+    def pattern(self) -> tuple:
+        """(loop, fresh, edges): the rule as ``walk_forest`` applies it.
+
+        The vertices are numbered boundary first (iota, then tau unless the
+        rule is a loop rule); ``fresh`` counts the others, and ``edges``
+        lists (letter, color, src, dst) by those numbers, last edge first.
+        """
+        bv = self.boundary_vertices()
+        num = {v: i for i, v in enumerate(bv + tuple(v for v in self.graph.vertices if v not in bv))}
+        edges = tuple((e.name, e.color, num[e.src], num[e.dst]) for e in reversed(self.graph.edges))
+        return self.kind == "loop", len(num) - len(bv), edges
 
 
 @dataclass(frozen=True)
@@ -491,65 +505,79 @@ class RationalSequence:
 # -- graph expansions ----------------------------------------------------------
 
 
-def _addresses(system: ReplacementSystem, base: ColoredGraph, words: Iterable[Word]) -> dict:
-    """Sort key (depth-first order of the forest's leaves) and color of each word
-    and of each prefix of one, every prefix walked once.
+def walk_forest(system: ReplacementSystem, base: ColoredGraph, cells: Sequence[Word]) -> tuple:
+    """One iterative depth-first walk of the forest whose leaves are ``cells``.
 
-    Raises KeyError for a word outside the language.
+    The forest is expanded top-down from the edges of ``base``, each node
+    visited once, children in edge order.  Returns (leaves, inner, uf):
+    ``leaves`` maps each cell, in depth-first order, and ``inner`` each
+    interior word (strict prefix of a cell) to (color, s, t), where s and t
+    are integer items of the union-find ``uf``; two items are one vertex of
+    the leaf graph exactly when ``uf`` gives them the same root.
+
+    Raises KeyError for a word outside the language, and NotACell unless the
+    cells, without duplicates, are the leaves of a complete subforest.
     """
-    out: dict = {(): ((), None)}
-    for w in words:
-        i = len(w)
-        while w[:i] not in out:
-            i -= 1
-        key, color = out[w[:i]]
-        for j in range(i, len(w)):
-            g = base if color is None else system.rules[color].graph
-            key += (g.edge_index(w[j]),)
-            color = g.edge(w[j]).color
-            out[w[:j + 1]] = (key, color)
-    return out
+    # the trie: an interior word is a [word, children] list, a cell its word;
+    # ``trie`` maps each interior word to its children
+    root: dict = {}
+    trie = {(): root}
+    for w in cells:
+        i, step = len(w) - 1, 1
+        kids = trie.get(w[:i])
+        while kids is None:  # gallop back to a prefix in the trie ...
+            i, step = max(i - step, 0), 2 * step
+            kids = trie.get(w[:i])
+        for i in range(i, len(w) - 1):  # ... then walk down, adding what is missing
+            node = kids.get(w[i])
+            if node is None:
+                node = kids[w[i]] = [w[:i + 1], {}]
+                trie[node[0]] = node[1]
+            elif type(node) is not list:
+                _reject(system, base, cells, f"{w} extends the cell {node}")
+            kids = node[1]
+        if not w:
+            _reject(system, base, cells, "the empty word is not a cell")
+        if w[-1] in kids:
+            _reject(system, base, cells, f"{w} is a duplicate cell or extended by another cell")
+        kids[w[-1]] = w
+    ids = {v: i for i, v in enumerate(base.vertices)}
+    uf = UnionFind((i, i) for i in ids.values())
+    leaves: dict = {}
+    inner: dict = {}
+    stack: list = []
 
+    def push(kids: dict, edges: tuple, sub: list):
+        if len(kids) != len(edges):
+            _reject(system, base, cells, "cells do not form a complete partition")
+        for letter, color, a, b in edges:
+            node = kids.get(letter)
+            if node is None:
+                _reject(system, base, cells, "cells do not form a complete partition")
+            stack.append((node, color, sub[a], sub[b]))
 
-def forest_ends(system: ReplacementSystem, base: ColoredGraph, cells, interior) -> tuple:
-    """Endpoints of every word of the forest whose leaves are ``cells``.
-
-    The forest is expanded top-down from the edges of ``base``; ``interior``
-    holds its strict prefixes.  Returns (uf, ends): ``ends`` maps each word
-    to (s, t, color), where s and t are union-find items ("b", base vertex)
-    or ("i", word, rule vertex); two items are one vertex of the leaf graph
-    exactly when ``uf`` gives them the same root.  Roots are left to the
-    caller to resolve, for the words it needs.
-    """
-    uf = UnionFind()
-    ends: dict = {}
-    for e in base.edges:
-        s, t = ("b", e.src), ("b", e.dst)
-        uf.add(s), uf.add(t)
-        ends[(e.name,)] = (s, t, e.color)
-    frontier = list(ends)
-    while frontier:
-        w = frontier.pop()
-        if w in cells:
+    push(root, tuple((e.name, e.color, ids[e.src], ids[e.dst]) for e in reversed(base.edges)),
+         range(len(ids)))
+    while stack:
+        node, color, s, t = stack.pop()
+        if type(node) is not list:
+            leaves[node] = (color, s, t)
             continue
-        if w not in interior:
-            raise NotACell(f"{w} is neither a cell nor a prefix of one")
-        s, t, color = ends[w]
-        rule = system.rules[color]
-        if rule.kind == "loop":
+        inner[node[0]] = (color, s, t)
+        loop, fresh, edges = system.rules[color].pattern
+        if loop:
             uf.union(s, t)
-            sub = {rule.iota: s}
-        else:
-            sub = {rule.iota: s, rule.tau: t}
-        for v in rule.graph.vertices:
-            if v not in sub:
-                node = ("i", w, v)
-                uf.add(node)
-                sub[v] = node
-        for e in rule.graph.edges:
-            ends[w + (e.name,)] = (sub[e.src], sub[e.dst], e.color)
-            frontier.append(w + (e.name,))
-    return uf, ends
+        new = range(len(uf), len(uf) + fresh)
+        uf.update(zip(new, new))
+        push(node[1], edges, [s, *new] if loop else [s, t, *new])
+    return leaves, inner, uf
+
+
+def _reject(system: ReplacementSystem, base: ColoredGraph, cells, reason: str):
+    """Raise NotACell(reason), or KeyError first if some cell is outside the language."""
+    for w in cells:
+        system.walk(w, base)
+    raise NotACell(reason)
 
 
 class GraphExpansion:
@@ -558,79 +586,37 @@ class GraphExpansion:
     ``base`` may differ from the system's base graph: generalized expansions
     over other base graphs are what the replacement groupoid acts on.
 
-    Construction is linear in the size of the forest (the cells and their
-    prefixes), plus one sort of the cells: one color walk that visits each
-    prefix once, one pass over the prefixes for the antichain and
-    completeness checks, and one top-down pass that builds the leaf graph.
+    Construction is one depth-first walk of the forest (``walk_forest``)
+    that visits each node once: it checks language, antichain and
+    completeness, emits the cells already in depth-first order, keeps the
+    color of every cell and every interior word, and carries the endpoints
+    from which the leaf graph is named.
     """
 
     def __init__(self, system: ReplacementSystem, cells: Iterable[Word],
                  base: Optional[ColoredGraph] = None):
         self.system = system
         self.base = base if base is not None else system.base
-        cells = [tuple(c) for c in cells]
-        nodes = _addresses(system, self.base, cells)
-        self.cells = tuple(sorted(cells, key=lambda w: nodes[w][0]))
-        self._colors = {w: nodes[w][1] for w in cells}
-        interior = self._check_antichain(nodes)
-        self.leaf_graph = self._compute_leaf_graph(interior)
-
-    # -- structure ---------------------------------------------------------
-
-    def _check_antichain(self, nodes: dict) -> dict:
-        """Raise NotACell unless the cells are the leaves of a complete subforest.
-
-        ``nodes`` holds every prefix of a cell with its color.  One pass over
-        them groups the letters that follow each prefix; the result maps each
-        interior word (strict prefix of a cell) to those letters.
-        """
-        if len(self._colors) != len(self.cells):
-            raise NotACell("duplicate cells")
-        children: dict = {}
-        for w in nodes:
-            if w:
-                children.setdefault(w[:-1], set()).add(w[-1])
-        for w in self.cells:
-            if not w:
-                raise NotACell("empty word is not a cell")
-            if w in children:
-                longer = next(c for c in self.cells if len(c) > len(w) and c[:len(w)] == w)
-                raise NotACell(f"{longer} extends the cell {w}")
-        # completeness: the base edges, and every rule edge below an interior word
-        if children.pop((), set()) != {e.name for e in self.base.edges}:
-            raise NotACell("cells do not form a complete partition")
-        for p, letters in children.items():
-            if letters != {e.name for e in self.system.rules[nodes[p][1]].graph.edges}:
-                raise NotACell("cells do not form a complete partition")
-        return children
-
-    def _color_of(self, word: Word) -> str:
-        if word in self._colors:
-            return self._colors[word]
-        return self.system.walk(word, self.base)[-1].color
-
-    def _child_letters(self, word: Word) -> set:
-        return {e.name for e in self.system.rules[self._color_of(word)].graph.edges}
-
-    def cell_color(self, word: Word) -> str:
-        return self._color_of(word)
-
-    def _compute_leaf_graph(self, interior: dict) -> ColoredGraph:
-        uf, ends = forest_ends(self.system, self.base, self._colors, interior)
-        # a vertex is named after its first endpoint in cell order, s before t;
-        # the cells are sorted, so that is its least incident (word, marker)
+        self._leaves, self._inner, uf = walk_forest(system, self.base, [tuple(c) for c in cells])
+        self.cells = tuple(self._leaves)
+        # a vertex is named after its first endpoint in cell order, s before t
         names: dict = {}
-        verts: dict = {}
         edges = []
-        for w in self.cells:
-            s, t, color = ends[w]
+        for w, (color, s, t) in self._leaves.items():
             label = " ".join(w)
             sv = names.setdefault(uf.find(s), f"{label}/s")
             tv = names.setdefault(uf.find(t), f"{label}/t")
-            verts.setdefault(sv)
-            verts.setdefault(tv)
             edges.append(Edge(label, color, sv, tv))
-        return ColoredGraph(verts, edges)
+        self.leaf_graph = ColoredGraph(names.values(), edges)
+
+    # -- structure ---------------------------------------------------------
+
+    def cell_color(self, word: Word) -> str:
+        """The color of a word of the forest: a cell or an interior word."""
+        return (self._leaves.get(word) or self._inner[word])[0]
+
+    def _child_letters(self, word: Word) -> set:
+        return {e.name for e in self.system.rules[self.cell_color(word)].graph.edges}
 
     def cell_edge(self, word: Word) -> Edge:
         return self.leaf_graph.edge(" ".join(word))
@@ -645,9 +631,9 @@ class GraphExpansion:
 
     def expand(self, word: Word) -> "GraphExpansion":
         word = tuple(word)
-        if word not in self._colors:
+        if word not in self._leaves:
             raise NotACell(f"{word} is not a cell of this expansion")
-        kids = [word + (e.name,) for e in self.system.rules[self._colors[word]].graph.edges]
+        kids = [word + (e.name,) for e in self.system.rules[self._leaves[word][0]].graph.edges]
         cells = [c for c in self.cells if c != word] + kids
         return GraphExpansion(self.system, cells, self.base)
 
@@ -670,12 +656,12 @@ class GraphExpansion:
         if len(parents) != 1:
             raise NotReducible("family members are not siblings")
         parent = parents.pop()
+        if not family <= self._leaves.keys():
+            raise NotReducible("family members are not all cells")
         if {w[-1] for w in family} != self._child_letters(parent):
             raise NotReducible("family is not the full set of children")
-        if not family <= self._colors.keys():
-            raise NotReducible("family members are not all cells")
         # interior vertices of the pattern must carry no extra incidences
-        rule = self.system.rules[self._color_of(parent)]
+        rule = self.system.rules[self.cell_color(parent)]
         for w in family:
             e = self.cell_edge(w)
             rule_edge = rule.graph.edge(w[-1])
@@ -727,13 +713,14 @@ def base_expansion(system: ReplacementSystem, base: Optional[ColoredGraph] = Non
 def full_expansion(system: ReplacementSystem, depth: int) -> GraphExpansion:
     """E_depth: every edge expanded at every step; cells have length depth+1.
 
-    One expansion is built per level, from the children of all current cells.
+    The words of length depth+1 are generated level by level from the rule
+    colors, and one expansion is built from them, by one walk that keeps the
+    interior colors on the way.
     """
-    exp = base_expansion(system)
+    words = [((e.name,), e.color) for e in system.base.edges]
     for _ in range(depth):
-        exp = GraphExpansion(system, [w + (e.name,) for w in exp.cells
-                                      for e in system.rules[exp.cell_color(w)].graph.edges])
-    return exp
+        words = [(w + (e.name,), e.color) for w, c in words for e in system.rules[c].graph.edges]
+    return GraphExpansion(system, [w for w, _ in words])
 
 
 def minimal_refinement(e1: GraphExpansion, e2: GraphExpansion) -> GraphExpansion:
@@ -757,7 +744,7 @@ def expansion_containing(system: ReplacementSystem, words: Iterable[Word],
     todo = sorted({tuple(w) for w in words}, key=len)
     for w in todo:
         for k in range(1, len(w)):
-            if w[:k] in set(exp.cells):
+            if w[:k] in exp._leaves:
                 exp = exp.expand(w[:k])
     return exp
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .graphs import ColoredGraph, UnionFind
-from .replacement import GraphExpansion, ReplacementSystem, Rule, forest_ends
+from .replacement import GraphExpansion, ReplacementSystem, Rule, walk_forest
 from .rearrangement import Rearrangement, reduced_flipless
 
 Word = tuple
@@ -430,26 +430,30 @@ def from_rearrangement(g: Rearrangement, reduce: bool = True) -> StrandDiagram:
     system = g.system
     dom, ran = g.domain, g.range_
     dcells, rcells = set(dom.cells), set(ran.cells)
+    # the split and merge nodes are numbered in the iteration order of these
+    # sets, which fixes the node ids that ``conjugacy.close`` hands out
     dprefix = {w[:k] for w in dcells for k in range(1, len(w))}
     rprefix = {v[:k] for v in rcells for k in range(1, len(v))}
-    duf, dends = forest_ends(system, dom.base, dcells, dprefix)
-    ruf, rends = forest_ends(system, ran.base, rcells, rprefix)
+    dleaves, dinner, duf = walk_forest(system, dom.base, dom.cells)
+    rleaves, rinner, ruf = walk_forest(system, ran.base, ran.cells)
+    # (color, s, t) of every word of each forest
+    dends, rends = {**dinner, **dleaves}, {**rinner, **rleaves}
     # a symbol is a vertex of the domain leaf graph glued along phi to one of
     # the range leaf graph
     uf = UnionFind()
     for w in dom.cells:
-        (ds, dt, _), (rs, rt, _) = dends[w], rends[g.phi[w]]
+        (_, ds, dt), (_, rs, rt) = dends[w], rends[g.phi[w]]
         uf.union(("D", duf.find(ds)), ("R", ruf.find(rs)))
         uf.union(("D", duf.find(dt)), ("R", ruf.find(rt)))
     names: dict = {}
 
     def holder(ends: dict, base: ColoredGraph, w: Word) -> ColoredGraph:
         """The graph in which the last letter of w is an edge."""
-        return base if len(w) == 1 else system.rules[ends[w[:-1]][2]].graph
+        return base if len(w) == 1 else system.rules[ends[w[:-1]][0]].graph
 
     def label(side, forest, ends, base, w: Word) -> tuple:
         syms = [names.setdefault(uf.find((side, forest.find(x))), f"x{len(names)}")
-                for x in ends[w][:2]]
+                for x in ends[w][1:]]
         return (syms[0], syms[1], holder(ends, base, w).parallel_index(w[-1]))
 
     nodes: dict = {}
@@ -462,9 +466,9 @@ def from_rearrangement(g: Rearrangement, reduce: bool = True) -> StrandDiagram:
         nodes[("snk", i)] = "sink"
         sinks.append(("snk", i))
     for w in sorted(dprefix, key=len):
-        nodes[("sp", w)] = ("split", dends[w][2])
+        nodes[("sp", w)] = ("split", dends[w][0])
     for v in sorted(rprefix, key=len):
-        nodes[("mg", v)] = ("merge", rends[v][2])
+        nodes[("mg", v)] = ("merge", rends[v][0])
 
     def upper_end(w: Word):
         i = holder(dends, dom.base, w).edge_index(w[-1])
@@ -477,11 +481,11 @@ def from_rearrangement(g: Rearrangement, reduce: bool = True) -> StrandDiagram:
     sid = 0
     for w in sorted(dprefix | dcells, key=lambda x: (len(x), x)):
         dst = (("sp", w), 0) if w in dprefix else lower_end(g.phi[w])
-        strands[f"s{sid}"] = Strand(dends[w][2], label("D", duf, dends, dom.base, w),
+        strands[f"s{sid}"] = Strand(dends[w][0], label("D", duf, dends, dom.base, w),
                                     upper_end(w), dst)
         sid += 1
     for v in sorted(rprefix, key=lambda x: (len(x), x)):
-        strands[f"s{sid}"] = Strand(rends[v][2], label("R", ruf, rends, ran.base, v),
+        strands[f"s{sid}"] = Strand(rends[v][0], label("R", ruf, rends, ran.base, v),
                                     (("mg", v), 0), lower_end(v))
         sid += 1
     return StrandDiagram(system, nodes, strands, sources, sinks)

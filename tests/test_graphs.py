@@ -130,3 +130,15 @@ def test_json_round_trip_and_dot():
     assert graph_from_json(graph_to_json(g)) == g
     dot = graph_to_dot(g)
     assert dot.startswith("digraph") and dot.count("->") == 3
+
+
+def test_degrees_count_loops_twice_and_parallel_edges_each():
+    g = ColoredGraph("uvw", [
+        Edge("a", "r", "u", "v"), Edge("b", "r", "u", "v"), Edge("c", "k", "v", "v"),
+        Edge("d", "k", "w", "u"),
+    ])
+    for v in list(g.vertices) + ["absent"]:
+        out = sum(1 for e in g.edges if e.src == v)
+        into = sum(1 for e in g.edges if e.dst == v)
+        assert (g.out_degree(v), g.in_degree(v), g.degree(v)) == (out, into, out + into)
+    assert (g.degree("u"), g.degree("v"), g.degree("w")) == (3, 4, 1)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from rewrite_groups.catalog import catalog, dendrite_edge_base
-from rewrite_groups.graphs import ColoredGraph, Edge
+from rewrite_groups.graphs import ColoredGraph, Edge, UnionFind
 from rewrite_groups.replacement import (
     GraphExpansion,
     NotACell,
@@ -236,6 +236,10 @@ def test_rational_sequence_normalization():
     ([("s", "0", "0"), ("s", "1")], NotACell),  # sibling s 0 1 missing
     ([(), ("s",)], NotACell),  # the empty word
     ([("s", "0"), ("s", "2")], KeyError),  # letter outside the language
+    # a letter outside the language wins over every other fault
+    ([("s",), ("s", "2")], KeyError),  # and a cell extending another
+    ([("s", "0", "0"), ("s", "1"), ("s", "0", "7")], KeyError),  # and a missing sibling
+    ([("s", "0"), ("s", "0"), ("s", "2")], KeyError),  # and a duplicate
 ])
 def test_expansion_constructor_rejects(cells, error):
     with pytest.raises(error):
@@ -253,3 +257,267 @@ def test_full_expansion_equals_cell_by_cell(name, depth):
     fast = full_expansion(S, depth)
     assert fast.cells == exp.cells
     assert fast.leaf_graph.encoding() == exp.leaf_graph.encoding()
+
+
+# -- the multi-pass build, kept as the reference of the one-walk build ----------
+
+
+def _ref_addresses(system, base, words):
+    """Sort key and color of each word and of each prefix of one."""
+    out = {(): ((), None)}
+    for w in words:
+        i = len(w)
+        while w[:i] not in out:
+            i -= 1
+        key, color = out[w[:i]]
+        for j in range(i, len(w)):
+            g = base if color is None else system.rules[color].graph
+            key += (g.edge_index(w[j]),)
+            color = g.edge(w[j]).color
+            out[w[:j + 1]] = (key, color)
+    return out
+
+
+def _ref_check_antichain(system, base, cells, nodes):
+    """The interior words with the letters that follow them; NotACell unless
+    the cells are the leaves of a complete subforest."""
+    if len(set(cells)) != len(cells):
+        raise NotACell("duplicate cells")
+    children = {}
+    for w in nodes:
+        if w:
+            children.setdefault(w[:-1], set()).add(w[-1])
+    for w in cells:
+        if not w:
+            raise NotACell("empty word is not a cell")
+        if w in children:
+            raise NotACell(f"a cell extends the cell {w}")
+    if children.pop((), set()) != {e.name for e in base.edges}:
+        raise NotACell("cells do not form a complete partition")
+    for p, letters in children.items():
+        if letters != {e.name for e in system.rules[nodes[p][1]].graph.edges}:
+            raise NotACell("cells do not form a complete partition")
+    return children
+
+
+def _ref_forest_ends(system, base, cells, interior):
+    """Union-find and (s, t, color) of every word of the forest, top-down."""
+    uf = UnionFind()
+    ends = {}
+    for e in base.edges:
+        s, t = ("b", e.src), ("b", e.dst)
+        uf.add(s), uf.add(t)
+        ends[(e.name,)] = (s, t, e.color)
+    frontier = list(ends)
+    while frontier:
+        w = frontier.pop()
+        if w in cells:
+            continue
+        if w not in interior:
+            raise NotACell(f"{w} is neither a cell nor a prefix of one")
+        s, t, color = ends[w]
+        rule = system.rules[color]
+        if rule.kind == "loop":
+            uf.union(s, t)
+            sub = {rule.iota: s}
+        else:
+            sub = {rule.iota: s, rule.tau: t}
+        for v in rule.graph.vertices:
+            if v not in sub:
+                node = ("i", w, v)
+                uf.add(node)
+                sub[v] = node
+        for e in rule.graph.edges:
+            ends[w + (e.name,)] = (sub[e.src], sub[e.dst], e.color)
+            frontier.append(w + (e.name,))
+    return uf, ends
+
+
+def _reference_build(system, cells, base=None):
+    """Sorted cells, color of every forest word and leaf graph encoding."""
+    base = base if base is not None else system.base
+    cells = [tuple(c) for c in cells]
+    nodes = _ref_addresses(system, base, cells)
+    order = tuple(sorted(cells, key=lambda w: nodes[w][0]))
+    interior = _ref_check_antichain(system, base, cells, nodes)
+    uf, ends = _ref_forest_ends(system, base, set(cells), interior)
+    names, verts, edges = {}, {}, []
+    for w in order:
+        s, t, color = ends[w]
+        label = " ".join(w)
+        sv = names.setdefault(uf.find(s), f"{label}/s")
+        tv = names.setdefault(uf.find(t), f"{label}/t")
+        verts.setdefault(sv)
+        verts.setdefault(tv)
+        edges.append(Edge(label, color, sv, tv))
+    colors = {w: nodes[w][1] for w in nodes if w}
+    return order, colors, ColoredGraph(verts, edges).encoding()
+
+
+def _assert_matches_reference(system, cells, base=None):
+    exp = GraphExpansion(system, cells, base)
+    order, colors, leaf = _reference_build(system, cells, base)
+    assert exp.cells == order
+    assert {w: exp.cell_color(w) for w in colors} == colors  # cells and interior words
+    assert exp.leaf_graph.encoding() == leaf
+    return exp
+
+
+def _random_cells(system, rng, steps, base=None):
+    exp = base_expansion(system, base)
+    for _ in range(steps):
+        exp = exp.expand(rng.choice(exp.cells))
+    cells = list(exp.cells)
+    rng.shuffle(cells)
+    return cells
+
+
+@pytest.mark.parametrize("name", [
+    "interval_F", "circle_T", "cantor_V", "airplane", "dendrite:3", "vicsek:4", "basilica"])
+def test_one_walk_build_matches_reference(name, rng):
+    S = catalog(name)
+    for _ in range(12):
+        _assert_matches_reference(S, _random_cells(S, rng, rng.randint(0, 14)))
+
+
+def test_one_walk_build_matches_reference_with_loop_rules(rng):
+    # the loop rule of the normalized basilica merges the ends of its edge
+    N = normalize_loops(catalog("basilica"))
+    assert any(r.kind == "loop" for r in N.rules.values())
+    for _ in range(12):
+        exp = _assert_matches_reference(N, _random_cells(N, rng, rng.randint(1, 14)))
+        ColoredGraph(exp.leaf_graph.vertices, exp.leaf_graph.edges)  # revalidates
+
+
+def test_one_walk_build_matches_reference_over_another_base(rng):
+    # a generalized expansion over a leaf graph, as the conjugacy moves build them
+    D = catalog("dendrite:3")
+    base = GraphExpansion(D, [("1",), ("2", "1"), ("2", "2"), ("2", "3"), ("3",)]).leaf_graph
+    for _ in range(12):
+        exp = _assert_matches_reference(D, _random_cells(D, rng, rng.randint(0, 10), base), base)
+        assert exp.base == base
+
+
+def test_deep_words_build_without_recursion():
+    # the domain cells of x0^1500 in F: words of up to 1502 letters, longer
+    # than the default recursion limit
+    n = 1500
+    domain = [("s",) + ("0",) * (n + 1)]
+    domain += [("s",) + ("0",) * j + ("1",) for j in range(n, 0, -1)]
+    domain.append(("s", "1"))
+    exp = _assert_matches_reference(catalog("interval_F"), domain)
+    assert len(exp.cells) == n + 2
+
+
+def _faulty(cells, rng):
+    """``cells`` with one random fault of the kinds the constructor must reject."""
+    cells = list(cells)
+    w = rng.choice(cells)
+    kind = rng.randrange(5)
+    if kind == 0:
+        cells.append(w)  # duplicate
+    elif kind == 1:
+        cells.remove(w)  # incomplete
+    elif kind == 2:
+        cells.append(w + ("0",) if w[-1] != "0" else w + ("1",))  # extends a cell
+    elif kind == 3:
+        cells.append(w[:-1] + ("?",))  # outside the language
+    else:
+        cells[cells.index(w)] = w[:-1]  # a prefix of its siblings
+    rng.shuffle(cells)
+    return cells
+
+
+def _outcome(build):
+    try:
+        build()
+    except (KeyError, NotACell) as e:
+        return type(e)
+    return None
+
+
+@pytest.mark.parametrize("name", ["interval_F", "airplane", "dendrite:3"])
+def test_one_walk_build_rejects_as_reference(name, rng):
+    S = catalog(name)
+    for _ in range(40):
+        cells = _faulty(_random_cells(S, rng, rng.randint(1, 8)), rng)
+        ref = _outcome(lambda: _reference_build(S, cells))
+        assert _outcome(lambda: GraphExpansion(S, cells)) is ref
+
+
+def _reference_from_rearrangement(g):
+    """``strand.from_rearrangement`` with the endpoints of ``_ref_forest_ends``."""
+    from rewrite_groups.rearrangement import reduced_flipless
+    from rewrite_groups.strand import Strand, StrandDiagram
+
+    g = reduced_flipless(g)
+    system = g.system
+    dom, ran = g.domain, g.range_
+    dcells, rcells = set(dom.cells), set(ran.cells)
+    dprefix = {w[:k] for w in dcells for k in range(1, len(w))}
+    rprefix = {v[:k] for v in rcells for k in range(1, len(v))}
+    duf, dends = _ref_forest_ends(system, dom.base, dcells, dprefix)
+    ruf, rends = _ref_forest_ends(system, ran.base, rcells, rprefix)
+    uf = UnionFind()
+    for w in dom.cells:
+        (ds, dt, _), (rs, rt, _) = dends[w], rends[g.phi[w]]
+        uf.union(("D", duf.find(ds)), ("R", ruf.find(rs)))
+        uf.union(("D", duf.find(dt)), ("R", ruf.find(rt)))
+    names = {}
+
+    def holder(ends, base, w):
+        return base if len(w) == 1 else system.rules[ends[w[:-1]][2]].graph
+
+    def label(side, forest, ends, base, w):
+        syms = [names.setdefault(uf.find((side, forest.find(x))), f"x{len(names)}")
+                for x in ends[w][:2]]
+        return (syms[0], syms[1], holder(ends, base, w).parallel_index(w[-1]))
+
+    nodes, strands, sources, sinks = {}, {}, [], []
+    for i, e in enumerate(dom.base.edges):
+        nodes[("src", i)] = "source"
+        sources.append(("src", i))
+    for i, e in enumerate(ran.base.edges):
+        nodes[("snk", i)] = "sink"
+        sinks.append(("snk", i))
+    for w in sorted(dprefix, key=len):
+        nodes[("sp", w)] = ("split", dends[w][2])
+    for v in sorted(rprefix, key=len):
+        nodes[("mg", v)] = ("merge", rends[v][2])
+
+    def upper_end(w):
+        i = holder(dends, dom.base, w).edge_index(w[-1])
+        return (("src", i), 0) if len(w) == 1 else (("sp", w[:-1]), i)
+
+    def lower_end(v):
+        i = holder(rends, ran.base, v).edge_index(v[-1])
+        return (("snk", i), 0) if len(v) == 1 else (("mg", v[:-1]), i)
+
+    sid = 0
+    for w in sorted(dprefix | dcells, key=lambda x: (len(x), x)):
+        dst = (("sp", w), 0) if w in dprefix else lower_end(g.phi[w])
+        strands[f"s{sid}"] = Strand(dends[w][2], label("D", duf, dends, dom.base, w),
+                                    upper_end(w), dst)
+        sid += 1
+    for v in sorted(rprefix, key=lambda x: (len(x), x)):
+        strands[f"s{sid}"] = Strand(rends[v][2], label("R", ruf, rends, ran.base, v),
+                                    (("mg", v), 0), lower_end(v))
+        sid += 1
+    return StrandDiagram(system, nodes, strands, sources, sinks)
+
+
+@pytest.mark.parametrize("name", ["interval_F", "circle_T", "airplane", "dendrite:3", "basilica"])
+def test_strand_diagrams_match_reference(name, rng):
+    from rewrite_groups.rearrangement import random_rearrangement
+    from rewrite_groups.strand import from_rearrangement
+
+    S = catalog(name)
+    split = 0
+    for _ in range(8):
+        g = random_rearrangement(S, rng, 4, 2)
+        d, ref = from_rearrangement(g), _reference_from_rearrangement(g)
+        assert list(d.nodes.items()) == list(ref.nodes.items())
+        assert list(d.strands.items()) == list(ref.strands.items())
+        assert (d.sources, d.sinks) == (ref.sources, ref.sinks)
+        split += bool(d.splits())
+    assert split  # some elements are not the identity

@@ -39,3 +39,15 @@ def test_composition_names_stay_in_their_own_bodies():
         assert name in vars(R), name
     for name in ("compose", "product", "power", "conjugate_by"):
         assert name in vars(rearrangement), name
+
+
+def test_replacement_names_stay_in_their_own_bodies():
+    wrapped = _load_spans().LAYER_CALLS["replacement"]
+    for path in ("GraphExpansion.__init__", "GraphExpansion.expand", "GraphExpansion.reduce",
+                 "GraphExpansion.reducible_families", "base_expansion", "full_expansion",
+                 "minimal_refinement", "expansion_containing"):
+        assert path in wrapped, path
+    for path in wrapped:
+        *owner, name = path.split(".")
+        body = vars(getattr(replacement, owner[0])) if owner else vars(replacement)
+        assert name in body, path
