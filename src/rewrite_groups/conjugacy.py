@@ -16,7 +16,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import ColoredGraph, Edge, UnionFind
 from .replacement import GraphExpansion, ReplacementSystem, base_expansion
@@ -29,6 +29,8 @@ from .strand import (
     StrandDiagram,
     copy_defect,
     from_rearrangement,
+    injective_except,
+    is_bijection,
     to_rearrangement,
 )
 
@@ -56,14 +58,17 @@ class ConjugatorInvalid(RuntimeError):
 
 @dataclass(frozen=True)
 class VirtualReduction:
-    """An extra graph reduction pattern added to a non-confluent rule set.
+    """A graph reduction: the pattern ``lhs`` collapses to a single edge.
 
-    ``lhs`` is the pattern; it is replaced by a single ``rhs_color`` edge from
-    ``rhs_src`` to ``rhs_dst``, each either ("vertex", name of an lhs vertex)
-    or ("fresh", tag).  ``expansion_map`` exhibits the witness: expanding the
-    rhs edge by its color's rule must reproduce the lhs with the edge
-    ``expanded_lhs_edge`` expanded; it maps each rule edge of rhs_color either
-    to ("edge", lhs edge) or to ("child", lhs edge, rule edge of its color).
+    ``lhs`` is replaced by a single ``rhs_color`` edge from ``rhs_src`` to
+    ``rhs_dst``, each either ("vertex", name of an lhs vertex) or ("fresh",
+    tag).  ``expansion_map`` exhibits the witness: expanding the rhs edge by
+    its color's rule must reproduce the lhs, up to the expansion of at most
+    one lhs edge; it maps each rule edge of rhs_color either to ("edge", lhs
+    edge) or to ("child", lhs edge, rule edge of its color).  A rule is the
+    reduction of its own replacement graph, each rule edge mapped to itself
+    (``_rule_patterns``); an extra reduction added to a non-confluent rule
+    set expands exactly one lhs edge (``_validate_virtual``).
     """
 
     lhs: ColoredGraph
@@ -71,6 +76,12 @@ class VirtualReduction:
     rhs_src: tuple
     rhs_dst: tuple
     expansion_map: dict
+
+    @property
+    def interior(self) -> list:
+        """The lhs vertices the reduction deletes: those that end no rhs edge."""
+        kept = {end[1] for end in (self.rhs_src, self.rhs_dst) if end[0] == "vertex"}
+        return [v for v in self.lhs.vertices if v not in kept]
 
 
 @dataclass(frozen=True)
@@ -126,18 +137,16 @@ def _validate_virtual(system: ReplacementSystem, vr: VirtualReduction):
             return ("rhs", "dst")
         return ("rint", v)
 
-    pair_map = {}
+    pairs = []
     for e in rule.graph.edges:
         tgt = vr.expansion_map[e.name]
         key = ("e", tgt[1]) if tgt[0] == "edge" else ("c", tgt[2])
         hs, ht, hc = host_end[key]
         if hc != e.color:
             raise WitnessInvalid(f"color mismatch on rhs rule edge {e.name}")
-        for a, b in ((rhs_end(e.src), hs), (rhs_end(e.dst), ht)):
-            if pair_map.setdefault(a, b) != b:
-                raise WitnessInvalid("witness endpoint correspondence inconsistent")
-    if len(set(pair_map.values())) != len(pair_map):
-        raise WitnessInvalid("witness endpoint correspondence not injective")
+        pairs += [(rhs_end(e.src), hs), (rhs_end(e.dst), ht)]
+    if not is_bijection(pairs):
+        raise WitnessInvalid("witness endpoint correspondence is not a bijection")
 
 
 def add_virtual_reduction(system: ReplacementSystem, vr: VirtualReduction,
@@ -431,17 +440,10 @@ def close(d: StrandDiagram) -> ClosedDiagram:
     """Attach each sink to the source in the same position."""
     if len(d.sources) != len(d.sinks):
         raise NotXDiagram("source and sink counts differ")
-    for (v1, w1, _), (v2, w2, _), c1, c2 in zip(
-        d.source_labels(), d.sink_labels(), d.source_colors(), d.sink_colors()
-    ):
-        if c1 != c2:
-            raise NotXDiagram("source and sink colors differ")
-    m: dict = {}
-    for (v1, w1, _), (v2, w2, _) in zip(d.source_labels(), d.sink_labels()):
-        for a, b in ((v2, v1), (w2, w1)):
-            if m.setdefault(a, b) != b:
-                raise NotXDiagram("sources and sinks spell different graphs")
-    if len(set(m.values())) != len(m):
+    if d.source_colors() != d.sink_colors():
+        raise NotXDiagram("source and sink colors differ")
+    if not is_bijection(p for (v1, w1, _), (v2, w2, _) in zip(d.source_labels(), d.sink_labels())
+                        for p in ((v2, v1), (w2, w1))):
         raise NotXDiagram("sources and sinks spell different graphs")
     nodes = {}
     remap = {}
@@ -777,17 +779,6 @@ def all_flips(d: ClosedDiagram) -> list:
     return out
 
 
-def permute(d: ClosedDiagram, order=None) -> ClosedDiagram:
-    """Reorder the base line.
-
-    Base points carry no order in this representation (any ordering of the
-    cut marks is a similarity), so permutations return an equal diagram; the
-    operation exists so that the three transformation kinds of the calculus
-    are all addressable.
-    """
-    return ClosedDiagram(d.system, d.nodes, d.strands, d.counter)
-
-
 def all_shifts(d: ClosedDiagram) -> list:
     out = []
     for bp in d.bps():
@@ -859,202 +850,133 @@ def _type3_matches(d: ClosedDiagram, pattern_edges, winding_loops):
     """Assign loop variants and rotations to pattern edges, block by block.
 
     ``winding_loops`` entries are (bps, strand ids, flipped); all have the same
-    length w.  Yields (assignment, subs): assignment lists (variant index,
-    rotation) per pattern edge, subs are the per-block vertex substitutions.
+    length w, and a loop serves one pattern edge at most, whichever way round.
+    Yields (assignment, subs): assignment lists (loop entry, rotation) per
+    pattern edge, subs are the per-block vertex substitutions.
     """
     k = len(pattern_edges)
-    loops = winding_loops
-    w = len(loops[0][1])
-
-    def label_at(li, off, r):
-        bps, sids, flipped = loops[li]
-        s = d.strands[sids[(off + r) % w]]
-        a, b = s.label[0], s.label[1]
-        if flipped:
-            a, b = b, a
-        return (a, b), s.color
+    w = len(winding_loops[0][1])
 
     def rec(i, used, subs, assign):
         if i == k:
-            yield list(assign), [dict(x) for x in subs]
+            yield assign, subs
             return
         e = pattern_edges[i]
-        for li in range(len(loops)):
-            if li in used:
+        for loop in winding_loops:
+            bps, sids, flipped = loop
+            if tuple(bps) in used:
                 continue
             for off in range(w):
                 trial = [dict(x) for x in subs]
-                ok = True
                 for r in range(w):
-                    (a, b), color = label_at(li, off, r)
-                    if color != e.color:
-                        ok = False
+                    s = d.strands[sids[(off + r) % w]]
+                    a, b = (s.label[1], s.label[0]) if flipped else s.label[:2]
+                    if (s.color != e.color or trial[r].setdefault(e.src, a) != a
+                            or trial[r].setdefault(e.dst, b) != b):
                         break
-                    for rv, sym in ((e.src, a), (e.dst, b)):
-                        if trial[r].setdefault(rv, sym) != sym:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                yield from rec(i + 1, used | {li}, trial, assign + [(li, off)])
+                else:
+                    yield from rec(i + 1, used | {tuple(bps)}, trial, assign + [(loop, off)])
 
-    yield from rec(0, set(), [dict() for _ in range(w)], [])
+    yield from rec(0, frozenset(), [dict() for _ in range(w)], [])
 
 
-def _symbols_outside(d: ClosedDiagram, strand_ids: set) -> set:
-    out = set()
-    for sid, s in d.strands.items():
-        if sid not in strand_ids:
-            out.add(s.label[0])
-            out.add(s.label[1])
-    return out
+class Type3Match(NamedTuple):
+    """A type 3 reduction found by ``find_type3``.
+
+    ``loops`` holds, per lhs edge of ``reduction``, the (base points, strand
+    ids) of its loop rotated so that block r sits at position r; ``subs``
+    maps the lhs vertices to symbols, one dict per block; ``flips`` names
+    the loops (as ``pure_loops`` lists their base points) to reverse before
+    the match applies.
+    """
+
+    reduction: VirtualReduction
+    loops: tuple
+    subs: tuple
+    flips: frozenset
 
 
 def find_type3(d: ClosedDiagram, virtual: tuple = (), allow_flips: bool = False, rng=None):
     """First applicable type 3 reduction, trying base rules then virtual ones.
 
+    Block r of a match, the r-th strand of every matched loop, must be an
+    instance of the reduction's lhs in the diagram's strands: injective but
+    for the glue pair, with no interior symbol on a strand outside the block.
     With ``allow_flips`` the search may reverse whole pure loops of undirected
     colors first; the returned match then carries the flips to perform.
     """
     loops = pure_loops(d)
     if not loops:
         return None
-    variants = []
-    for bps, sids in loops:
-        variants.append((bps, sids, False))
-        if allow_flips and _flippable_loop_colors(d.system, d, sids):
-            variants.append((bps, sids, True))
     by_len: dict = {}
-    for bps, sids, flipped in variants:
-        by_len.setdefault(len(sids), []).append((bps, sids, flipped))
-    patterns = []
-    for color in d.system.colors:
-        rule = d.system.rules[color]
-        if len(rule.graph.edges) < 2:
-            continue  # single-edge rules rewrite nothing
-        patterns.append(("rule", color, list(rule.graph.edges), rule))
-    for vr in virtual:
-        patterns.append(("virtual", vr, list(vr.lhs.edges), None))
+    for bps, sids in loops:
+        by_len.setdefault(len(sids), []).append((bps, sids, False))
+        if allow_flips and _flippable_loop_colors(d.system, d, sids):
+            by_len[len(sids)].append((bps, sids, True))
+    patterns = _rule_patterns(d.system, virtual)
     if rng is not None:
         rng.shuffle(patterns)
+    incident = _incidence((sid, *s.label[:2]) for sid, s in d.strands.items())
     for w, cand in sorted(by_len.items()):
         if rng is not None:
             cand = list(cand)
             rng.shuffle(cand)
-        for tag, key, edges, rule in patterns:
-            if len({tuple(c[0]) for c in cand}) < len(edges):
+        for vr, glue in patterns:
+            if len({tuple(c[0]) for c in cand}) < len(vr.lhs.edges):
                 continue
-            for assign, subs in _type3_matches(d, edges, cand):
-                involved = set()
-                flips = set()
-                used_bps = set()
-                clash = False
-                for li, _off in assign:
-                    bps, sids, flipped = cand[li]
-                    if tuple(bps) in used_bps:
-                        clash = True
-                        break
-                    used_bps.add(tuple(bps))
-                    involved.update(sids)
-                    if flipped:
-                        flips.add(tuple(bps))
-                if clash:
-                    continue
-                outside = _symbols_outside(d, involved)
-                if tag == "rule":
-                    keep = {rule.iota} | ({rule.tau} if rule.kind == "pair" else set())
-                else:
-                    keep = set()
-                    for end in (key.rhs_src, key.rhs_dst):
-                        if end[0] == "vertex":
-                            keep.add(end[1])
-                deleted = set()
-                kept_syms = set()
-                for sub in subs:
-                    for rv, sym in sub.items():
-                        if rv not in keep:
-                            deleted.add(sym)
-                        else:
-                            kept_syms.add(sym)
-                if deleted & (outside | kept_syms):
-                    continue
-                return (tag, key, edges, rule, assign, subs, cand, w, flips)
+            interior = vr.interior
+            for assign, subs in _type3_matches(d, vr.lhs.edges, cand):
+                blocks = tuple((bps[off:] + bps[:off], sids[off:] + sids[:off])
+                               for (bps, sids, _fl), off in assign)
+                if all(injective_except(sub, glue)
+                       and _dangling_free(incident, interior, sub, {sids[r] for _b, sids in blocks})
+                       for r, sub in enumerate(subs)):
+                    flips = frozenset(tuple(bps) for (bps, _s, flipped), _o in assign if flipped)
+                    return Type3Match(vr, blocks, tuple(subs), flips)
     return None
 
 
-def apply_type3(d: ClosedDiagram, match) -> Move:
-    tag, key, edges, rule, assign, subs, cand, w, flips = match
+def apply_type3(d: ClosedDiagram, match: Type3Match) -> Move:
+    """Replace the matched loops by one loop of the reduction's rhs edges.
+
+    The conjugator expands new letter r by the rule of the rhs color; the
+    reduction's ``expansion_map`` sends each child to the letter of block r
+    that it spells, or to a child of that letter.
+    """
+    vr, loops, subs, flips = match
     if flips:
         raise ValueError("apply the match's loop flips before the reduction")
     system = d.system
     old_base = d.base_graph()
     nodes = dict(d.nodes)
     strands = dict(d.strands)
-    counter = d.counter
-    # remove the matched loops
-    for li, _off in assign:
-        bps, sids, _fl = cand[li]
+    for bps, sids in loops:
         for b in bps:
             del nodes[b]
         for sid in sids:
             del strands[sid]
-    new_bps = []
+    w = len(subs)
+    new_bps = list(range(d.counter, d.counter + w))
     fresh_syms = iter(d.fresh_symbols(w))
-    labels = []
-    if tag == "rule":
-        color = key
-        for r in range(w):
-            v = subs[r][rule.iota]
-            u = v if rule.kind == "loop" else subs[r][rule.tau]
-            labels.append((v, u, 1))
-    else:
-        color = key.rhs_color
-        for r in range(w):
-            def end_sym(end):
-                if end[0] == "vertex":
-                    return subs[r][end[1]]
-                return next(fresh_syms)
-            labels.append((end_sym(key.rhs_src), end_sym(key.rhs_dst), 1))
-    for r in range(w):
-        nb = counter
-        counter += 1
-        nodes[nb] = "bp"
-        new_bps.append(nb)
-    for r in range(w):
+
+    def end_sym(end, sub):
+        return sub[end[1]] if end[0] == "vertex" else next(fresh_syms)
+
+    for r, sub in enumerate(subs):
+        nodes[new_bps[r]] = "bp"
+        label = (end_sym(vr.rhs_src, sub), end_sym(vr.rhs_dst, sub), 1)
         strands[("t3", new_bps[r])] = Strand(
-            color, labels[r], (new_bps[r], 0), (new_bps[(r + 1) % w], 0)
-        )
-    out_diag = ClosedDiagram(system, nodes, strands, counter)
+            vr.rhs_color, label, (new_bps[r], 0), (new_bps[(r + 1) % w], 0))
+    out_diag = ClosedDiagram(system, nodes, strands, d.counter + w)
     # conjugator: expansions of each new letter spell out the removed letters
     new_base = out_diag.base_graph()
-    phi = {}
-    for e in new_base.edges:
-        if int(e.name) not in new_bps:
-            phi[(e.name,)] = (e.name,)
-    rng_cells = set(w_ for w_ in phi.values())
-    if tag == "rule":
-        rule_edges = system.rules[color].graph.edges
-        for r in range(w):
-            for i, re in enumerate(rule_edges):
-                li, off = assign[i]
-                bps, sids, _fl = cand[li]
-                target_bp = bps[(off + r) % w]
-                phi[(str(new_bps[r]), re.name)] = (str(target_bp),)
-    else:
-        rule_edges = system.rules[color].graph.edges
-        lhs_index = {e.name: i for i, e in enumerate(key.lhs.edges)}
-        for r in range(w):
-            for re in rule_edges:
-                tgt = key.expansion_map[re.name]
-                li, off = assign[lhs_index[tgt[1]]]
-                bps, sids, _fl = cand[li]
-                target_bp = bps[(off + r) % w]
-                if tgt[0] == "edge":
-                    phi[(str(new_bps[r]), re.name)] = (str(target_bp),)
-                else:
-                    phi[(str(new_bps[r]), re.name)] = (str(target_bp), tgt[2])
+    phi = {(e.name,): (e.name,) for e in new_base.edges if int(e.name) not in new_bps}
+    lhs_index = {e.name: i for i, e in enumerate(vr.lhs.edges)}
+    for r in range(w):
+        for re in system.rules[vr.rhs_color].graph.edges:
+            _kind, lhs_edge, *child = vr.expansion_map[re.name]
+            letter = str(loops[lhs_index[lhs_edge]][0][r])
+            phi[(str(new_bps[r]), re.name)] = (letter, *child)
     dom = GraphExpansion(system, list(phi), new_base)
     ran = GraphExpansion(system, list(phi.values()), old_base)
     conj = Rearrangement(dom, phi, ran)
@@ -1163,7 +1085,7 @@ def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None, collect=None)
         if m is None:
             mflip = find_type3(d, virtual, allow_flips=True, rng=rng)
             if mflip is not None:
-                for bps in sorted(mflip[8]):
+                for bps in sorted(mflip.flips):
                     mv = flip_loop(d, bps)
                     d = mv.diagram
                     log.append(mv.conj)
@@ -1549,33 +1471,49 @@ class ConfluenceVerdict:
         return self.kind == "confluent"
 
 
-def _rule_patterns(system: ReplacementSystem, virtual: tuple = ()):
+def _rule_patterns(system: ReplacementSystem, virtual: tuple = ()) -> list:
+    """Every reduction as (VirtualReduction, glue): rules in color order, then ``virtual``.
+
+    A rule of two or more edges reduces its replacement graph to one edge of
+    its color from iota to tau, each rule edge expanding to itself.  ``glue``
+    is the rule's glue pair, the two lhs vertices an instance may identify;
+    virtual reductions have none.
+    """
     pats = []
-    for c in system.colors:
-        rule = system.rules[c]
+    for color in system.colors:
+        rule = system.rules[color]
         if len(rule.graph.edges) < 2:
-            continue
-        if rule.kind == "pair":
-            interior = [v for v in rule.graph.vertices if v not in (rule.iota, rule.tau)]
-            pats.append(("rule", c, rule.graph, (rule.iota, rule.tau), interior))
-        else:
-            interior = [v for v in rule.graph.vertices if v != rule.iota]
-            pats.append(("rule", c, rule.graph, (rule.iota, rule.iota), interior))
-    for vr in virtual:
-        keep = [e[1] for e in (vr.rhs_src, vr.rhs_dst) if e[0] == "vertex"]
-        interior = [v for v in vr.lhs.vertices if v not in keep]
-        pats.append(("virtual", vr, vr.lhs, (vr.rhs_src, vr.rhs_dst), interior))
-    return pats
+            continue  # single-edge rules rewrite nothing
+        vr = VirtualReduction(rule.graph, color, ("vertex", rule.iota), ("vertex", rule.tau),
+                              {e.name: ("edge", e.name) for e in rule.graph.edges})
+        pats.append((vr, rule.glue))
+    return pats + [(vr, ()) for vr in virtual]
+
+
+def _incidence(ends) -> dict:
+    """Host vertex -> names of the host edges at it, from (name, src, dst) triples."""
+    out: dict = {}
+    for name, a, b in ends:
+        out.setdefault(a, set()).add(name)
+        out.setdefault(b, set()).add(name)
+    return out
+
+
+def _dangling_free(incident: dict, interior, vmap: dict, used: set) -> bool:
+    """The dangling condition: no image of an interior vertex meets a host edge outside ``used``."""
+    return all(incident[vmap[v]] <= used for v in interior)
 
 
 def _pattern_matches(host: ColoredGraph, pattern) -> list:
-    """Injective edge-matchings of the pattern into the host, with gluing.
+    """Instances of a reduction's lhs in the host, as (edge map, vertex map).
 
-    Vertices map injectively except that iota and tau of a rule pattern may
-    land on the same host vertex; the dangling condition on interior vertices
-    is enforced.
+    Edges map injectively and keep their colors, vertices map injectively
+    except for the pattern's glue pair, and the dangling condition holds.
     """
-    tag, key, lhs, ends, interior = pattern
+    vr, glue = pattern
+    lhs = vr.lhs
+    interior = vr.interior
+    incident = _incidence((e.name, e.src, e.dst) for e in host.edges)
     host_by_color: dict = {}
     for e in host.edges:
         host_by_color.setdefault(e.color, []).append(e)
@@ -1583,36 +1521,18 @@ def _pattern_matches(host: ColoredGraph, pattern) -> list:
 
     def rec(i, emap, vmap):
         if i == len(lhs.edges):
-            # dangling: interior images carry no outside edges
-            used = set(emap.values())
-            for v in interior:
-                hv = vmap[v]
-                for he in host.edges:
-                    if (he.src == hv or he.dst == hv) and he.name not in used:
-                        return
-            out.append((dict(emap), dict(vmap)))
+            if _dangling_free(incident, interior, vmap, set(emap.values())):
+                out.append((dict(emap), dict(vmap)))
             return
         e = lhs.edges[i]
         for he in host_by_color.get(e.color, []):
             if he.name in emap.values():
                 continue
             trial = dict(vmap)
-            ok = True
-            for a, b in ((e.src, he.src), (e.dst, he.dst)):
-                if trial.setdefault(a, b) != b:
-                    ok = False
-                    break
-            if not ok:
+            if (trial.setdefault(e.src, he.src) != he.src
+                    or trial.setdefault(e.dst, he.dst) != he.dst
+                    or not injective_except(trial, glue)):
                 continue
-            img = list(trial.values())
-            # injective except possibly the two boundary vertices
-            dup = len(img) - len(set(img))
-            if dup > 0:
-                if tag != "rule":
-                    continue
-                iota, tau = ends
-                if dup != 1 or trial.get(iota) != trial.get(tau) or iota == tau:
-                    continue
             emap[e.name] = he.name
             rec(i + 1, emap, trial)
             del emap[e.name]
@@ -1625,29 +1545,22 @@ _FRESH = itertools.count()
 
 
 def _apply_pattern(host: ColoredGraph, pattern, match) -> ColoredGraph:
-    tag, key, lhs, ends, interior = pattern
+    vr = pattern[0]
     emap, vmap = match
     used = set(emap.values())
     keep_edges = [e for e in host.edges if e.name not in used]
-    drop_verts = {vmap[v] for v in interior}
-    if tag == "rule":
-        color = key if isinstance(key, str) else key
-        src, dst = vmap[ends[0]], vmap[ends[1]]
-        new_edge = Edge(f"red{next(_FRESH)}", color, src, dst)
-    else:
-        vr = key
-        def end_vertex(end):
-            if end[0] == "vertex":
-                return vmap[end[1]]
-            return f"fresh{next(_FRESH)}"
-        src, dst = end_vertex(vr.rhs_src), end_vertex(vr.rhs_dst)
-        new_edge = Edge(f"red{next(_FRESH)}", vr.rhs_color, src, dst)
+    drop_verts = {vmap[v] for v in vr.interior}
+
+    def end_vertex(end):
+        return vmap[end[1]] if end[0] == "vertex" else f"fresh{next(_FRESH)}"
+
+    src, dst = end_vertex(vr.rhs_src), end_vertex(vr.rhs_dst)
+    new_edge = Edge(f"red{next(_FRESH)}", vr.rhs_color, src, dst)
     verts = [v for v in host.vertices if v not in drop_verts]
     for v in (src, dst):
         if v not in verts:
             verts.append(v)
-    g = ColoredGraph(verts, keep_edges + [new_edge])
-    return g
+    return ColoredGraph(verts, keep_edges + [new_edge])
 
 
 def _all_reductions(host: ColoredGraph, patterns) -> list:
@@ -1741,8 +1654,7 @@ def _critical_hosts(patterns) -> list:
         for i2, p2 in enumerate(patterns):
             if i2 < i1:
                 continue
-            lhs1, lhs2 = p1[2], p2[2]
-            e1s, e2s = list(lhs1.edges), list(lhs2.edges)
+            e1s, e2s = list(p1[0].lhs.edges), list(p2[0].lhs.edges)
             # partial injective color-preserving maps e1 -> e2
             def overlaps(k):
                 for subset in itertools.combinations(range(len(e1s)), k):
@@ -1770,93 +1682,55 @@ def _critical_hosts(patterns) -> list:
                         continue
                     seen_hosts.add(hk)
                     # both instances must satisfy dangling in the host
-                    if not _instance_valid(hostg, p1, m1) or not _instance_valid(hostg, p2, m2):
+                    incident = _incidence((e.name, e.src, e.dst) for e in hostg.edges)
+                    if not all(_dangling_free(incident, p[0].interior, vmap, set(emap.values()))
+                               for p, (emap, vmap) in ((p1, m1), (p2, m2))):
                         continue
                     out.append((hostg, (p1, m1), (p2, m2)))
     return out
 
 
 def _glue(p1, p2, matching):
-    """Pushout of the two patterns along the matched edges."""
-    tag1, key1, lhs1, ends1, int1 = p1
-    tag2, key2, lhs2, ends2, int2 = p2
+    """Pushout of the two patterns along the matched edges.
+
+    None when it identifies two vertices of one pattern other than its glue pair.
+    """
+    (vr1, glue1), (vr2, glue2) = p1, p2
+    lhs1, lhs2 = vr1.lhs, vr2.lhs
     uf = UnionFind()
     for v in lhs1.vertices:
         uf.add(("1", v))
     for v in lhs2.vertices:
         uf.add(("2", v))
-    matched2 = set()
     for i, f in matching:
         e = lhs1.edges[i]
-        if e.color != f.color:
-            return None
         uf.union(("1", e.src), ("2", f.src))
         uf.union(("1", e.dst), ("2", f.dst))
-        matched2.add(f.name)
-    # identification within one pattern only allowed for its boundary pair
-    def self_ok(tagged, lhs, ends, tag):
-        classes: dict = {}
-        for v in lhs.vertices:
-            classes.setdefault(uf.find((tagged, v)), []).append(v)
-        for vs in classes.values():
-            if len(vs) > 2:
-                return False
-            if len(vs) == 2:
-                if tag != "rule" or set(vs) != {ends[0], ends[1]}:
-                    return False
-        return True
-
-    if not self_ok("1", lhs1, ends1, tag1) or not self_ok("2", lhs2, ends2, tag2):
+    vmap1 = {v: f"h{uf.find(('1', v))}" for v in lhs1.vertices}
+    vmap2 = {v: f"h{uf.find(('2', v))}" for v in lhs2.vertices}
+    if not injective_except(vmap1, glue1) or not injective_except(vmap2, glue2):
         return None
-    vname = {}
-    for v in lhs1.vertices:
-        vname[("1", v)] = f"h{uf.find(('1', v))}"
-    for v in lhs2.vertices:
-        vname[("2", v)] = f"h{uf.find(('2', v))}"
     edges = []
     emap1 = {}
     emap2 = {}
     for e in lhs1.edges:
         name = f"a_{e.name}"
         emap1[e.name] = name
-        edges.append(Edge(name, e.color, vname[("1", e.src)], vname[("1", e.dst)]))
+        edges.append(Edge(name, e.color, vmap1[e.src], vmap1[e.dst]))
     match_of = {f.name: lhs1.edges[i].name for i, f in matching}
     for f in lhs2.edges:
-        if f.name in matched2:
+        if f.name in match_of:
             emap2[f.name] = emap1[match_of[f.name]]
         else:
             name = f"b_{f.name}"
             emap2[f.name] = name
-            edges.append(Edge(name, f.color, vname[("2", f.src)], vname[("2", f.dst)]))
+            edges.append(Edge(name, f.color, vmap2[f.src], vmap2[f.dst]))
     verts = []
     for e in edges:
         for v in (e.src, e.dst):
             if v not in verts:
                 verts.append(v)
-    host = ColoredGraph(verts, edges)
-    vmap1 = {v: vname[("1", v)] for v in lhs1.vertices}
-    vmap2 = {v: vname[("2", v)] for v in lhs2.vertices}
-    return host, (emap1, vmap1), (emap2, vmap2)
-
-
-def _instance_valid(host: ColoredGraph, pattern, match) -> bool:
-    tag, key, lhs, ends, interior = pattern
-    emap, vmap = match
-    used = set(emap.values())
-    for v in interior:
-        hv = vmap[v]
-        for he in host.edges:
-            if (he.src == hv or he.dst == hv) and he.name not in used:
-                return False
-    # the vertex map must be injective except a rule's iota/tau gluing
-    img = list(vmap.values())
-    dup = len(img) - len(set(img))
-    if dup == 0:
-        return True
-    if tag != "rule" or dup > 1:
-        return False
-    iota, tau = ends
-    return vmap[iota] == vmap[tau] and iota != tau
+    return ColoredGraph(verts, edges), (emap1, vmap1), (emap2, vmap2)
 
 
 def closed_to_dot(d: ClosedDiagram, name: str = "C") -> str:

@@ -62,6 +62,11 @@ class Rule:
     def boundary_vertices(self) -> tuple:
         return (self.iota,) if self.kind == "loop" else (self.iota, self.tau)
 
+    @property
+    def glue(self) -> tuple:
+        """The vertices a copy of the rule may identify: iota and tau of a pair rule."""
+        return (self.iota, self.tau) if self.kind == "pair" else ()
+
     @cached_property
     def pattern(self) -> tuple:
         """(loop, fresh, edges): the rule as ``walk_forest`` applies it.

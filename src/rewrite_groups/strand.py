@@ -49,14 +49,35 @@ class Strand:
     dst: tuple    # (node id, in port)
 
 
+def injective_except(sub: dict, glue: tuple = ()) -> bool:
+    """Whether ``sub`` is injective, except that the two vertices of ``glue`` may share an image.
+
+    ``glue`` is empty or a pair (a rule's ``glue``); ``sub`` may be partial.
+    """
+    collisions = len(sub) - len(set(sub.values()))
+    if collisions != 1 or not glue:
+        return collisions == 0
+    a, b = glue
+    return a in sub and b in sub and sub[a] == sub[b]
+
+
+def is_bijection(pairs) -> bool:
+    """Whether the pairs (x, y) spell one map x -> y that is consistent and injective."""
+    m: dict = {}
+    for x, y in pairs:
+        if m.setdefault(x, y) != y:
+            return False
+    return injective_except(m)
+
+
 def copy_defect(rule: Rule, kids: list, sub: dict) -> Optional[str]:
     """Why the strands ``kids`` (in port order) are no faithful copy of a rule's tree.
 
     Returns None for a faithful copy.  ``sub`` maps rule vertices to symbols;
     it may hold the branching endpoints already and is completed in place.
     A faithful copy has the rule's colors, a consistent substitution that is
-    injective except that iota and tau of a pair rule may coincide, and
-    distinct z indices on parallel strands.
+    injective except on the rule's glue pair, and distinct z indices on
+    parallel strands.
     """
     for e, strand in zip(rule.graph.edges, kids):
         if strand.color != e.color:
@@ -65,9 +86,7 @@ def copy_defect(rule: Rule, kids: list, sub: dict) -> Optional[str]:
         for rv, sym in ((e.src, a), (e.dst, b)):
             if sub.setdefault(rv, sym) != sym:
                 return f"inconsistent substitution at {rv}"
-    collisions = len(sub) - len(set(sub.values()))
-    if collisions > 1 or (collisions == 1 and (
-            rule.kind != "pair" or sub[rule.iota] != sub[rule.tau])):
+    if not injective_except(sub, rule.glue):
         return "substitution not injective"
     labels = [s.label for s in kids]
     if len(set(labels)) != len(labels):
@@ -568,14 +587,10 @@ def to_rearrangement(d: StrandDiagram, base_in: Optional[ColoredGraph] = None,
     ):
         if len(base.edges) != len(labels):
             raise NotXDiagram("end count does not match the base graph")
-        m: dict = {}
-        for e, (v, w, _), c in zip(base.edges, labels, colors):
-            if c != e.color:
-                raise NotXDiagram("end colors do not match the base graph")
-            for a, b in ((v, e.src), (w, e.dst)):
-                if m.setdefault(a, b) != b:
-                    raise NotXDiagram("end labels do not spell the base graph")
-        if len(set(m.values())) != len(m):
+        if colors != [e.color for e in base.edges]:
+            raise NotXDiagram("end colors do not match the base graph")
+        if not is_bijection(p for e, (v, w, _) in zip(base.edges, labels)
+                            for p in ((v, e.src), (w, e.dst))):
             raise NotXDiagram("end labels do not spell the base graph")
     cut_up, cut_low, phi_idx = cut(d)
     in_names = [e.name for e in base_in.edges]

@@ -1,4 +1,7 @@
+import importlib.util
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,7 @@ from rewrite_groups.rearrangement import (
     invert,
     product,
     random_rearrangement,
+    rearrangement_from_json,
 )
 from rewrite_groups.replacement import GraphExpansion, ReplacementSystem, Rule, base_expansion
 from rewrite_groups import conjugacy as cj
@@ -84,12 +88,6 @@ def test_shift_then_inverse_shift(rng):
             back = [cj.apply_shift(mv.diagram, s2).diagram
                     for s2 in cj.all_shifts(mv.diagram)]
             assert any(b == eta for b in back), (i, spec)
-
-
-def test_permute_is_similarity_noop():
-    F, x0, _ = f_generators()
-    eta = cj.close_element(x0)
-    assert cj.permute(eta) == eta
 
 
 # -- conjugator bookkeeping --------------------------------------------------------
@@ -296,6 +294,62 @@ def test_closed_reduction_schedule_independence(rng):
             keys = {cj.similarity_canonical_key(cj.reduce_closed(eta0, rng=random.Random(j))[0])
                     for j in range(5)}
             assert len(keys) == 1, (name, i)
+
+
+# -- type 3 matches are instances block by block ------------------------------------
+#
+# These dendrite:3 pairs once raised NotAnIsomorphism: a type 3 match bound the
+# rule's interior leaf to one symbol in every block, and its conjugator then
+# had a vertex map that is not injective.
+
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+
+
+def _pinned_pair(D):
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    g, h = (rearrangement_from_json(D, inputs.as_json(inputs.PINNED_PAIR[x])) for x in "gh")
+    return g, h
+
+
+def _fifth_draw(D):
+    rng = random.Random(30)
+    for _ in range(5):
+        g, k = random_rearrangement(D, rng, 2, 2), random_rearrangement(D, rng, 2, 2)
+    return g, conjugate_by(g, k)
+
+
+def _decides(g, h):
+    k = cj.conjugate(g, h)
+    return k is not None and conjugate_by(g, k) == h
+
+
+def test_pinned_pair_decides():
+    assert _decides(*_pinned_pair(catalog("dendrite:3")))
+
+
+def test_seeded_type3_pair_decides():
+    assert _decides(*_fifth_draw(catalog("dendrite:3")))
+
+
+def test_type3_pairs_decide_under_base_edge_permutations():
+    D = catalog("dendrite:3")
+    pairs = [_pinned_pair(D), _fifth_draw(D)]
+    for perm in itertools.permutations("123"):
+        sigma = from_cell_map(D, [((a,), (b,)) for a, b in zip("123", perm)])
+        for i, (g, h) in enumerate(pairs):
+            assert _decides(conjugate_by(g, sigma), conjugate_by(h, sigma)), (perm, i)
+
+
+def test_type3_reduction_survives_renaming(rng):
+    D = catalog("dendrite:3")
+    for g, h in [_pinned_pair(D), _fifth_draw(D)]:
+        key = cj.similarity_canonical_key(cj.reduce_closed(cj.close_element(g))[0])
+        for x in (g, h):
+            for _ in range(3):
+                red, _ = cj.reduce_closed(_renamed(cj.close_element(x), rng))
+                assert cj.similarity_canonical_key(red) == key
 
 
 # -- stable and vanishing symbols ---------------------------------------------------
@@ -572,8 +626,17 @@ def test_typed_errors_replace_asserts(monkeypatch):
 
     with pytest.raises(ValueError):  # a loop cell with two distinct endpoints
         cj._instantiate(normalize_loops(catalog("circle_T")), "1~", "a", "b", ["z0", "z1"])
-    with pytest.raises(ValueError):
-        cj.apply_type3(eta, ("rule", None, [], None, [], [], [], 1, {(bp,)}))
+    # a dendrite:3 base star expanded at one edge, with one child loop reversed:
+    # its only type 3 match needs a flip, which apply_type3 refuses to perform
+    D = catalog("dendrite:3")
+    B = base_expansion(D).expand(("1",)).leaf_graph
+    star = cj.close(sd.from_rearrangement(identity(D, base=B), reduce=False))
+    star = cj.flip_loop(star, (1,)).diagram
+    assert cj.find_type3(star) is None
+    match = cj.find_type3(star, allow_flips=True)
+    assert match.flips
+    with pytest.raises(ValueError, match="flips"):
+        cj.apply_type3(star, match)
     monkeypatch.setattr(cj, "conjugate_by", lambda g, k: None)
     with pytest.raises(cj.ConjugatorInvalid):
         cj.conjugate(x0, x0)

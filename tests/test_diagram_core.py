@@ -92,3 +92,36 @@ def test_closed_shift_refuses_labels_that_are_no_faithful_copy():
     broken = cj.ClosedDiagram(d.system, d.nodes, strands, d.counter)
     with pytest.raises(cj.NotAdjacent):
         cj.shift_up_split(broken, snode)
+
+
+def test_injective_except_allows_only_the_glue_pair():
+    assert sd.injective_except({"i": "a", "m": "b", "t": "c"}, ("i", "t"))
+    assert sd.injective_except({"i": "a", "m": "b", "t": "a"}, ("i", "t"))
+    assert not sd.injective_except({"i": "a", "m": "b", "t": "a"})
+    assert not sd.injective_except({"i": "a", "m": "a", "t": "c"}, ("i", "t"))
+    assert not sd.injective_except({"i": "a", "m": "a", "t": "a"}, ("i", "t"))
+    # a partial map: a collision away from the glue pair is refused at once
+    assert not sd.injective_except({"m": "a", "n": "a"}, ("i", "t"))
+
+
+def test_ends_must_spell_a_graph():
+    F = catalog("interval_F")
+    # the ends of two parallel strands name y twice
+    path = ColoredGraph(["x", "y", "z"], [Edge("e", "1", "x", "y"), Edge("f", "1", "y", "z")])
+    nodes = {"so1": "source", "so2": "source", "si1": "sink", "si2": "sink"}
+    strands = {"p": sd.Strand("1", ("a", "b", 1), ("so1", 0), ("si1", 0)),
+               "q": sd.Strand("1", ("c", "d", 1), ("so2", 0), ("si2", 0))}
+    d = sd.StrandDiagram(F, nodes, strands, ["so1", "so2"], ["si1", "si2"])
+    with pytest.raises(sd.NotXDiagram, match="end labels do not spell the base graph"):
+        sd.to_rearrangement(d, path, path)
+    # a split and a merge whose outer labels send the sink symbols f and a both to a
+    nodes = {"so1": "source", "so2": "source", "sp": ("split", "1"), "m": ("merge", "1"),
+             "si1": "sink", "si2": "sink"}
+    strands = {"p": sd.Strand("1", ("a", "b", 1), ("so1", 0), ("si1", 0)),
+               "top": sd.Strand("1", ("c", "a", 1), ("so2", 0), ("sp", 0)),
+               "k0": sd.Strand("1", ("c", "m", 1), ("sp", 0), ("m", 0)),
+               "k1": sd.Strand("1", ("m", "a", 1), ("sp", 1), ("m", 1)),
+               "low": sd.Strand("1", ("e", "f", 1), ("m", 0), ("si2", 0))}
+    d = sd.StrandDiagram(F, nodes, strands, ["so1", "so2"], ["si1", "si2"])
+    with pytest.raises(sd.NotXDiagram, match="sources and sinks spell different graphs"):
+        cj.close(d)

@@ -5,6 +5,7 @@ the module or class that defines it, so moving or deleting one of them breaks
 traced benchmark runs.  These tests catch that in the ordinary suite.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -51,3 +52,12 @@ def test_replacement_names_stay_in_their_own_bodies():
         *owner, name = path.split(".")
         body = vars(getattr(replacement, owner[0])) if owner else vars(replacement)
         assert name in body, path
+
+
+def test_every_layer_call_stays_in_its_own_body():
+    for layer, calls in _load_spans().LAYER_CALLS.items():
+        module = importlib.import_module(f"rewrite_groups.{layer}")
+        for path in calls:
+            owner_name, _, name = path.rpartition(".")
+            owner = getattr(module, owner_name) if owner_name else module
+            assert name in vars(owner), f"{layer}.{path}"
