@@ -28,13 +28,26 @@ class UsageError(ValueError):
     pass
 
 
+def _read_json(path: str) -> dict:
+    """The JSON object in a file; UsageError if it is unreadable, malformed or no object."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as e:
+        raise UsageError(str(e))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise UsageError(f"{path}: malformed JSON: {e}")
+    if not isinstance(data, dict):
+        raise UsageError(f"{path}: expected a JSON object, found {type(data).__name__}")
+    return data
+
+
 def _load_system(spec: str):
     from .catalog import BadParams, catalog
     from .replacement import system_from_json
 
     if spec.endswith(".json") or os.path.sep in spec:
-        with open(spec) as fh:
-            return system_from_json(json.load(fh))
+        return system_from_json(_read_json(spec))
     try:
         return catalog(spec)
     except BadParams as e:
@@ -44,8 +57,7 @@ def _load_system(spec: str):
 def _load_element(system, path: str):
     from .rearrangement import rearrangement_from_json
 
-    with open(path) as fh:
-        return rearrangement_from_json(system, json.load(fh))
+    return rearrangement_from_json(system, _read_json(path))
 
 
 def _parse_rational(text: str):

@@ -288,18 +288,24 @@ class ClosedDiagram(Diagram):
             self._traversal = self._least_traversal()
         return self._traversal
 
-    def _least_anchors(self, comp) -> tuple:
+    def _least_anchors(self, comp, ports: Optional[dict] = None) -> tuple:
         """The least row sequence of a component and every anchor reaching it.
 
-        Each anchor's rows are compared with the best so far one row at a
-        time, and the anchor is dropped at its first larger row.  Every
+        The first row of a traversal depends on its anchor strand alone
+        (``_first_row``), so only the strands with the least first row are
+        traversed.  Their rows are compared with the best so far one row at a
+        time, and an anchor is dropped at its first larger row.  Every
         traversal of a component gives one row per strand, so all its row
         sequences have the same length.
         """
+        if ports is None:
+            ports = self._port_table()
+        firsts = {a: self._first_row(a) for a in comp}
+        least = min(firsts.values())
         best = None
         anchors = []
-        for a in sorted(comp, key=repr):
-            rows = self._rows_from(a)
+        for a in sorted((a for a in comp if firsts[a] == least), key=repr):
+            rows = self._rows_from(a, ports=ports)
             if best is None:
                 best, anchors = tuple(rows), [a]
                 continue
@@ -313,9 +319,10 @@ class ClosedDiagram(Diagram):
         return best, anchors
 
     def _least_traversal(self):
+        ports = self._port_table()
         locals_ = []
-        for c in self.components():
-            best, anchors = self._least_anchors(c)
+        for c in self.components(ports):
+            best, anchors = self._least_anchors(c, ports)
             locals_.append((best, anchors, c))
         locals_.sort(key=lambda x: x[0])
         groups = []
@@ -332,7 +339,7 @@ class ClosedDiagram(Diagram):
             rows_all = []
             node_order = []
             for anchor in sequence:
-                rows_all.append(tuple(self._rows_from(anchor, sym_ids, node_order)))
+                rows_all.append(tuple(self._rows_from(anchor, sym_ids, node_order, ports)))
             return tuple(rows_all), node_order
 
         choices_per_group = []
@@ -355,73 +362,110 @@ class ClosedDiagram(Diagram):
                 best_order = order
         return best_key if best_key is not None else (), best_order or []
 
+    def _port_table(self) -> dict:
+        """Each node's strands in the order a traversal queues them.
+
+        A base point gives (out, in), a split (in, out 0..k-1) and a merge
+        (out, in 0..k-1).  The table is built per key computation and not
+        kept: a similarity search keeps every diagram it reaches.
+        """
+        outs, ins = self._out, self._in
+        table = {}
+        for n, kind in self.nodes.items():
+            if kind == "bp":
+                table[n] = (outs[n][0], ins[n][0])
+                continue
+            one, tree = (ins[n], outs[n]) if kind[0] == "split" else (outs[n], ins[n])
+            table[n] = (one[0], *map(tree.__getitem__, range(len(tree))))
+        return table
+
+    def _first_row(self, sid) -> tuple:
+        """The first row of ``_rows_from(sid)``, read off the strand alone."""
+        s = self.strands[sid]
+        ku, kd = self.nodes[s.src[0]], self.nodes[s.dst[0]]
+        return (0, s.src[1], 0 if s.src[0] == s.dst[0] else 1, s.dst[1],
+                "bp" if ku == "bp" else ku[0], "bp" if kd == "bp" else kd[0],
+                s.color, 0, 0 if s.label[0] == s.label[1] else 1)
+
     def _rows_from(self, start_sid, sym_ids: Optional[dict] = None,
-                   node_order: Optional[list] = None):
-        """The rows of a breadth-first traversal from one strand, one at a time."""
-        node_ids: dict = {}
+                   node_order: Optional[list] = None, ports: Optional[dict] = None):
+        """The rows of a breadth-first traversal from one strand, one at a time.
+
+        A node is numbered when first met, and its strands (``_port_table``
+        order) are queued then; a symbol is numbered when first met.
+        """
+        if ports is None:
+            ports = self._port_table()
         if sym_ids is None:
             sym_ids = {}
+        nodes, strands = self.nodes, self.strands
+        node_ids: dict = {}
         seen = set()
         queue = deque([start_sid])
-
-        def nsym(x):
-            return sym_ids.setdefault(x, len(sym_ids))
-
-        def nid_of(n):
-            if n not in node_ids:
-                node_ids[n] = len(node_ids)
-                kind = self.nodes[n]
-                if node_order is not None:
-                    node_order.append((n, kind))
-                if kind == "bp":
-                    queue.append(self.out_strand(n))
-                    queue.append(self.in_strand(n))
-                elif kind[0] == "split":
-                    queue.append(self.in_strand(n))
-                    for p in range(len(self.system.rules[kind[1]].graph.edges)):
-                        queue.append(self.out_strand(n, p))
-                else:
-                    queue.append(self.out_strand(n))
-                    for p in range(len(self.system.rules[kind[1]].graph.edges)):
-                        queue.append(self.in_strand(n, p))
-            return node_ids[n]
-
         while queue:
             sid = queue.popleft()
             if sid in seen:
                 continue
             seen.add(sid)
-            s = self.strands[sid]
-            ku, kd = self.nodes[s.src[0]], self.nodes[s.dst[0]]
+            s = strands[sid]
+            u, v = s.src[0], s.dst[0]
+            iu = node_ids.get(u)
+            if iu is None:
+                iu = node_ids[u] = len(node_ids)
+                if node_order is not None:
+                    node_order.append((u, nodes[u]))
+                queue.extend(ports[u])
+            iv = node_ids.get(v)
+            if iv is None:
+                iv = node_ids[v] = len(node_ids)
+                if node_order is not None:
+                    node_order.append((v, nodes[v]))
+                queue.extend(ports[v])
+            a, b, _z = s.label
+            ia = sym_ids.get(a)
+            if ia is None:
+                ia = sym_ids[a] = len(sym_ids)
+            ib = sym_ids.get(b)
+            if ib is None:
+                ib = sym_ids[b] = len(sym_ids)
+            ku, kd = nodes[u], nodes[v]
             # the z index is determined by port structure where it matters
             # and is meaningless across expansions, so it is not part of keys
             yield (
-                nid_of(s.src[0]), s.src[1], nid_of(s.dst[0]), s.dst[1],
+                iu, s.src[1], iv, s.dst[1],
                 "bp" if ku == "bp" else ku[0], "bp" if kd == "bp" else kd[0],
-                s.color, nsym(s.label[0]), nsym(s.label[1]),
+                s.color, ia, ib,
             )
 
-    def _component_strands(self, sid) -> set:
-        seen = set()
-        queue = [sid]
-        while queue:
-            x = queue.pop()
-            if x in seen:
-                continue
-            seen.add(x)
-            s = self.strands[x]
-            for n in (s.src[0], s.dst[0]):
-                queue.extend(self._out.get(n, {}).values())
-                queue.extend(self._in.get(n, {}).values())
-        return seen
+    def components(self, ports: Optional[dict] = None) -> list:
+        """Strand sets of the connected components, each first met in ``repr`` order.
 
-    def components(self) -> list:
-        rest = sorted(self.strands, key=repr)
+        A node's strands (``_port_table``) are taken only the first time the
+        node is met.
+        """
+        if ports is None:
+            ports = self._port_table()
+        strands = self.strands
+        met = set()
         out = []
-        while rest:
-            comp = self._component_strands(rest[0])
+        for first in sorted(strands, key=repr):
+            start = strands[first].src[0]
+            if start in met:
+                continue
+            met.add(start)
+            comp = set()
+            stack = [start]
+            while stack:
+                for x in ports[stack.pop()]:
+                    if x in comp:
+                        continue
+                    comp.add(x)
+                    s = strands[x]
+                    for m in (s.src[0], s.dst[0]):
+                        if m not in met:
+                            met.add(m)
+                            stack.append(m)
             out.append(comp)
-            rest = [x for x in rest if x not in comp]
         return out
 
     def __eq__(self, other):
@@ -1253,13 +1297,16 @@ def _bald_key(d: ClosedDiagram) -> tuple:
         for a, pa, b, pb, c in edges:
             adj.setdefault(a, []).append(("o", pa, b, pb, c))
             adj.setdefault(b, []).append(("i", pb, a, pa, c))
+        # a node's (role, port) pairs are distinct, so this order ignores ids
+        for out in adj.values():
+            out.sort(key=repr)
         best = None
         for anchor in real:
             ids = {anchor: 0}
             queue = deque([anchor])
             while queue:
                 n = queue.popleft()
-                for role, pp, other, po, c in sorted(adj.get(n, []), key=repr):
+                for role, pp, other, po, c in adj.get(n, ()):
                     if other not in ids:
                         ids[other] = len(ids)
                         queue.append(other)

@@ -191,12 +191,12 @@ class Diagram:
 
     def rename(self, mapping: dict) -> "Diagram":
         """The same diagram with each symbol x in ``mapping`` replaced by mapping[x]."""
-        strands = {
-            sid: replace(s, label=(mapping.get(s.label[0], s.label[0]),
-                                   mapping.get(s.label[1], s.label[1]),
-                                   s.label[2]))
-            for sid, s in self.strands.items()
-        }
+        strands = dict(self.strands)
+        for sid, s in self.strands.items():
+            a, b, z = s.label
+            if a in mapping or b in mapping:
+                strands[sid] = Strand(s.color, (mapping.get(a, a), mapping.get(b, b), z),
+                                      s.src, s.dst)
         return self._with(self.nodes, strands)
 
     # -- type 1 and type 2 reductions ------------------------------------------

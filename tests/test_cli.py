@@ -155,6 +155,32 @@ def test_usage_errors():
     assert code == 2
 
 
+@pytest.fixture(params=["truncated", "top_level_list"])
+def bad_json(request, tmp_path):
+    """A file that is no JSON object: cut off mid-way, or a list at top level."""
+    _, x0, _ = f_generators()
+    text = json.dumps(x0.to_json())
+    path = tmp_path / "bad.json"
+    path.write_text(text[:len(text) // 2] if request.param == "truncated" else f"[{text}]")
+    return str(path)
+
+
+def _is_usage_error(code, out, err, path):
+    return code == 2 and out == "" and path in err and "Error:" not in err
+
+
+def test_malformed_element_is_usage_error(bad_json, x0_file):
+    assert _is_usage_error(*run(["invert", "--system", "interval_F", bad_json]), bad_json)
+    assert _is_usage_error(*run(["conj", "--system", "interval_F", x0_file, bad_json]),
+                           bad_json)
+    code, _, err = run(["invert", "--system", "interval_F", bad_json, "--json"])
+    assert code == 2 and json.loads(err)["code"] == 2
+
+
+def test_malformed_system_is_usage_error(bad_json):
+    assert _is_usage_error(*run(["validate", "--system", bad_json]), bad_json)
+
+
 def test_embed_v(tmp_path, x0_file):
     code, out, _ = run(["embed-v", "--system", "interval_F", x0_file])
     assert code == 0

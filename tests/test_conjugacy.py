@@ -531,6 +531,65 @@ def test_canonical_keys_survive_renaming(rng):
             assert corr is not None and all(e.nodes[n] == d.nodes[corr[n]] for n in corr)
 
 
+def _reference_components(d):
+    """Components by refiltering: grow from the first strand left, drop it, repeat."""
+    rest = sorted(d.strands, key=repr)
+    out = []
+    while rest:
+        comp, queue = set(), [rest[0]]
+        while queue:
+            x = queue.pop()
+            if x not in comp:
+                comp.add(x)
+                for n in (d.strands[x].src[0], d.strands[x].dst[0]):
+                    queue.extend(d._out.get(n, {}).values())
+                    queue.extend(d._in.get(n, {}).values())
+        out.append(comp)
+        rest = [x for x in rest if x not in comp]
+    return out
+
+
+def test_components_match_the_refiltering_reference(rng):
+    several = 0
+    for d in _key_corpus(rng):
+        comps = d.components()
+        assert comps == _reference_components(d)
+        several += len(comps) > 1
+    assert several >= 5
+
+
+def test_first_rows_match_the_traversal(rng):
+    for d in _key_corpus(rng):
+        for sid in d.strands:
+            assert d._first_row(sid) == next(d._rows_from(sid))
+
+
+def test_bald_keys_survive_renaming(rng):
+    for d in _key_corpus(rng):
+        for _ in range(2):
+            assert cj._bald_key(_renamed(d, rng)) == cj._bald_key(d)
+
+
+def _reference_rename(d, mapping):
+    """Every strand rebuilt with its symbols mapped."""
+    from dataclasses import replace
+
+    return {sid: replace(s, label=(mapping.get(s.label[0], s.label[0]),
+                                   mapping.get(s.label[1], s.label[1]), s.label[2]))
+            for sid, s in d.strands.items()}
+
+
+def test_rename_matches_rebuilding_every_strand(rng):
+    for d in _key_corpus(rng)[:20]:
+        for diagram in (d, d.open_diagram()):
+            syms = sorted(diagram.symbols(), key=repr)
+            for mapping in ({}, {syms[0]: "fresh"},
+                            dict(zip(syms, rng.sample(syms, len(syms))))):
+                renamed = diagram.rename(mapping)
+                assert type(renamed) is type(diagram) and renamed.nodes == diagram.nodes
+                assert renamed.strands == _reference_rename(diagram, mapping)
+
+
 # -- lazy move conjugators -----------------------------------------------------------
 
 
