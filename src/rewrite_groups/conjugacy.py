@@ -231,14 +231,13 @@ class ClosedDiagram(Diagram):
 
     def base_graph(self) -> ColoredGraph:
         """The graph spelled by the strands leaving the base points."""
-        verts = []
+        verts: dict = {}  # insertion-ordered set
         edges = []
         for b in self.bps():
             s = self.strands[self.out_strand(b)]
             v, w, _ = s.label
             for x in (f"v{v}", f"v{w}"):
-                if x not in verts:
-                    verts.append(x)
+                verts[x] = None
             edges.append(Edge(str(b), s.color, f"v{v}", f"v{w}"))
         return ColoredGraph(verts, edges)
 

@@ -81,25 +81,25 @@ class Rearrangement:
         if set(self.phi) != dcells or set(self.phi.values()) != rcells or len(self.phi) != len(dcells):
             raise NotAnIsomorphism("phi is not a bijection between the cell sets")
         undirected = self.system.validate().undirected_colors
+        # vertices are the union-find roots of the cells' ends (``cell_ends``)
         vmap: dict = {}
 
-        def bind(a, b):
-            if vmap.get(a, b) != b:
-                raise NotAnIsomorphism(f"inconsistent vertex image for {a}")
-            vmap[a] = b
+        def bind(a, b, w, end):
+            if vmap.setdefault(a, b) != b:
+                raise NotAnIsomorphism(f"inconsistent vertex image for vertex {' '.join(w)}/{end}")
 
+        dom, ran = self.domain.cell_ends, self.range_.cell_ends
         for w, v in self.phi.items():
-            ed, er = self.domain.cell_edge(w), self.range_.cell_edge(v)
-            if (ed.color, ed.is_loop) != (er.color, er.is_loop):
+            color, s, t = dom(w)
+            rcolor, rs, rt = ran(v)
+            if color != rcolor or (s == t) != (rs == rt):
                 raise TypeMismatch(f"cells {w} and {v} have different types")
             if w in self.flips:
-                if ed.color not in undirected:
-                    raise BadFlip(f"flip on directed color {ed.color!r}")
-                bind(ed.src, er.dst)
-                bind(ed.dst, er.src)
-            else:
-                bind(ed.src, er.src)
-                bind(ed.dst, er.dst)
+                if color not in undirected:
+                    raise BadFlip(f"flip on directed color {color!r}")
+                rs, rt = rt, rs
+            bind(s, rs, w, "s")
+            bind(t, rt, w, "t")
         if len(set(vmap.values())) != len(vmap):
             raise NotAnIsomorphism("vertex map is not injective")
 

@@ -10,6 +10,7 @@ expansion is the antichain of words at the leaves of a complete subforest.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -593,26 +594,31 @@ class GraphExpansion:
 
     Construction is one depth-first walk of the forest (``walk_forest``)
     that visits each node once: it checks language, antichain and
-    completeness, emits the cells already in depth-first order, keeps the
-    color of every cell and every interior word, and carries the endpoints
-    from which the leaf graph is named.
+    completeness and emits the cells already in depth-first order.  It keeps
+    what the walk returns: the color and integer endpoints of every cell,
+    the color of every interior word, and the union-find over the endpoints.
+    Validation and reduction read the endpoints' roots (``cell_ends``,
+    ``root_degree``); the named leaf graph is built on first access.
     """
 
     def __init__(self, system: ReplacementSystem, cells: Iterable[Word],
                  base: Optional[ColoredGraph] = None):
         self.system = system
         self.base = base if base is not None else system.base
-        self._leaves, self._inner, uf = walk_forest(system, self.base, [tuple(c) for c in cells])
+        self._leaves, self._inner, self._uf = walk_forest(system, self.base, [tuple(c) for c in cells])
         self.cells = tuple(self._leaves)
+
+    @cached_property
+    def leaf_graph(self) -> ColoredGraph:
         # a vertex is named after its first endpoint in cell order, s before t
         names: dict = {}
         edges = []
-        for w, (color, s, t) in self._leaves.items():
+        for w in self._leaves:
+            color, s, t = self.cell_ends(w)
             label = " ".join(w)
-            sv = names.setdefault(uf.find(s), f"{label}/s")
-            tv = names.setdefault(uf.find(t), f"{label}/t")
-            edges.append(Edge(label, color, sv, tv))
-        self.leaf_graph = ColoredGraph(names.values(), edges)
+            edges.append(Edge(label, color, names.setdefault(s, f"{label}/s"),
+                              names.setdefault(t, f"{label}/t")))
+        return ColoredGraph(names.values(), edges)
 
     # -- structure ---------------------------------------------------------
 
@@ -623,11 +629,29 @@ class GraphExpansion:
     def _child_letters(self, word: Word) -> set:
         return {e.name for e in self.system.rules[self.cell_color(word)].graph.edges}
 
+    def cell_ends(self, word: Word) -> tuple:
+        """(color, s, t) of a cell; s and t are roots, equal roots one leaf-graph vertex."""
+        color, s, t = self._leaves[word]
+        return color, self._uf.find(s), self._uf.find(t)
+
+    @cached_property
+    def _root_degrees(self) -> Counter:
+        find = self._uf.find
+        deg = Counter(find(s) for _, s, _ in self._leaves.values())
+        deg.update(find(t) for _, _, t in self._leaves.values())
+        return deg
+
+    def root_degree(self, root: int) -> int:
+        """Degree of the leaf-graph vertex with this root, counted on first use."""
+        return self._root_degrees[root]
+
     def cell_edge(self, word: Word) -> Edge:
+        """The cell's edge of the named leaf graph."""
         return self.leaf_graph.edge(" ".join(word))
 
     def cell_is_loop(self, word: Word) -> bool:
-        return self.cell_edge(word).is_loop
+        _, s, t = self.cell_ends(word)
+        return s == t
 
     def cell_type(self, word: Word) -> tuple:
         return (self.cell_color(word), self.cell_is_loop(word))
@@ -667,15 +691,13 @@ class GraphExpansion:
             raise NotReducible("family is not the full set of children")
         # interior vertices of the pattern must carry no extra incidences
         rule = self.system.rules[self.cell_color(parent)]
+        bv = rule.boundary_vertices()
         for w in family:
-            e = self.cell_edge(w)
+            _, s, t = self.cell_ends(w)
             rule_edge = rule.graph.edge(w[-1])
-            for v, rv in ((e.src, rule_edge.src), (e.dst, rule_edge.dst)):
-                if rv not in rule.boundary_vertices():
-                    deg = self.leaf_graph.degree(v)
-                    expected = rule.graph.degree(rv)
-                    if deg != expected:
-                        raise NotReducible(f"vertex {v} has outside incidences")
+            for root, rv, end in ((s, rule_edge.src, "s"), (t, rule_edge.dst, "t")):
+                if rv not in bv and self.root_degree(root) != rule.graph.degree(rv):
+                    raise NotReducible(f"vertex {' '.join(w)}/{end} has outside incidences")
         return parent
 
     def reducible_families(self) -> list:

@@ -546,3 +546,49 @@ def test_product_checks_every_junction():
         product([x0, x1, y])
     with pytest.raises(ValueError):
         product([])
+
+
+def test_products_build_no_leaf_graph(monkeypatch):
+    from rewrite_groups.analysis import dendrite_generators
+    from rewrite_groups.graphs import ColoredGraph
+    from rewrite_groups.replacement import full_expansion
+
+    D = dendrite_generators(3)
+    factors = [D["g0"], D["g1"], invert(D["g0"]), D["g1"], D["g0"]]
+    F, x0, x1 = f_generators()
+    built = []
+    init = ColoredGraph.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ColoredGraph, "__init__", counting)
+    product(factors)
+    compose(x1, power(x0, 40))
+    assert built == []
+    E = full_expansion(F, 5)
+    assert built == []
+    E.leaf_graph
+    E.leaf_graph
+    assert len(built) == 1
+
+
+def test_inconsistent_vertex_image_names_a_cell():
+    F = catalog("interval_F")
+    E = base_expansion(F).expand(("s",))
+    # swapping the halves of s: s 0 sends the middle vertex to the right end,
+    # s 1 sends it to the left end
+    with pytest.raises(NotAnIsomorphism, match=r"vertex s 1/s"):
+        Rearrangement(E, {("s", "0"): ("s", "1"), ("s", "1"): ("s", "0")}, E)
+    assert "leaf_graph" not in E.__dict__  # the message is named without the graph
+
+
+def test_loop_and_non_loop_cells_are_different_types():
+    B = catalog("basilica")
+    E = base_expansion(B).expand(("L",))
+    assert E.cell_is_loop(("L", "1")) and not E.cell_is_loop(("L", "0"))
+    phi = {w: w for w in E.cells}
+    phi[("L", "0")], phi[("L", "1")] = ("L", "1"), ("L", "0")
+    with pytest.raises(TypeMismatch):
+        Rearrangement(E, phi, E)

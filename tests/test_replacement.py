@@ -398,6 +398,30 @@ def test_one_walk_build_matches_reference_over_another_base(rng):
         assert exp.base == base
 
 
+@pytest.mark.parametrize("name", ["interval_F", "circle_T", "basilica", "airplane", "dendrite:3"])
+def test_cell_ends_agree_with_leaf_graph(name, rng):
+    S = catalog(name)
+    loops = 0
+    for _ in range(10):
+        cells = _random_cells(S, rng, rng.randint(0, 14))
+        exp = GraphExpansion(S, cells)
+        name_of: dict = {}
+        for w in exp.cells:
+            color, s, t = exp.cell_ends(w)
+            e = exp.cell_edge(w)
+            assert color == e.color and (s == t) == e.is_loop
+            loops += e.is_loop
+            for root, vertex in ((s, e.src), (t, e.dst)):
+                assert name_of.setdefault(root, vertex) == vertex
+        # one root per vertex name and one name per root
+        assert sorted(name_of.values()) == sorted(exp.leaf_graph.vertices)
+        for root, vertex in name_of.items():
+            assert exp.root_degree(root) == exp.leaf_graph.degree(vertex)
+        assert exp.leaf_graph.encoding() == _reference_build(S, cells)[2]
+    if name == "basilica":
+        assert loops
+
+
 def test_deep_words_build_without_recursion():
     # the domain cells of x0^1500 in F: words of up to 1502 letters, longer
     # than the default recursion limit
