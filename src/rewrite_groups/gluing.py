@@ -12,7 +12,7 @@ single vertex for loop colors and an (iota, tau) pair otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .replacement import (
@@ -43,10 +43,19 @@ class FiniteBranchingUnknown(ValueError):
 
 @dataclass(frozen=True)
 class GluingAutomaton:
+    """A compiled gluing automaton.
+
+    ``transitions`` maps (state, (a, b)) to the next state.  ``index`` maps
+    (state, a) to the list of (b, next state) in transition order: the
+    partner letters one letter of the first sequence allows.  ``build``
+    derives it once; it is not part of equality, repr or the emitters.
+    """
+
     system: ReplacementSystem          # loop-normalized
     original: ReplacementSystem
     states: tuple
     transitions: dict                  # (state, (a, b)) -> state
+    index: dict = field(compare=False, repr=False)  # (state, a) -> [(b, state)]
 
     @property
     def initial(self):
@@ -119,9 +128,9 @@ def _type2_single(rule: Rule, gamma: str, edge) -> Optional[str]:
 def build(system: ReplacementSystem) -> GluingAutomaton:
     """Compile the gluing automaton of an expanding system.
 
-    Loops are normalized away first; unreachable states are trimmed.  Every
-    call compiles anew; ``glued`` and ``gluing_class`` keep one automaton per
-    system instead.
+    Loops are normalized away first; unreachable states are trimmed, and the
+    transition index is derived from what is kept.  Every call compiles anew;
+    ``glued`` and ``gluing_class`` keep one automaton per system instead.
     """
     norm = normalize_loops(system)
     if not norm.validate().expanding:
@@ -188,13 +197,15 @@ def build(system: ReplacementSystem) -> GluingAutomaton:
                         alpha, beta = hits.pop()
                         transitions[(state, (a.name, b.name))] = (
                             "q1", a.color, alpha, b.color, beta)
-    # trim unreachable states
+    # trim unreachable states, walking each state's successors once
+    successors: dict = {}
+    for (state, _pair), nxt in transitions.items():
+        successors.setdefault(state, []).append(nxt)
     reachable = {("q0", "0")}
     frontier = [("q0", "0")]
     while frontier:
-        q = frontier.pop()
-        for (state, pair), nxt in transitions.items():
-            if state == q and nxt not in reachable:
+        for nxt in successors.get(frontier.pop(), ()):
+            if nxt not in reachable:
                 reachable.add(nxt)
                 frontier.append(nxt)
     transitions = {
@@ -202,8 +213,11 @@ def build(system: ReplacementSystem) -> GluingAutomaton:
         for (state, pair), nxt in transitions.items()
         if state in reachable
     }
+    index: dict = {}
+    for (state, (a, b)), nxt in transitions.items():
+        index.setdefault((state, a), []).append((b, nxt))
     states = tuple(sorted(reachable))
-    return GluingAutomaton(norm, system, states, transitions)
+    return GluingAutomaton(norm, system, states, transitions, index)
 
 
 # -- running on rational sequences -------------------------------------------------
@@ -262,25 +276,29 @@ def glued(system_or_aut, s1: RationalSequence, s2: RationalSequence) -> bool:
 
 
 def _run_lasso(aut: GluingAutomaton, t1: RationalSequence, t2: RationalSequence) -> bool:
-    """Run two sequences of the loop-normalized alphabet on the automaton."""
+    """Run two sequences of the loop-normalized alphabet on the automaton.
+
+    A phase indexes ``prefix + period``: it steps by one and wraps from the
+    end back to the start of the period, so the run stops when a triple
+    (state, phase, phase) repeats.
+    """
+    w1, w2 = t1.prefix + t1.period, t2.prefix + t2.period
+    n1, n2 = len(w1), len(w2)
+    back1, back2 = len(t1.prefix), len(t2.prefix)
+    transitions = aut.transitions
     state = aut.initial
     seen = set()
-    i = 0
-
-    def phase(t, i):
-        if i < len(t.prefix):
-            return ("p", i)
-        return ("c", (i - len(t.prefix)) % len(t.period))
-
+    i1 = i2 = 0
     while True:
-        key = (state, phase(t1, i), phase(t2, i))
+        key = (state, i1, i2)
         if key in seen:
             return True
         seen.add(key)
-        state = aut.step(state, (t1.letter(i), t2.letter(i)))
+        state = transitions.get((state, (w1[i1], w2[i2])))
         if state is None:
             return False
-        i += 1
+        i1 = i1 + 1 if i1 + 1 < n1 else back1
+        i2 = i2 + 1 if i2 + 1 < n2 else back2
 
 
 def glued_brute_force(system: ReplacementSystem, s1: RationalSequence,
@@ -329,84 +347,79 @@ def gluing_class(system: ReplacementSystem, s: RationalSequence) -> set:
     biject with the class; finite branching keeps the path set finite.  The
     automaton is the system's own, compiled on the first query and kept on
     the system, as ``glued`` keeps it.
+
+    Each product node (state, phase) looks its successors up in the
+    automaton's index under s's letter at that phase.  The live nodes, those
+    that can reach a cycle, are what is left after repeatedly peeling off
+    nodes with no successor left.  Partners are enumerated depth-first along
+    one path, with a stack of successor iterators and the path's nodes with
+    their positions, so no recursion limit applies.  Building, peeling and each
+    enumerated path take time linear in the product.  Every partner found is
+    re-checked by a run of the automaton.
     """
     if not system.validate().finite_branching_sufficient:
         raise FiniteBranchingUnknown(
             "gluing classes are only enumerated under the degree-one condition")
     aut = _automaton(system)
     t = _normalized_sequence(aut, s)
-    L = len(t.prefix)
-    P = len(t.period)
+    word = t.prefix + t.period
+    end, period_start = len(word), len(t.prefix)
+    index = aut.index
 
-    def phase(i):
-        return i if i < L else L + (i - L) % P
-
-    # product nodes (state, phase); partner-labeled edges
-    succ: dict = {}
-    nodes = set()
-    frontier = [(aut.initial, 0)]
-    while frontier:
-        state, ph = frontier.pop()
-        if (state, ph) in nodes:
-            continue
-        nodes.add((state, ph))
-        i = ph
-        for (st, pair), nxt in aut.transitions.items():
-            if st != state or pair[0] != t.letter(i):
-                continue
-            ph2 = phase(i + 1)
-            succ.setdefault((state, ph), []).append((pair[1], (nxt, ph2)))
-            frontier.append((nxt, ph2))
-    # live nodes: can reach a cycle
-    live = set()
-    for node in nodes:
-        seen = set()
-        stack = [node]
-        ok = False
-        while stack:
-            x = stack.pop()
-            for _b, y in succ.get(x, []):
-                if y == node or y in live:
-                    ok = True
-                    stack = []
-                    break
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if ok:
-            live.add(node)
-    # iterate to closure
-    changed = True
-    while changed:
-        changed = False
-        for node in nodes - live:
-            if any(y in live for _b, y in succ.get(node, [])):
-                live.add(node)
-                changed = True
-    out = set()
-    cap = 4 * (len(nodes) + 2)
-
-    def dfs(node, path_nodes, labels):
-        if len(labels) > cap:
-            raise FiniteBranchingUnknown("partner enumeration did not close")
-        for b, y in succ.get(node, []):
-            if y not in live:
-                continue
-            if y in path_nodes:
-                j = path_nodes.index(y)
-                prefix = tuple(labels[:j])
-                period = tuple(labels[j:] + [b])
-                try:
-                    cand = RationalSequence.make(prefix, period)
-                except ValueError:
-                    continue
-                out.add(cand)
-                continue
-            dfs(y, path_nodes + [y], labels + [b])
-
+    # product nodes (state, phase), phase indexing ``word``; partner-labeled edges
     root = (aut.initial, 0)
+    succ: dict = {}
+    preds: dict = {}
+    frontier = [root]
+    while frontier:
+        node = frontier.pop()
+        if node in succ:
+            continue
+        state, ph = node
+        ph2 = ph + 1 if ph + 1 < end else period_start
+        edges = succ[node] = []
+        for b, nxt in index.get((state, word[ph]), ()):
+            y = (nxt, ph2)
+            edges.append((b, y))
+            preds.setdefault(y, []).append(node)
+            frontier.append(y)
+    # live nodes: peel off nodes whose successors are all gone
+    degree = {node: len(edges) for node, edges in succ.items()}
+    dead = [node for node, d in degree.items() if d == 0]
+    while dead:
+        for x in preds.get(dead.pop(), ()):
+            degree[x] -= 1
+            if degree[x] == 0:
+                dead.append(x)
+    live = {node for node, d in degree.items() if d}
+    # live infinite paths from the root, one path at a time
+    out = set()
+    cap = 4 * (len(succ) + 2)
     if root in live:
-        dfs(root, [root], [])
+        labels, position = [], {root: 0}    # the path: its nodes in order, with positions
+        stack = [iter(succ[root])]
+        while stack:
+            for b, y in stack[-1]:
+                if y not in live:
+                    continue
+                j = position.get(y)
+                if j is not None:
+                    try:
+                        out.add(RationalSequence.make(labels[:j], labels[j:] + [b]))
+                    except ValueError:
+                        pass
+                    continue
+                labels.append(b)
+                if len(labels) > cap:
+                    raise FiniteBranchingUnknown("partner enumeration did not close")
+                position[y] = len(position)
+                stack.append(iter(succ[y]))
+                break
+            else:
+                stack.pop()
+                position.popitem()
+                if labels:
+                    labels.pop()
     out = {c for c in out if _run_lasso(aut, t, c)}
     out.add(RationalSequence.make(t.prefix, t.period))
     if aut.system is aut.original:

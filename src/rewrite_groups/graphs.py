@@ -151,6 +151,8 @@ class ColoredGraph:
         return (self.vertices, tuple((e.name, e.color, e.src, e.dst) for e in self.edges))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return isinstance(other, ColoredGraph) and self.encoding() == other.encoding()
 
     def __hash__(self):

@@ -502,7 +502,8 @@ class RationalSequence:
         return self.period[(i - len(self.prefix)) % len(self.period)]
 
     def prefix_of_length(self, n: int) -> tuple:
-        return tuple(self.letter(i) for i in range(n))
+        repeats = max(0, -(-(n - len(self.prefix)) // len(self.period)))
+        return (self.prefix + self.period * repeats)[:n]
 
     def __str__(self):
         return " ".join(self.prefix) + (" " if self.prefix else "") + "(" + " ".join(self.period) + ")"

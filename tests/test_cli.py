@@ -107,6 +107,16 @@ def test_class():
     assert set(out.strip().split("\n")) == {"s 0 (1)", "s 1 (0)"}
 
 
+def test_class_of_a_long_period():
+    import random
+
+    rng = random.Random(1500)
+    point = "s (" + " ".join(rng.choice("01") for _ in range(1500)) + ")"
+    code, out, _ = run(["class", "--system", "interval_F", point])
+    assert code == 0
+    assert out.strip() == point
+
+
 def test_confluence_exit_codes():
     code, out, _ = run(["confluence", "--system", "interval_F"])
     assert code == 0 and out.strip() == "confluent"

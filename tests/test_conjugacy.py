@@ -699,3 +699,23 @@ def test_typed_errors_replace_asserts(monkeypatch):
     monkeypatch.setattr(cj, "conjugate_by", lambda g, k: None)
     with pytest.raises(cj.ConjugatorInvalid):
         cj.conjugate(x0, x0)
+
+
+
+def test_conjugate_round_trip_on_dendrite_generator_words(rng):
+    # the F, T and V round trips on generator words are in the test above
+    from rewrite_groups.analysis import dendrite_generators
+
+    gens = {}
+    for i, g in enumerate(dendrite_generators(3).values()):
+        gens[i] = g
+        gens[-1 - i] = invert(g)
+    done = 0
+    while done < 8:
+        g, k = _word(gens, rng, 3), _word(gens, rng, 2)
+        if g.is_identity() or k.is_identity():
+            continue
+        h = conjugate_by(g, k)
+        k2 = cj.conjugate(g, h, assume_confluent=True)
+        assert k2 is not None and conjugate_by(g, k2) == h
+        done += 1

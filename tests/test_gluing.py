@@ -271,3 +271,206 @@ def test_refused_automaton_is_not_kept(monkeypatch):
         with pytest.raises(gl.NotExpanding):
             gl.glued(S, s, s)
     assert built == [S, S]
+
+
+# -- the indexed product, peeled liveness and one-path enumeration -----------------
+
+
+def _seeded_period(seed, length):
+    rng = random.Random(seed)
+    return tuple(rng.choice("01") for _ in range(length))
+
+
+@pytest.mark.parametrize("length", [1500, 3000])
+def test_gluing_class_of_a_long_period(length):
+    # a recursive partner enumeration exceeds the interpreter's recursion limit here
+    s = RS.make(("s",), _seeded_period(length, length))
+    assert gl.gluing_class(catalog("interval_F"), s) == {s}
+
+
+def reference_run_lasso(aut, t1, t2):
+    """The lasso run with tagged phases ("p", i) / ("c", k), one letter at a time."""
+    state = aut.initial
+    seen = set()
+    i = 0
+
+    def phase(t, i):
+        if i < len(t.prefix):
+            return ("p", i)
+        return ("c", (i - len(t.prefix)) % len(t.period))
+
+    while True:
+        key = (state, phase(t1, i), phase(t2, i))
+        if key in seen:
+            return True
+        seen.add(key)
+        state = aut.step(state, (t1.letter(i), t2.letter(i)))
+        if state is None:
+            return False
+        i += 1
+
+
+def reference_gluing_class(system, s):
+    """Scan every transition per product node, DFS liveness, recursive enumeration."""
+    if not system.validate().finite_branching_sufficient:
+        raise gl.FiniteBranchingUnknown("degree-one condition")
+    aut = gl._automaton(system)
+    t = gl._normalized_sequence(aut, s)
+    L, P = len(t.prefix), len(t.period)
+
+    def phase(i):
+        return i if i < L else L + (i - L) % P
+
+    succ, nodes = {}, set()
+    frontier = [(aut.initial, 0)]
+    while frontier:
+        state, ph = frontier.pop()
+        if (state, ph) in nodes:
+            continue
+        nodes.add((state, ph))
+        for (st, pair), nxt in aut.transitions.items():
+            if st != state or pair[0] != t.letter(ph):
+                continue
+            succ.setdefault((state, ph), []).append((pair[1], (nxt, phase(ph + 1))))
+            frontier.append((nxt, phase(ph + 1)))
+    live = set()
+    for node in nodes:
+        seen, stack, ok = set(), [node], False
+        while stack and not ok:
+            for _b, y in succ.get(stack.pop(), []):
+                if y == node or y in live:
+                    ok = True
+                    break
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if ok:
+            live.add(node)
+    changed = True
+    while changed:
+        changed = False
+        for node in nodes - live:
+            if any(y in live for _b, y in succ.get(node, [])):
+                live.add(node)
+                changed = True
+    out = set()
+
+    def dfs(node, path_nodes, labels):
+        for b, y in succ.get(node, []):
+            if y not in live:
+                continue
+            if y in path_nodes:
+                j = path_nodes.index(y)
+                try:
+                    out.add(RS.make(tuple(labels[:j]), tuple(labels[j:] + [b])))
+                except ValueError:
+                    pass
+                continue
+            dfs(y, path_nodes + [y], labels + [b])
+
+    root = (aut.initial, 0)
+    if root in live:
+        dfs(root, [root], [])
+    out = {c for c in out if reference_run_lasso(aut, t, c)}
+    out.add(RS.make(t.prefix, t.period))
+    if aut.system is aut.original:
+        return out
+    return {gl._translate_back(aut, c) for c in out}
+
+
+REFERENCE_SYSTEMS = ["interval_F", "airplane", "dendrite:3", "vicsek:4", "bubble_bath",
+                     "circle_T", "basilica"]
+
+
+def constant_period_points(S, rng, count):
+    """Seeded prefixes, each followed by every constant period the language allows.
+
+    Such points often lie on a vertex of some expansion, so their classes are
+    larger than one point.
+    """
+    letters = sorted({e.name for rule in S.rules.values() for e in rule.graph.edges})
+    points = []
+    for _ in range(count):
+        prefix = random_rational(S, rng, 3, 1).prefix
+        points += [RS.make(prefix, (x,)) for x in letters
+                   if S.language_contains(prefix + (x,) * 4)]
+    return points
+
+
+@pytest.mark.parametrize("name", REFERENCE_SYSTEMS)
+def test_gluing_class_and_lasso_match_the_references(name):
+    S = catalog(name)
+    aut = gl.build(S)
+    rng = random.Random(name)
+    points = [random_rational(S, rng, 4, 3) for _ in range(8)] + constant_period_points(S, rng, 3)
+    normalized = []
+    for s in points:
+        cls = gl.gluing_class(S, s)
+        assert cls == reference_gluing_class(S, s), (name, str(s))
+        normalized += [gl._normalized_sequence(aut, m) for m in cls]
+    for a in normalized:
+        for b in rng.sample(normalized, 6):
+            assert gl._run_lasso(aut, a, b) == reference_run_lasso(aut, a, b), (name, str(a), str(b))
+
+
+def test_prefix_of_length_matches_letters(rng):
+    for prefix_len in range(4):
+        for period_len in range(1, 5):
+            prefix = tuple(rng.choice("ab") for _ in range(prefix_len))
+            period = tuple(rng.choice("abc") for _ in range(period_len))
+            s = RS.make(prefix, period)
+            L, P = len(s.prefix), len(s.period)
+            for n in range(L + 3 * P + 1):
+                assert s.prefix_of_length(n) == tuple(s.letter(i) for i in range(n))
+
+
+# sha256 (first 16 hex digits) of json.dumps(automaton_to_json(build(system))),
+# as written by the scan-per-state build that predates the transition index
+AUTOMATON_JSON_DIGESTS = {
+    "airplane": "78d9143a82609608",
+    "basilica": "02a467c3f0be5d1b",
+    "bubble_bath": "358b38ee958c2d67",
+    "cantor_V": "193b2c600804e6ff",
+    "circle_T": "d6c9efdbac962bd2",
+    "interval_F": "a9546a06486a1c0d",
+    "trivial_N": "323256f0242ff011",
+    "QF_expanding": "fc0563acc4ce868a",
+    "QT_expanding": "a75cfa93ba336ae9",
+    "QV_expanding": "e0504e19bf6a2303",
+    "F:3,2": "f62fe86f19ca0dc7",
+    "T:3,2": "c0c2882e81892c94",
+    "V:2,2": "5fa0f50a0b30076b",
+    "rabbit:2": "0c942a10c924a48d",
+    "rabbit:3": "5046302e04acb4b8",
+    "dendrite:3": "24db19f1529c1085",
+    "dendrite:4": "28e5b6b92fdd8892",
+    "dendrite_edge_base:3": "f6f0770b4500818c",
+    "dendrite_generalized:3,4": "b44509905657baaf",
+    "vicsek:4": "e798b755a4777861",
+    "houghton_expanding:3": "eb2f9d12d727700b",
+}
+
+
+@pytest.mark.parametrize("name", sorted(AUTOMATON_JSON_DIGESTS))
+def test_automaton_json_unchanged_and_index_regroups_transitions(name):
+    import hashlib
+    import json
+
+    aut = gl.build(catalog(name))
+    data = json.dumps(gl.automaton_to_json(aut))
+    assert hashlib.sha256(data.encode()).hexdigest()[:16] == AUTOMATON_JSON_DIGESTS[name]
+    rows = {}
+    for (q, (a, b)), nxt in aut.transitions.items():
+        rows.setdefault((q, a), []).append((b, nxt))
+    assert aut.index == rows
+    # every kept state is reachable by scanning the whole table
+    reachable, frontier = {aut.initial}, [aut.initial]
+    while frontier:
+        q = frontier.pop()
+        for (state, _pair), nxt in aut.transitions.items():
+            if state == q and nxt not in reachable:
+                reachable.add(nxt)
+                frontier.append(nxt)
+    assert set(aut.states) == reachable
+    assert "index" not in repr(aut)
+    assert aut == gl.GluingAutomaton(aut.system, aut.original, aut.states, aut.transitions, {})

@@ -142,3 +142,16 @@ def test_degrees_count_loops_twice_and_parallel_edges_each():
         into = sum(1 for e in g.edges if e.dst == v)
         assert (g.out_degree(v), g.in_degree(v), g.degree(v)) == (out, into, out + into)
     assert (g.degree("u"), g.degree("v"), g.degree("w")) == (3, 4, 1)
+
+
+def test_equal_distinct_graphs_compare_by_encoding():
+    def triangle(last="c"):
+        return ColoredGraph(["u", "v", "w"], [
+            Edge("a", "1", "u", "v"), Edge("b", "1", "v", "w"), Edge(last, "2", "w", "u"),
+        ])
+
+    g, h = triangle(), triangle()
+    assert g is not h and g == h and hash(g) == hash(h)
+    assert g == g
+    assert g != triangle("d")
+    assert g != "not a graph"
