@@ -21,14 +21,15 @@ from typing import NamedTuple, Optional
 from .graphs import ColoredGraph, Edge, UnionFind
 from .replacement import GraphExpansion, ReplacementSystem, base_expansion
 # compose is re-exported: callers reach it as conjugacy.compose
-from .rearrangement import Rearrangement, compose, conjugate_by, invert, product  # noqa: F401
+from .rearrangement import (Rearrangement, compose, conjugate_by, invert,  # noqa: F401
+                            product, reduced_flipless)
 from .strand import (
     Diagram,
     NotXDiagram,
     Strand,
     StrandDiagram,
     copy_defect,
-    from_rearrangement,
+    glue_forests,
     injective_except,
     is_bijection,
     to_rearrangement,
@@ -203,10 +204,16 @@ class ClosedDiagram(Diagram):
         self.strands = dict(strands)
         self.counter = counter
         self._traversal = None
+        self._base = None
         self._wire()
 
     def _with(self, nodes: dict, strands: dict) -> "ClosedDiagram":
         return ClosedDiagram(self.system, nodes, strands, self.counter)
+
+    def _relabelled(self, strands: dict) -> "ClosedDiagram":
+        d = super()._relabelled(strands)
+        d._traversal = d._base = None  # both read labels
+        return d
 
     def fresh(self, n=1):
         ids = list(range(self.counter, self.counter + n))
@@ -230,16 +237,18 @@ class ClosedDiagram(Diagram):
     # -- base graph and opening ------------------------------------------------------
 
     def base_graph(self) -> ColoredGraph:
-        """The graph spelled by the strands leaving the base points."""
-        verts: dict = {}  # insertion-ordered set
-        edges = []
-        for b in self.bps():
-            s = self.strands[self.out_strand(b)]
-            v, w, _ = s.label
-            for x in (f"v{v}", f"v{w}"):
-                verts[x] = None
-            edges.append(Edge(str(b), s.color, f"v{v}", f"v{w}"))
-        return ColoredGraph(verts, edges)
+        """The graph spelled by the strands leaving the base points, built once."""
+        if self._base is None:
+            verts: dict = {}  # insertion-ordered set
+            edges = []
+            for b in self.bps():
+                s = self.strands[self.out_strand(b)]
+                v, w, _ = s.label
+                for x in (f"v{v}", f"v{w}"):
+                    verts[x] = None
+                edges.append(Edge(str(b), s.color, f"v{v}", f"v{w}"))
+            self._base = ColoredGraph(verts, edges)
+        return self._base
 
     def open_diagram(self) -> StrandDiagram:
         nodes = {}
@@ -479,15 +488,25 @@ class ClosedDiagram(Diagram):
                 f"{len(self.splits())} splits, {len(self.merges())} merges)")
 
 
+def _check_closable(tops: list, bottoms: list):
+    """Raise NotXDiagram unless gluing bottoms[i] to tops[i] closes a diagram.
+
+    ``tops`` are the strands leaving the sources, ``bottoms`` those entering
+    the sinks, in end order; the sinks must spell the graph of the sources.
+    """
+    if len(tops) != len(bottoms):
+        raise NotXDiagram("source and sink counts differ")
+    if [s.color for s in tops] != [s.color for s in bottoms]:
+        raise NotXDiagram("source and sink colors differ")
+    if not is_bijection(p for top, bottom in zip(tops, bottoms)
+                        for p in zip(bottom.label[:2], top.label[:2])):
+        raise NotXDiagram("sources and sinks spell different graphs")
+
+
 def close(d: StrandDiagram) -> ClosedDiagram:
     """Attach each sink to the source in the same position."""
-    if len(d.sources) != len(d.sinks):
-        raise NotXDiagram("source and sink counts differ")
-    if d.source_colors() != d.sink_colors():
-        raise NotXDiagram("source and sink colors differ")
-    if not is_bijection(p for (v1, w1, _), (v2, w2, _) in zip(d.source_labels(), d.sink_labels())
-                        for p in ((v2, v1), (w2, w1))):
-        raise NotXDiagram("sources and sinks spell different graphs")
+    _check_closable([d.strands[d.out_strand(n)] for n in d.sources],
+                    [d.strands[d.in_strand(n)] for n in d.sinks])
     nodes = {}
     remap = {}
     counter = 0
@@ -510,7 +529,15 @@ def close(d: StrandDiagram) -> ClosedDiagram:
 
 
 def close_element(g: Rearrangement) -> ClosedDiagram:
-    return close(from_rearrangement(g))
+    """The closure of g's reduced flipless diagram, ``close(from_rearrangement(g))``.
+
+    It is built straight from the forests of the reduced element
+    (``glue_forests``), with no open diagram in between; node and strand
+    ids, and the checks that the ends close up, are those of ``close``.
+    """
+    nodes, strands, tops, bottoms = glue_forests(reduced_flipless(g), closed=True)
+    _check_closable([strands[sid] for sid in tops], [strands[sid] for sid in bottoms])
+    return ClosedDiagram(g.system, nodes, strands, len(nodes))
 
 
 # -- moves ----------------------------------------------------------------------------
@@ -519,8 +546,9 @@ def close_element(g: Rearrangement) -> ClosedDiagram:
 # access.  The conjugator is a generalized rearrangement E between expansions
 # of the old and new base graphs with o(new) = E^-1 o(old) E (checked by the
 # tests in both roles, see _expansion_element for the orientation actually
-# constructed).  Searches probe and explore many moves but keep few, so only
-# the kept ones pay for their conjugators.
+# constructed).  Searches probe and explore many moves but keep few, and
+# ``conjugate`` reads the kept ones only once the search has met, so only
+# the moves of a found chain pay for their conjugators.
 
 
 def _instantiate(system, color, v, w, fresh_syms):
@@ -544,11 +572,14 @@ def _instantiate(system, color, v, w, fresh_syms):
 
 
 def _expansion_element(system: ReplacementSystem, old_base: ColoredGraph,
-                       new_base: ColoredGraph, letter: str, child_names: list) -> Rearrangement:
+                       new_base: ColoredGraph, letter: str, child_names: list,
+                       inverse: bool = False) -> Rearrangement:
     """The groupoid element identifying Omega(new base) with Omega(old base).
 
     ``letter``'s cone in the old base is split; child ``child_names[i]`` of the
     new base corresponds to the word (letter, rule edge i) of the old base.
+    With ``inverse`` the element's inverse is built instead, as ``invert``
+    would give it: neither orientation has a pair to reduce.
     """
     color = old_base.edge(letter).color
     rule = system.rules[color]
@@ -560,24 +591,52 @@ def _expansion_element(system: ReplacementSystem, old_base: ColoredGraph,
         phi[(name,)] = (letter, e.name)
     dom = base_expansion(system, new_base)
     ran = GraphExpansion(system, list(phi.values()), old_base)
+    if inverse:
+        return Rearrangement(ran, {v: w for w, v in phi.items()}, dom)
     return Rearrangement(dom, phi, ran)
 
 
 class Move:
     """A performed transformation: its kind, the new diagram and its conjugator.
 
-    ``build`` makes the conjugator Rearrangement; it runs on the first access
-    of ``conj``, and its result is kept.
+    ``conj`` is the conjugator E of the move and ``inverse`` is E^-1; each is
+    a validated, reduced Rearrangement, built on first access and kept.
+    ``build`` makes E.  ``build_inverse`` makes E^-1 directly where a move
+    can (the shifts); without it, E^-1 is ``invert(E)``.
     """
 
-    def __init__(self, kind, diagram, build):
+    def __init__(self, kind, diagram, build, build_inverse=None):
         self.kind = kind
         self.diagram = diagram
         self._build = build
+        self._build_inverse = build_inverse
 
     @cached_property
     def conj(self) -> Rearrangement:
         return self._build()
+
+    @cached_property
+    def inverse(self) -> Rearrangement:
+        if self._build_inverse is None:
+            return invert(self.conj)
+        return self._build_inverse()
+
+
+def _shift_move(kind: str, d: ClosedDiagram, out_diag: ClosedDiagram, letter,
+                children: list, reducing: bool) -> Move:
+    """The Move of a shift from d to out_diag, conjugators in either orientation.
+
+    An expanding shift splits base point ``letter`` of d into ``children``
+    of out_diag; a ``reducing`` one merges ``children`` of d into ``letter``
+    of out_diag, so its conjugator is the inverse of the expansion element.
+    """
+    old, new = (out_diag, d) if reducing else (d, out_diag)
+
+    def element(inverse: bool) -> Rearrangement:
+        return _expansion_element(d.system, old.base_graph(), new.base_graph(), str(letter),
+                                  [str(b) for b in children], inverse)
+
+    return Move(kind, out_diag, lambda: element(reducing), lambda: element(not reducing))
 
 
 def _repair_cond2(d: ClosedDiagram, fresh: set) -> ClosedDiagram:
@@ -636,8 +695,7 @@ def shift_down_split(d: ClosedDiagram, bp) -> Move:
         strands[("u", nb)] = Strand(child.color, new_labels[p], (snode, p), (nb, 0))
         strands[child_sid] = replace(child, src=(nb, 0))
     out_diag = _repair_cond2(ClosedDiagram(d.system, nodes, strands, counter), set(fresh))
-    return Move("shift_down_split", out_diag, lambda: _expansion_element(
-        d.system, d.base_graph(), out_diag.base_graph(), str(bp), [str(b) for b in new_bps]))
+    return _shift_move("shift_down_split", d, out_diag, bp, new_bps, reducing=False)
 
 
 def shift_up_split(d: ClosedDiagram, snode) -> Move:
@@ -677,9 +735,8 @@ def shift_up_split(d: ClosedDiagram, snode) -> Move:
         del strands[child_sid]
         del nodes[bp]
         strands[low_sid] = replace(strands[low_sid], src=(snode, p))
-    out_diag = ClosedDiagram(d.system, nodes, strands, counter)
-    return Move("shift_up_split", out_diag, lambda: invert(_expansion_element(
-        d.system, out_diag.base_graph(), d.base_graph(), str(nb), [str(b) for b in bps])))
+    return _shift_move("shift_up_split", d, ClosedDiagram(d.system, nodes, strands, counter),
+                       nb, bps, reducing=True)
 
 
 def shift_up_merge(d: ClosedDiagram, bp) -> Move:
@@ -713,8 +770,7 @@ def shift_up_merge(d: ClosedDiagram, bp) -> Move:
         strands[in_sid] = replace(top, dst=(nb, 0))
         strands[("d", nb)] = Strand(top.color, new_labels[p], (nb, 0), (mnode, p))
     out_diag = _repair_cond2(ClosedDiagram(d.system, nodes, strands, counter), set(fresh))
-    return Move("shift_up_merge", out_diag, lambda: _expansion_element(
-        d.system, d.base_graph(), out_diag.base_graph(), str(bp), [str(b) for b in new_bps]))
+    return _shift_move("shift_up_merge", d, out_diag, bp, new_bps, reducing=False)
 
 
 def shift_down_merge(d: ClosedDiagram, mnode) -> Move:
@@ -754,9 +810,8 @@ def shift_down_merge(d: ClosedDiagram, mnode) -> Move:
         del strands[in_sid]
         del nodes[bp]
         strands[up_sid] = replace(strands[up_sid], dst=(mnode, p))
-    out_diag = ClosedDiagram(d.system, nodes, strands, counter)
-    return Move("shift_down_merge", out_diag, lambda: invert(_expansion_element(
-        d.system, out_diag.base_graph(), d.base_graph(), str(nb), [str(b) for b in bps])))
+    return _shift_move("shift_down_merge", d, ClosedDiagram(d.system, nodes, strands, counter),
+                       nb, bps, reducing=True)
 
 
 def _flippable_loop_colors(system, d, sids) -> bool:
@@ -790,7 +845,7 @@ def flip_loop(d: ClosedDiagram, bps: tuple) -> Move:
     for sid in sids:
         st = strands[sid]
         strands[sid] = replace(st, label=(st.label[1], st.label[0], st.label[2]))
-    out_diag = ClosedDiagram(d.system, d.nodes, strands, d.counter)
+    out_diag = d._relabelled(strands)
 
     def conjugator():
         # each flipped letter's cone maps through psi one level down
@@ -990,7 +1045,6 @@ def apply_type3(d: ClosedDiagram, match: Type3Match) -> Move:
     if flips:
         raise ValueError("apply the match's loop flips before the reduction")
     system = d.system
-    old_base = d.base_graph()
     nodes = dict(d.nodes)
     strands = dict(d.strands)
     for bps, sids in loops:
@@ -1011,19 +1065,22 @@ def apply_type3(d: ClosedDiagram, match: Type3Match) -> Move:
         strands[("t3", new_bps[r])] = Strand(
             vr.rhs_color, label, (new_bps[r], 0), (new_bps[(r + 1) % w], 0))
     out_diag = ClosedDiagram(system, nodes, strands, d.counter + w)
-    # conjugator: expansions of each new letter spell out the removed letters
-    new_base = out_diag.base_graph()
-    phi = {(e.name,): (e.name,) for e in new_base.edges if int(e.name) not in new_bps}
-    lhs_index = {e.name: i for i, e in enumerate(vr.lhs.edges)}
-    for r in range(w):
-        for re in system.rules[vr.rhs_color].graph.edges:
-            _kind, lhs_edge, *child = vr.expansion_map[re.name]
-            letter = str(loops[lhs_index[lhs_edge]][0][r])
-            phi[(str(new_bps[r]), re.name)] = (letter, *child)
-    dom = GraphExpansion(system, list(phi), new_base)
-    ran = GraphExpansion(system, list(phi.values()), old_base)
-    conj = Rearrangement(dom, phi, ran)
-    return Move("type3", out_diag, lambda: conj)
+
+    def conjugator():
+        # expansions of each new letter spell out the removed letters
+        new_base = out_diag.base_graph()
+        phi = {(e.name,): (e.name,) for e in new_base.edges if int(e.name) not in new_bps}
+        lhs_index = {e.name: i for i, e in enumerate(vr.lhs.edges)}
+        for r in range(w):
+            for re in system.rules[vr.rhs_color].graph.edges:
+                _kind, lhs_edge, *child = vr.expansion_map[re.name]
+                letter = str(loops[lhs_index[lhs_edge]][0][r])
+                phi[(str(new_bps[r]), re.name)] = (letter, *child)
+        dom = GraphExpansion(system, list(phi), new_base)
+        ran = GraphExpansion(system, list(phi.values()), d.base_graph())
+        return Rearrangement(dom, phi, ran)
+
+    return Move("type3", out_diag, conjugator)
 
 
 # -- reduction of closed diagrams ------------------------------------------------------
@@ -1071,9 +1128,11 @@ def _find_chained_type2(d: ClosedDiagram):
 
 
 def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None, collect=None):
-    """The reduced diagram of the similarity class, with logged conjugators.
+    """The reduced diagram of the similarity class, with the log of its moves.
 
-    ``collect`` (a list) receives the conjugators of the moves performed.
+    Returns (reduced diagram, log).  The log, which ``collect`` (a list)
+    receives when given, holds the Moves performed in order; a move's
+    conjugator is built only when its ``conj`` or ``inverse`` is read.
     Raises if clearing shifts get stuck, which reduction-confluence rules out
     for the rule sets this library ships.
     """
@@ -1117,7 +1176,7 @@ def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None, collect=None)
                     except NotAdjacent:
                         continue
                     d = mv.diagram
-                    log.append(mv.conj)
+                    log.append(mv)
                     progressed = True
                     break
                 if progressed:
@@ -1131,12 +1190,12 @@ def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None, collect=None)
                 for bps in sorted(mflip.flips):
                     mv = flip_loop(d, bps)
                     d = mv.diagram
-                    log.append(mv.conj)
+                    log.append(mv)
                 m = find_type3(d, virtual)
         if m is not None:
             mv = apply_type3(d, m)
             d = mv.diagram
-            log.append(mv.conj)
+            log.append(mv)
             continue
         d, log = _minimize_line(d, log)
         return _canonical_flip_orientation(d, log)
@@ -1153,7 +1212,7 @@ def _minimize_line(d: ClosedDiagram, log: list):
             except NotAdjacent:
                 continue
             d = mv.diagram
-            log.append(mv.conj)
+            log.append(mv)
             changed = True
             break
         if changed:
@@ -1164,7 +1223,7 @@ def _minimize_line(d: ClosedDiagram, log: list):
             except NotAdjacent:
                 continue
             d = mv.diagram
-            log.append(mv.conj)
+            log.append(mv)
             changed = True
             break
     return d, log
@@ -1225,7 +1284,7 @@ def _canonical_flip_orientation(d: ClosedDiagram, log: list):
             if key < best[0]:
                 best = (key, tuple(moves), cur)
         _key, moves, cur = best
-        log.extend(mv.conj for mv in moves)
+        log.extend(moves)
         return cur, log
     # too many loops: greedy, loop by loop
     changed = True
@@ -1238,7 +1297,7 @@ def _canonical_flip_orientation(d: ClosedDiagram, log: list):
                 continue
             if mv.diagram.canonical_key() < d.canonical_key():
                 d = mv.diagram
-                log.append(mv.conj)
+                log.append(mv)
                 changed = True
     return d, log
 
@@ -1269,8 +1328,12 @@ def _bald_key(d: ClosedDiagram) -> tuple:
 
     The skeleton is canonically labeled (minimum over BFS anchors), so equal
     keys mean the diagrams agree after forgetting the cut line entirely.
+    Every real node leaves port 0, so an anchor's least row is its port-0
+    edge, and that row depends only on the anchor's own sorted adjacency;
+    only the anchors whose row is least are searched from.
     """
     rows_out = []
+    loops = None
     for comp in d.components():
         nodes = set()
         for sid in comp:
@@ -1279,11 +1342,13 @@ def _bald_key(d: ClosedDiagram) -> tuple:
             nodes.add(s_.dst[0])
         real = [n for n in nodes if d.nodes[n] != "bp"]
         if not real:
-            loops = [l for l in pure_loops(d) if set(l[1]) <= comp]
+            if loops is None:
+                loops = pure_loops(d)
             for bps, sids in loops:
-                colors = [d.strands[x].color for x in sids]
-                best = min(tuple(colors[i:] + colors[:i]) for i in range(len(colors)))
-                rows_out.append(("loop", best))
+                if set(sids) <= comp:
+                    colors = [d.strands[x].color for x in sids]
+                    best = min(tuple(colors[i:] + colors[:i]) for i in range(len(colors)))
+                    rows_out.append(("loop", best))
             continue
         edges = []
         for sid in comp:
@@ -1299,8 +1364,21 @@ def _bald_key(d: ClosedDiagram) -> tuple:
         # a node's (role, port) pairs are distinct, so this order ignores ids
         for out in adj.values():
             out.sort(key=repr)
+
+        def first_row(anchor):
+            """The anchor's port-0 row, with the ids the search gives its neighbours."""
+            ids = {anchor: 0}
+            for role, pp, other, po, c in adj[anchor]:
+                ids.setdefault(other, len(ids))
+                if role == "o" and pp == 0:
+                    return (0, 0, ids[other], po, c, d.nodes[anchor][0], d.nodes[other][0])
+
+        firsts = {a: first_row(a) for a in real}
+        least = min(firsts.values())
         best = None
         for anchor in real:
+            if firsts[anchor] != least:
+                continue
             ids = {anchor: 0}
             queue = deque([anchor])
             while queue:
@@ -1417,8 +1495,12 @@ def conjugate(g: Rearrangement, h: Rearrangement, *, rules=None,
     k = Kg L P M^-1 Kh^-1, which is k itself and not k^-1.  k is built as
     one ``product`` (leftmost factor applied first) of
     Kh0^-1, f1^-1 .. fq^-1, M1^-1 .. Mp^-1, P, Lm .. L1, en .. e1, Kg0,
-    reduced once.  The final check ``conjugate_by(g, k) == h`` stays and
-    raises ConjugatorInvalid if it fails.
+    reduced once.  The logs and paths hold Moves, and no conjugator is
+    built until the search has met: then each factor E is read as the
+    move's ``conj`` and each E^-1 as its ``inverse``, which the shifts build
+    directly rather than by inverting E.  Every factor is a validated,
+    reduced Rearrangement.  The final check ``conjugate_by(g, k) == h``
+    stays and raises ConjugatorInvalid if it fails.
     """
     system = g.system
     if h.system is not system:
@@ -1434,17 +1516,17 @@ def conjugate(g: Rearrangement, h: Rearrangement, *, rules=None,
                 "rules or assume_confluent=True if confluence is known")
     eta0 = close_element(g)
     zeta0 = close_element(h)
-    Kg0 = initial_renaming(system, eta0, g)
-    Kh0 = initial_renaming(system, zeta0, h)
     eta, logg = reduce_closed(eta0, virtual, collect=[])
     zeta, logh = reduce_closed(zeta0, virtual, collect=[])
     found = similarity_search(eta, zeta, max_states=max_states)
     if found is None:
         return None
     dL, dM, corr, pathL, pathM = found
+    Kg0 = initial_renaming(system, eta0, g)
+    Kh0 = initial_renaming(system, zeta0, h)
     P = _correspondence_element(system, dM, dL, corr)
-    chain = [invert(e) for e in [Kh0, *logh, *(mv.conj for _d, mv in pathM)]]
-    chain += [P, *(mv.conj for _d, mv in reversed(pathL)), *reversed(logg), Kg0]
+    chain = [invert(Kh0), *(mv.inverse for mv in logh), *(mv.inverse for _d, mv in pathM), P,
+             *(mv.conj for _d, mv in reversed(pathL)), *(mv.conj for mv in reversed(logg)), Kg0]
     k = product(chain)
     if conjugate_by(g, k) != h:
         raise ConjugatorInvalid("similarity found but conjugator verification failed")

@@ -16,12 +16,13 @@ that cancels a Type 1 or Type 2 pair.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from .graphs import ColoredGraph, UnionFind
-from .replacement import GraphExpansion, ReplacementSystem, Rule, walk_forest
+from .replacement import GraphExpansion, ReplacementSystem, Rule
 from .rearrangement import Rearrangement, reduced_flipless
 
 Word = tuple
@@ -197,7 +198,17 @@ class Diagram:
             if a in mapping or b in mapping:
                 strands[sid] = Strand(s.color, (mapping.get(a, a), mapping.get(b, b), z),
                                       s.src, s.dst)
-        return self._with(self.nodes, strands)
+        return self._relabelled(strands)
+
+    def _relabelled(self, strands: dict) -> "Diagram":
+        """This diagram with ``strands``: its own strand ids and ends, other labels.
+
+        The nodes and the port index, which ``_wire`` checked for this
+        diagram, are shared rather than rebuilt.
+        """
+        d = copy.copy(self)
+        d.strands = strands
+        return d
 
     # -- type 1 and type 2 reductions ------------------------------------------
 
@@ -446,17 +457,35 @@ def from_rearrangement(g: Rearrangement, reduce: bool = True) -> StrandDiagram:
     (flips are still expanded away).
     """
     g = reduced_flipless(g) if reduce else g.flipless()
+    nodes, strands, _tops, _bottoms = glue_forests(g)
+    return StrandDiagram(g.system, nodes, strands,
+                         [("src", i) for i in range(len(g.domain.base.edges))],
+                         [("snk", i) for i in range(len(g.range_.base.edges))])
+
+
+def glue_forests(g: Rearrangement, closed: bool = False) -> tuple:
+    """Nodes and strands of a flipless ``g``: the domain forest above the upside-down range forest.
+
+    Returns (nodes, strands, tops, bottoms): ``tops[i]`` is the id of the
+    strand leaving end i of the domain base, ``bottoms[i]`` of the one
+    entering end i of the range base.  Each word's color and ends are read
+    off the walk the expansions made when they were built (``_leaves``,
+    ``_inner``, ``_uf``).  Open, the ends are nodes ("src", i) and
+    ("snk", i), the splits ("sp", w) and the merges ("mg", v).  ``closed``
+    glues end i of both bases into base point i and numbers the splits, then
+    the merges, ("n", j) from the number of base points on, as
+    ``conjugacy.close`` numbers the nodes of the open diagram.
+    """
     system = g.system
     dom, ran = g.domain, g.range_
     dcells, rcells = set(dom.cells), set(ran.cells)
     # the split and merge nodes are numbered in the iteration order of these
-    # sets, which fixes the node ids that ``conjugacy.close`` hands out
+    # sets, which fixes the node ids of closed diagrams
     dprefix = {w[:k] for w in dcells for k in range(1, len(w))}
     rprefix = {v[:k] for v in rcells for k in range(1, len(v))}
-    dleaves, dinner, duf = walk_forest(system, dom.base, dom.cells)
-    rleaves, rinner, ruf = walk_forest(system, ran.base, ran.cells)
+    duf, ruf = dom._uf, ran._uf
     # (color, s, t) of every word of each forest
-    dends, rends = {**dinner, **dleaves}, {**rinner, **rleaves}
+    dends, rends = {**dom._inner, **dom._leaves}, {**ran._inner, **ran._leaves}
     # a symbol is a vertex of the domain leaf graph glued along phi to one of
     # the range leaf graph
     uf = UnionFind()
@@ -476,38 +505,49 @@ def from_rearrangement(g: Rearrangement, reduce: bool = True) -> StrandDiagram:
         return (syms[0], syms[1], holder(ends, base, w).parallel_index(w[-1]))
 
     nodes: dict = {}
-    strands: dict = {}
-    sources, sinks = [], []
-    for i, e in enumerate(dom.base.edges):
-        nodes[("src", i)] = "source"
-        sources.append(("src", i))
-    for i, e in enumerate(ran.base.edges):
-        nodes[("snk", i)] = "sink"
-        sinks.append(("snk", i))
-    for w in sorted(dprefix, key=len):
-        nodes[("sp", w)] = ("split", dends[w][0])
-    for v in sorted(rprefix, key=len):
-        nodes[("mg", v)] = ("merge", rends[v][0])
+    if closed:
+        sources, sinks = range(len(dom.base.edges)), range(len(ran.base.edges))
+        nodes.update((i, "bp") for i in sources)
+    else:
+        sources = [("src", i) for i in range(len(dom.base.edges))]
+        sinks = [("snk", i) for i in range(len(ran.base.edges))]
+        nodes.update((n, "source") for n in sources)
+        nodes.update((n, "sink") for n in sinks)
+    split, merge = {}, {}
+    for nid_of, words, ends, kind, tag in ((split, dprefix, dends, "split", "sp"),
+                                           (merge, rprefix, rends, "merge", "mg")):
+        for w in sorted(words, key=len):
+            nid = nid_of[w] = ("n", len(nodes)) if closed else (tag, w)
+            nodes[nid] = (kind, ends[w][0])
+    tops: dict = {}
+    bottoms: dict = {}
 
-    def upper_end(w: Word):
+    def upper_end(w: Word, sid: str):
         i = holder(dends, dom.base, w).edge_index(w[-1])
-        return (("src", i), 0) if len(w) == 1 else (("sp", w[:-1]), i)
+        if len(w) > 1:
+            return (split[w[:-1]], i)
+        tops[i] = sid
+        return (sources[i], 0)
 
-    def lower_end(v: Word):
+    def lower_end(v: Word, sid: str):
         i = holder(rends, ran.base, v).edge_index(v[-1])
-        return (("snk", i), 0) if len(v) == 1 else (("mg", v[:-1]), i)
+        if len(v) > 1:
+            return (merge[v[:-1]], i)
+        bottoms[i] = sid
+        return (sinks[i], 0)
 
-    sid = 0
+    strands: dict = {}
     for w in sorted(dprefix | dcells, key=lambda x: (len(x), x)):
-        dst = (("sp", w), 0) if w in dprefix else lower_end(g.phi[w])
-        strands[f"s{sid}"] = Strand(dends[w][0], label("D", duf, dends, dom.base, w),
-                                    upper_end(w), dst)
-        sid += 1
+        sid = f"s{len(strands)}"
+        dst = (split[w], 0) if w in dprefix else lower_end(g.phi[w], sid)
+        strands[sid] = Strand(dends[w][0], label("D", duf, dends, dom.base, w),
+                              upper_end(w, sid), dst)
     for v in sorted(rprefix, key=lambda x: (len(x), x)):
-        strands[f"s{sid}"] = Strand(rends[v][0], label("R", ruf, rends, ran.base, v),
-                                    (("mg", v), 0), lower_end(v))
-        sid += 1
-    return StrandDiagram(system, nodes, strands, sources, sinks)
+        sid = f"s{len(strands)}"
+        strands[sid] = Strand(rends[v][0], label("R", ruf, rends, ran.base, v),
+                              (merge[v], 0), lower_end(v, sid))
+    return (nodes, strands, [tops[i] for i in range(len(tops))],
+            [bottoms[i] for i in range(len(bottoms))])
 
 
 # -- cutting back to rearrangements --------------------------------------------------

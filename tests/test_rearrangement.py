@@ -513,8 +513,8 @@ def test_groupoid_chains_of_closed_reduction_logs(rng):
         _eta, log = cj.reduce_closed(eta0, collect=[])
         logged += len(log) >= 2
         # K = K0 e1 .. en (apply en first) and its inverse
-        _check_product([*reversed(log), K0])
-        _check_product([invert(K0), *(invert(e) for e in log)])
+        _check_product([*(mv.conj for mv in reversed(log)), K0])
+        _check_product([invert(K0), *(invert(mv.conj) for mv in log)])
     assert logged >= 8
 
 
