@@ -449,7 +449,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         _error(args, str(e), EXIT_USAGE)
         return EXIT_USAGE
-    except Exception as e:  # computation errors: negative/structural failures
+    except (ValueError, RuntimeError, KeyError) as e:
+        # the library's own errors, KeyError marking a word outside the
+        # language; any other exception is a bug and shows its traceback
         _error(args, f"{type(e).__name__}: {e}", EXIT_COMPUTE)
         return EXIT_COMPUTE
 

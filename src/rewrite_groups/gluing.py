@@ -230,18 +230,30 @@ def _normalized_sequence(aut: GluingAutomaton, s: RationalSequence) -> RationalS
     translation of a letter depends on which rule copy is being read), but the
     context colors cycle with a bounded factor, so a window proportional to
     the number of colors always contains the new lasso.
+
+    Translation goes letter by letter, so the scan translates only the
+    prefix it reads, doubling it up to ``n``.  A sequence that leaves the
+    language does so within ``len(colors) + 1`` periods; it is translated
+    over the whole window, which raises KeyError.
     """
     if aut.system is aut.original:
         return s
     p = len(s.period)
     factor = len(aut.system.colors) + 2
     n = len(s.prefix) + (2 * factor + 2) * p * factor
-    word = translate_word(aut.system, aut.original, s.prefix_of_length(n))
+    size = min(n, len(s.prefix) + 2 * p)
+    if not aut.original.language_contains(
+            s.prefix_of_length(len(s.prefix) + (len(aut.original.colors) + 1) * p)):
+        size = n
+    word = translate_word(aut.system, aut.original, s.prefix_of_length(size))
     for i in range(len(s.prefix), n):
         for m in range(1, factor + 1):
             q = m * p
             if i + 2 * q > n:
                 break
+            while i + 2 * q > size:
+                size = min(n, 2 * size)
+                word = translate_word(aut.system, aut.original, s.prefix_of_length(size))
             if word[i: i + q] == word[i + q: i + 2 * q]:
                 return RationalSequence.make(word[:i], word[i: i + q])
     raise NotInSymbolSpace("translation did not stabilize; not periodic")

@@ -394,45 +394,39 @@ def _reduce(g: Rearrangement, allow_flips: bool = True, rng=None) -> tuple:
 
     Reduction runs in rounds: one scan collects every family that is
     reducible now, all of them are merged, and the domain and range are
-    built once per round.  The families of a round have distinct parents, and
-    so do their images; an interior vertex that passes the degree check
-    carries no edge of another family, so the round gives what merging its
-    families one at a time in any order gives.  Reduced diagrams are unique,
-    so the result does not depend on the candidate order; ``rng`` shuffles
-    it for the order-independence property tests.
+    built once per round.  The candidates are the domain's families, which
+    the walk that built it recorded (``GraphExpansion._families``), in
+    sorted order; those with a flipped child are skipped.  The families of a
+    round have distinct parents, and so do their images; an interior vertex
+    that passes the degree check carries no edge of another family, so the
+    round gives what merging its families one at a time in any order gives.
+    Reduced diagrams are unique, so the result does not depend on the
+    candidate order; ``rng`` shuffles it for the order-independence property
+    tests.
     """
     domain, range_, phi, flips = g.domain, g.range_, dict(g.phi), set(g.flips)
     system = g.system
     while True:
-        parents: dict = {}
-        for w in domain.cells:
-            if len(w) > 1 and w not in flips:
-                parents.setdefault(w[:-1], []).append(w)
         moves = []
-        order = sorted(parents)
+        order = sorted(domain._families)
         if rng is not None:
             rng.shuffle(order)
         for u in order:
-            kids = parents[u]
-            rule_color = domain.cell_color(u)
-            rule = system.rules[rule_color]
-            names = {e.name for e in rule.graph.edges}
-            if {w[-1] for w in kids} != names:
+            rule_color = domain._inner[u][0]
+            letters = system.rules[rule_color].letters
+            kids = [u + (e,) for e in letters]
+            if flips and not flips.isdisjoint(kids):
                 continue
-            images = [phi[u + (e,)] for e in sorted(names)]
-            vparents = {v[:-1] for v in images}
-            if len(vparents) != 1:
+            images = [phi[w] for w in kids]
+            vp = images[0][:-1]
+            if not vp or any(v[:-1] != vp for v in images):
                 continue
-            vp = vparents.pop()
-            if not vp:
-                continue
-            letter_map = {w[-1]: phi[w][-1] for w in kids}
             flip = None
-            if all(letter_map[e] == e for e in names):
+            if all(v[-1] == e for e, v in zip(letters, images)):
                 flip = False
             elif allow_flips and rule_color in system.validate().undirected_colors:
                 psi = system.reversing_automorphism(rule_color)
-                if psi is not None and all(letter_map[e] == psi.edge_map[e] for e in names):
+                if psi is not None and all(v[-1] == psi.edge_map[e] for e, v in zip(letters, images)):
                     flip = True
             if flip is None:
                 continue

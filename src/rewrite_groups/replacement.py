@@ -81,6 +81,19 @@ class Rule:
         edges = tuple((e.name, e.color, num[e.src], num[e.dst]) for e in reversed(self.graph.edges))
         return self.kind == "loop", len(num) - len(bv), edges
 
+    @cached_property
+    def letters(self) -> frozenset:
+        """The names of the rule edges: the last letters of a word's children."""
+        return frozenset(e.name for e in self.graph.edges)
+
+    @cached_property
+    def end_degrees(self) -> dict:
+        """Letter -> (s, t): the degree each end of that edge has in any copy
+        of the rule with no outside edge at its interior; None at the boundary."""
+        bv = self.boundary_vertices()
+        need = {v: None if v in bv else self.graph.degree(v) for v in self.graph.vertices}
+        return {e.name: (need[e.src], need[e.dst]) for e in self.graph.edges}
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -158,6 +171,11 @@ class ReplacementSystem:
     def children(self, word: Word) -> list:
         c = self.word_color(word)
         return [word + (e.name,) for e in self.rules[c].graph.edges]
+
+    @cached_property
+    def _patterns(self) -> dict:
+        """Color -> the rule's ``pattern``: the one table ``walk_forest`` reads."""
+        return {c: rule.pattern for c, rule in self.rules.items()}
 
     def color_graph(self) -> ColoredGraph:
         """The automaton A_R: state q(c) per color plus the base state q(0)."""
@@ -516,11 +534,15 @@ def walk_forest(system: ReplacementSystem, base: ColoredGraph, cells: Sequence[W
     """One iterative depth-first walk of the forest whose leaves are ``cells``.
 
     The forest is expanded top-down from the edges of ``base``, each node
-    visited once, children in edge order.  Returns (leaves, inner, uf):
-    ``leaves`` maps each cell, in depth-first order, and ``inner`` each
+    visited once, children in edge order.  Returns (leaves, inner, families,
+    uf): ``leaves`` maps each cell, in depth-first order, and ``inner`` each
     interior word (strict prefix of a cell) to (color, s, t), where s and t
     are integer items of the union-find ``uf``; two items are one vertex of
     the leaf graph exactly when ``uf`` gives them the same root.
+    ``families`` lists, in walk order, the interior words whose rule
+    children are all cells, the only words a reduction can merge.  The
+    union-find is a list while the walk runs and a ``UnionFind`` with the
+    same roots at the end.
 
     Raises KeyError for a word outside the language, and NotACell unless the
     cells, without duplicates, are the leaves of a complete subforest.
@@ -549,19 +571,26 @@ def walk_forest(system: ReplacementSystem, base: ColoredGraph, cells: Sequence[W
             _reject(system, base, cells, f"{w} is a duplicate cell or extended by another cell")
         kids[w[-1]] = w
     ids = {v: i for i, v in enumerate(base.vertices)}
-    uf = UnionFind((i, i) for i in ids.values())
+    uf = list(range(len(ids)))
+    patterns = system._patterns
     leaves: dict = {}
     inner: dict = {}
+    families: list = []
     stack: list = []
 
-    def push(kids: dict, edges: tuple, sub: list):
+    def push(kids: dict, edges: tuple, sub: list) -> bool:
+        """Stack the children of one node; True when they are all cells."""
         if len(kids) != len(edges):
             _reject(system, base, cells, "cells do not form a complete partition")
+        all_cells = True
         for letter, color, a, b in edges:
             node = kids.get(letter)
             if node is None:
                 _reject(system, base, cells, "cells do not form a complete partition")
+            if type(node) is list:
+                all_cells = False
             stack.append((node, color, sub[a], sub[b]))
+        return all_cells
 
     push(root, tuple((e.name, e.color, ids[e.src], ids[e.dst]) for e in reversed(base.edges)),
          range(len(ids)))
@@ -570,14 +599,25 @@ def walk_forest(system: ReplacementSystem, base: ColoredGraph, cells: Sequence[W
         if type(node) is not list:
             leaves[node] = (color, s, t)
             continue
-        inner[node[0]] = (color, s, t)
-        loop, fresh, edges = system.rules[color].pattern
-        if loop:
-            uf.union(s, t)
-        new = range(len(uf), len(uf) + fresh)
-        uf.update(zip(new, new))
-        push(node[1], edges, [s, *new] if loop else [s, t, *new])
-    return leaves, inner, uf
+        word = node[0]
+        inner[word] = (color, s, t)
+        loop, fresh, edges = patterns[color]
+        n = len(uf)
+        new = range(n, n + fresh)
+        if loop:  # UnionFind.union(s, t): t's root becomes the root of both
+            a, b = s, t
+            while uf[a] != a:
+                uf[a] = uf[uf[a]]
+                a = uf[a]
+            while uf[b] != b:
+                uf[b] = uf[uf[b]]
+                b = uf[b]
+            if a != b:
+                uf[a] = b
+        uf.extend(new)
+        if push(node[1], edges, [s, *new] if loop else [s, t, *new]):
+            families.append(word)
+    return leaves, inner, families, UnionFind(enumerate(uf))
 
 
 def _reject(system: ReplacementSystem, base: ColoredGraph, cells, reason: str):
@@ -597,16 +637,19 @@ class GraphExpansion:
     that visits each node once: it checks language, antichain and
     completeness and emits the cells already in depth-first order.  It keeps
     what the walk returns: the color and integer endpoints of every cell,
-    the color of every interior word, and the union-find over the endpoints.
+    the color of every interior word, the families (interior words whose
+    rule children are all cells) and the union-find over the endpoints.
     Validation and reduction read the endpoints' roots (``cell_ends``,
-    ``root_degree``); the named leaf graph is built on first access.
+    ``root_degree``), and reduction reads the families; the named leaf
+    graph is built on first access.
     """
 
     def __init__(self, system: ReplacementSystem, cells: Iterable[Word],
                  base: Optional[ColoredGraph] = None):
         self.system = system
         self.base = base if base is not None else system.base
-        self._leaves, self._inner, self._uf = walk_forest(system, self.base, [tuple(c) for c in cells])
+        self._leaves, self._inner, self._families, self._uf = walk_forest(
+            system, self.base, [tuple(c) for c in cells])
         self.cells = tuple(self._leaves)
 
     @cached_property
@@ -626,9 +669,6 @@ class GraphExpansion:
     def cell_color(self, word: Word) -> str:
         """The color of a word of the forest: a cell or an interior word."""
         return (self._leaves.get(word) or self._inner[word])[0]
-
-    def _child_letters(self, word: Word) -> set:
-        return {e.name for e in self.system.rules[self.cell_color(word)].graph.edges}
 
     def cell_ends(self, word: Word) -> tuple:
         """(color, s, t) of a cell; s and t are roots, equal roots one leaf-graph vertex."""
@@ -676,8 +716,11 @@ class GraphExpansion:
     def check_reducible(self, family: Iterable[Word]) -> Word:
         """The parent of ``family`` if ``reduce`` may merge it; raise NotReducible if not.
 
-        The family must be the full set of children of one word, all cells,
-        and the interior vertices of its pattern must carry no other edge.
+        Four checks: the members are siblings, all cells, the full set of
+        their parent's rule children, and no interior vertex of the rule copy
+        carries an edge from outside the family.  The last two read
+        ``Rule.letters`` and ``Rule.end_degrees``, computed once per rule,
+        and ``root_degree``.
         """
         family = {tuple(w) for w in family}
         if not family or any(len(w) < 2 for w in family):
@@ -686,34 +729,32 @@ class GraphExpansion:
         if len(parents) != 1:
             raise NotReducible("family members are not siblings")
         parent = parents.pop()
-        if not family <= self._leaves.keys():
+        leaves = self._leaves
+        if not family <= leaves.keys():
             raise NotReducible("family members are not all cells")
-        if {w[-1] for w in family} != self._child_letters(parent):
+        rule = self.system.rules[self._inner[parent][0]]
+        if {w[-1] for w in family} != rule.letters:
             raise NotReducible("family is not the full set of children")
-        # interior vertices of the pattern must carry no extra incidences
-        rule = self.system.rules[self.cell_color(parent)]
-        bv = rule.boundary_vertices()
+        need, find, degree = rule.end_degrees, self._uf.find, self.root_degree
         for w in family:
-            _, s, t = self.cell_ends(w)
-            rule_edge = rule.graph.edge(w[-1])
-            for root, rv, end in ((s, rule_edge.src, "s"), (t, rule_edge.dst, "t")):
-                if rv not in bv and self.root_degree(root) != rule.graph.degree(rv):
-                    raise NotReducible(f"vertex {' '.join(w)}/{end} has outside incidences")
+            _, s, t = leaves[w]
+            ds, dt = need[w[-1]]
+            if ds is not None and degree(find(s)) != ds:
+                raise NotReducible(f"vertex {' '.join(w)}/s has outside incidences")
+            if dt is not None and degree(find(t)) != dt:
+                raise NotReducible(f"vertex {' '.join(w)}/t has outside incidences")
         return parent
 
     def reducible_families(self) -> list:
+        """The families ``reduce`` may merge, each sorted, in order of their parents."""
         out = []
-        parents = {}
-        for w in self.cells:
-            if len(w) > 1:
-                parents.setdefault(w[:-1], []).append(w)
-        for p, kids in sorted(parents.items()):
-            if {w[-1] for w in kids} == self._child_letters(p):
-                try:
-                    self.check_reducible(kids)
-                except NotReducible:
-                    continue
-                out.append(tuple(sorted(kids)))
+        for p in sorted(self._families):
+            kids = [p + (e,) for e in self.system.rules[self._inner[p][0]].letters]
+            try:
+                self.check_reducible(kids)
+            except NotReducible:
+                continue
+            out.append(tuple(sorted(kids)))
         return out
 
     # -- value semantics -------------------------------------------------------

@@ -266,3 +266,21 @@ def test_conj_under_python_optimize(tmp_path, x0_file, x1_file):
     assert conjugate_by(x0, k) == h
     proc = conj(x0_file, x1_file)
     assert proc.returncode == 1 and json.loads(proc.stdout) == {"conjugate": False}
+
+
+def test_bugs_are_not_computation_errors(monkeypatch):
+    from rewrite_groups import cli
+
+    def broken(args):
+        raise TypeError("a bug, not a verdict")
+
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        run(["validate", "--system", "airplane"])
+
+
+def test_word_outside_the_language_is_a_computation_error(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"phi": [[["s", "0"], ["s", "0"]], [["s", "2"], ["s", "1"]]]}))
+    code, _, err = run(["invert", "--system", "interval_F", str(p)])
+    assert code == 3 and "KeyError" in err

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -6,7 +7,7 @@ from conftest import random_rational
 
 from rewrite_groups.catalog import catalog, dendrite_edge_base
 from rewrite_groups.rearrangement import random_rearrangement
-from rewrite_groups.replacement import RationalSequence as RS
+from rewrite_groups.replacement import RationalSequence as RS, translate_word
 from rewrite_groups import gluing as gl
 
 
@@ -474,3 +475,85 @@ def test_automaton_json_unchanged_and_index_regroups_transitions(name):
     assert set(aut.states) == reachable
     assert "index" not in repr(aut)
     assert aut == gl.GluingAutomaton(aut.system, aut.original, aut.states, aut.transitions, {})
+
+
+# -- lazy translation into the loop-normalized alphabet ---------------------------
+
+
+def reference_normalized_sequence(aut, s):
+    """``_normalized_sequence`` translating the whole window up front."""
+    if aut.system is aut.original:
+        return s
+    p = len(s.period)
+    factor = len(aut.system.colors) + 2
+    n = len(s.prefix) + (2 * factor + 2) * p * factor
+    word = translate_word(aut.system, aut.original, s.prefix_of_length(n))
+    for i in range(len(s.prefix), n):
+        for m in range(1, factor + 1):
+            q = m * p
+            if i + 2 * q > n:
+                break
+            if word[i: i + q] == word[i + q: i + 2 * q]:
+                return RS.make(word[:i], word[i: i + q])
+    raise gl.NotInSymbolSpace("translation did not stabilize; not periodic")
+
+
+@pytest.mark.parametrize("name", ["circle_T", "basilica"])
+def test_lazy_translation_matches_the_full_window(name):
+    S = catalog(name)
+    aut = gl.build(S)
+    assert aut.system is not aut.original
+    rng = random.Random(name)
+    points = [random_rational(S, rng, 4, 3) for _ in range(30)] + constant_period_points(S, rng, 4)
+    points += [random_rational(S, rng, 6, 40) for _ in range(10)]
+    for s in points:
+        assert gl._normalized_sequence(aut, s) == reference_normalized_sequence(aut, s), str(s)
+
+
+def test_lazy_translation_of_a_long_period_reads_a_short_window(monkeypatch):
+    T = catalog("circle_T")
+    aut = gl.build(T)
+    s = RS.make(("s", "0"), _seeded_period(7, 300))
+    lengths = []
+
+    def counting(normalized, original, word):
+        lengths.append(len(word))
+        return translate_word(normalized, original, word)
+
+    monkeypatch.setattr(gl, "translate_word", counting)
+    assert gl._normalized_sequence(aut, s) == reference_normalized_sequence(aut, s)
+    full = len(s.prefix) + (2 * len(aut.system.colors) + 6) * 300 * (len(aut.system.colors) + 2)
+    assert max(lengths) < full // 4
+
+
+def _three_context_system():
+    """A toy system whose period (a) reads from contexts 1 and 2 but not 3.
+
+    Color 1 labels a loop and non-loops, so the system is loop-normalized.
+    """
+    from rewrite_groups.graphs import ColoredGraph, Edge
+    from rewrite_groups.replacement import ReplacementSystem, Rule, normalize_loops
+
+    def rule(*edges):
+        return Rule(ColoredGraph(["i", "c", "t"], [Edge(*e) for e in edges]), ("pair", "i", "t"))
+
+    S = ReplacementSystem(["1", "2", "3"], ColoredGraph(["x", "y"], [Edge("s", "1", "x", "y")]), {
+        "1": rule(("a", "2", "i", "c"), ("b", "1", "c", "c"), ("d", "1", "c", "t")),
+        "2": rule(("a", "3", "i", "c"), ("d", "2", "c", "t")),
+        "3": rule(("x", "3", "i", "c"), ("y", "3", "c", "t")),
+    })
+    return SimpleNamespace(system=normalize_loops(S), original=S)
+
+
+def test_lazy_translation_raises_as_the_full_window_outside_the_language():
+    T = gl.build(catalog("circle_T"))
+    toy = _three_context_system()
+    assert toy.system is not toy.original
+    # s a a reads, s a a a does not: the failure lies past the first window
+    for aut, s in ((T, RS.make(("s", "0"), ("2",))), (T, RS.make(("s",), ("0", "1", "7"))),
+                   (toy, RS.make(("s",), ("a",)))):
+        with pytest.raises(KeyError) as lazy:
+            gl._normalized_sequence(aut, s)
+        with pytest.raises(KeyError) as full:
+            reference_normalized_sequence(aut, s)
+        assert str(lazy.value) == str(full.value)
