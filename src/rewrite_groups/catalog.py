@@ -364,7 +364,10 @@ def catalog(name: str, *params) -> ReplacementSystem:
     """
     if ":" in name and not params:
         head, _, tail = name.partition(":")
-        params = tuple(int(x) if x.isdigit() else x for x in tail.split(",") if x)
+        parts = [x for x in tail.split(",") if x]
+        if not all(x.isdigit() for x in parts):
+            raise BadParams(f"parameters of {name!r} are not comma-separated integers")
+        params = tuple(int(x) for x in parts)
         name = head
     if name in _CATALOG and not params:
         return _CATALOG[name]()
@@ -376,8 +379,8 @@ def catalog(name: str, *params) -> ReplacementSystem:
         return circle()
     if name == "V" and not params:
         return cantor()
-    if name == "rabbit":
-        return rabbit(*params) if params else rabbit()
+    if name == "rabbit" and len(params) <= 1:
+        return rabbit(*params)
     if name == "dendrite" and len(params) == 1:
         return dendrite(params[0])
     if name == "dendrite_edge_base" and len(params) == 1:

@@ -6,7 +6,11 @@ elements are JSON files in the {domain, range, phi} format; rational
 sequences use the grammar ``letter+ ( letter+ )`` with whitespace between
 letters, e.g. ``"s b2 (r2)"``.
 
-Exit codes: 0 success, 1 negative verdict, 2 usage error, 3 computation error.
+Exit codes: 0 success, 1 negative verdict, 2 usage error (bad arguments, a
+file that cannot be read or written, JSON of the wrong shape), 3 computation
+error (the library's ``ValueError``s and ``RuntimeError``s, and the
+``KeyError`` of a word outside the language).  Any other exception is a bug
+and ends in its traceback.
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ def _load_system(spec: str):
     from .replacement import system_from_json
 
     if spec.endswith(".json") or os.path.sep in spec:
-        return system_from_json(_read_json(spec))
+        data = _read_json(spec)
+        _check_system_json(data, spec)
+        return system_from_json(data)
     try:
         return catalog(spec)
     except BadParams as e:
@@ -57,7 +63,46 @@ def _load_system(spec: str):
 def _load_element(system, path: str):
     from .rearrangement import rearrangement_from_json
 
-    return rearrangement_from_json(system, _read_json(path))
+    data = _read_json(path)
+    phi = data.get("phi")
+    if not (isinstance(phi, list) and all(
+            isinstance(e, list) and len(e) in (2, 3) and _is_names(e[0]) and _is_names(e[1])
+            for e in phi)):
+        raise UsageError(f"{path}: 'phi' is not a list of [cell, image] or [cell, image, flip]")
+    return rearrangement_from_json(system, data)
+
+
+def _is_names(x) -> bool:
+    """Whether ``x`` is a list of strings: a word, or a graph's vertices."""
+    return isinstance(x, list) and all(isinstance(a, str) for a in x)
+
+
+def _is_graph(x) -> bool:
+    """Whether ``x`` has the shape ``graph_to_json`` writes: named vertices and edges."""
+    return (isinstance(x, dict) and _is_names(x.get("vertices")) and isinstance(x.get("edges"), list)
+            and all(isinstance(e, dict) and all(isinstance(e.get(k), str)
+                                                for k in ("id", "color", "src", "dst"))
+                    for e in x["edges"]))
+
+
+def _check_system_json(data: dict, path: str):
+    """UsageError unless ``data`` has the shape ``system_to_json`` writes."""
+    colors = data.get("colors")
+    if not (isinstance(colors, list)
+            and all(isinstance(c, dict) and isinstance(c.get("name"), str) for c in colors)):
+        raise UsageError(f"{path}: 'colors' is not a list of named colors")
+    if not _is_graph(data.get("base")):
+        raise UsageError(f"{path}: 'base' is not a graph")
+    rules = data.get("rules")
+    for c in colors:
+        entry = rules.get(c["name"]) if isinstance(rules, dict) else None
+        if not _is_graph(entry):
+            raise UsageError(f"{path}: the rule of color {c['name']!r} is not a graph")
+        b = entry.get("boundary")
+        ends = {"pair": ("iota", "tau"), "loop": ("lambda",)}.get(
+            b.get("kind") if isinstance(b, dict) else None)
+        if ends is None or not all(isinstance(b.get(k), str) for k in ends):
+            raise UsageError(f"{path}: the rule of color {c['name']!r} has no pair or loop boundary")
 
 
 def _parse_rational(text: str):
@@ -99,6 +144,8 @@ def cmd_catalog(args):
         for name in catalog_names():
             print(name)
         return EXIT_OK
+    if args.system is None:
+        raise UsageError("catalog dump needs --system")
     system = _load_system(args.system)
     if args.dot:
         from .graphs import graph_to_dot
@@ -446,12 +493,10 @@ def main(argv=None) -> int:
     except UsageError as e:
         _error(args, str(e), EXIT_USAGE)
         return EXIT_USAGE
-    except FileNotFoundError as e:
+    except OSError as e:  # a file that cannot be read or written
         _error(args, str(e), EXIT_USAGE)
         return EXIT_USAGE
     except (ValueError, RuntimeError, KeyError) as e:
-        # the library's own errors, KeyError marking a word outside the
-        # language; any other exception is a bug and shows its traceback
         _error(args, f"{type(e).__name__}: {e}", EXIT_COMPUTE)
         return EXIT_COMPUTE
 

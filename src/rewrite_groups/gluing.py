@@ -232,19 +232,18 @@ def _normalized_sequence(aut: GluingAutomaton, s: RationalSequence) -> RationalS
     the number of colors always contains the new lasso.
 
     Translation goes letter by letter, so the scan translates only the
-    prefix it reads, doubling it up to ``n``.  A sequence that leaves the
-    language does so within ``len(colors) + 1`` periods; it is translated
-    over the whole window, which raises KeyError.
+    prefix it reads, doubling it up to ``n``.  The first prefix runs
+    ``len(colors) + 1`` periods past the preperiod: by then the run of the
+    original system has met some color twice at the start of a period, so
+    a sequence that leaves the language does so inside it, and
+    ``translate_word`` raises KeyError there, at the first letter outside.
     """
     if aut.system is aut.original:
         return s
     p = len(s.period)
     factor = len(aut.system.colors) + 2
     n = len(s.prefix) + (2 * factor + 2) * p * factor
-    size = min(n, len(s.prefix) + 2 * p)
-    if not aut.original.language_contains(
-            s.prefix_of_length(len(s.prefix) + (len(aut.original.colors) + 1) * p)):
-        size = n
+    size = min(n, len(s.prefix) + (len(aut.original.colors) + 1) * p)
     word = translate_word(aut.system, aut.original, s.prefix_of_length(size))
     for i in range(len(s.prefix), n):
         for m in range(1, factor + 1):

@@ -172,11 +172,6 @@ class ReplacementSystem:
         c = self.word_color(word)
         return [word + (e.name,) for e in self.rules[c].graph.edges]
 
-    @cached_property
-    def _patterns(self) -> dict:
-        """Color -> the rule's ``pattern``: the one table ``walk_forest`` reads."""
-        return {c: rule.pattern for c, rule in self.rules.items()}
-
     def color_graph(self) -> ColoredGraph:
         """The automaton A_R: state q(c) per color plus the base state q(0)."""
         verts = ["q(0)"] + [f"q({c})" for c in self.colors]
@@ -572,7 +567,6 @@ def walk_forest(system: ReplacementSystem, base: ColoredGraph, cells: Sequence[W
         kids[w[-1]] = w
     ids = {v: i for i, v in enumerate(base.vertices)}
     uf = list(range(len(ids)))
-    patterns = system._patterns
     leaves: dict = {}
     inner: dict = {}
     families: list = []
@@ -601,7 +595,7 @@ def walk_forest(system: ReplacementSystem, base: ColoredGraph, cells: Sequence[W
             continue
         word = node[0]
         inner[word] = (color, s, t)
-        loop, fresh, edges = patterns[color]
+        loop, fresh, edges = system.rules[color].pattern
         n = len(uf)
         new = range(n, n + fresh)
         if loop:  # UnionFind.union(s, t): t's root becomes the root of both

@@ -284,3 +284,63 @@ def test_word_outside_the_language_is_a_computation_error(tmp_path):
     p.write_text(json.dumps({"phi": [[["s", "0"], ["s", "0"]], [["s", "2"], ["s", "1"]]]}))
     code, _, err = run(["invert", "--system", "interval_F", str(p)])
     assert code == 3 and "KeyError" in err
+
+
+@pytest.mark.parametrize("data", [
+    {"phi": 5}, {}, {"phi": [[["s", "0"]]]}, {"phi": [[[0], [1]]]}, {"phi": [{"s": "0"}]},
+], ids=["phi_not_a_list", "no_phi", "entry_without_image", "letters_not_strings",
+        "entry_not_a_list"])
+def test_element_of_the_wrong_shape_is_usage_error(tmp_path, data):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert _is_usage_error(*run(["invert", "--system", "interval_F", str(path)]), str(path))
+
+
+def _wrong_shapes():
+    from rewrite_groups.catalog import catalog
+    from rewrite_groups.replacement import system_to_json
+
+    good = system_to_json(catalog("interval_F"))
+    color = good["colors"][0]["name"]
+
+    def edited(edit):
+        data = json.loads(json.dumps(good))
+        edit(data)
+        return data
+
+    return {
+        "colors_not_a_list": dict(good, colors=5),
+        "base_not_a_graph": dict(good, base=[]),
+        "rules_not_a_dict": dict(good, rules=[]),
+        "edge_end_not_a_string": edited(lambda d: d["rules"][color]["edges"][0].update(src=3)),
+        "no_boundary": edited(lambda d: d["rules"][color].pop("boundary")),
+        "unknown_boundary_kind": edited(
+            lambda d: d["rules"][color].update(boundary={"kind": "star"})),
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(_wrong_shapes()))
+def test_system_of_the_wrong_shape_is_usage_error(tmp_path, shape):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_wrong_shapes()[shape]))
+    assert _is_usage_error(*run(["validate", "--system", str(path)]), str(path))
+
+
+def test_unwritable_output_is_usage_error(tmp_path, x0_file):
+    out = str(tmp_path)  # a directory
+    assert _is_usage_error(*run(["dot", "--system", "interval_F", "--out", out]), out)
+    assert _is_usage_error(*run(["dot", "--system", "interval_F", "--g", x0_file, "--out", out]),
+                           out)
+    assert _is_usage_error(*run(["expand", "--system", "interval_F", "--depth", "2",
+                                 "--dot", out]), out)
+
+
+@pytest.mark.parametrize("spec", ["dendrite_generalized:3:4", "dendrite:-1", "rabbit:1,2"])
+def test_bad_catalog_parameters_are_usage_errors(spec):
+    code, out, err = run(["validate", "--system", spec])
+    assert code == 2 and out == "" and "Error:" not in err
+
+
+def test_catalog_dump_without_a_system_is_usage_error():
+    code, out, err = run(["catalog", "dump"])
+    assert code == 2 and "--system" in err

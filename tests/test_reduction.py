@@ -1,6 +1,6 @@
-"""The reduction path: families recorded by the forest walk, ``_reduce``
-against the round-based scan over every cell, the checks of
-``check_reducible``, and the rejections of ``walk_forest``."""
+"""The reduction path: the families and union-find recorded by the forest
+walk, ``_reduce`` against the round-based scan over every cell, the checks
+of ``check_reducible``, and the rejections of ``walk_forest``."""
 
 import random
 from collections import Counter
@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from rewrite_groups.catalog import catalog, catalog_names
+from rewrite_groups.graphs import UnionFind
 from rewrite_groups.rearrangement import (
     Rearrangement,
     _product_map,
@@ -36,7 +37,8 @@ SYSTEMS = [INSTANCES.get(name, name) for name in catalog_names()]
 
 
 def _system(name):
-    return normalize_loops(catalog("basilica")) if name == "basilica~" else catalog(name)
+    """A catalog system; ``name~`` is its loop-normalized form."""
+    return normalize_loops(catalog(name[:-1])) if name.endswith("~") else catalog(name)
 
 
 # -- families --------------------------------------------------------------------
@@ -86,6 +88,58 @@ def test_families_over_another_base():
         for _ in range(rng.randint(0, 10)):
             exp = exp.expand(rng.choice(exp.cells))
         _assert_families(exp)
+
+
+def _union_find_by_unions(exp):
+    """The union-find of ``exp``'s walk rebuilt with ``UnionFind.union``, the reference.
+
+    ``_inner`` holds the interior words in walk order, so replaying their
+    rules allocates the same fresh items and makes the same unions.
+    """
+    uf = UnionFind((i, i) for i in range(len(exp.base.vertices)))
+    for color, s, t in exp._inner.values():
+        loop, fresh, _ = exp.system.rules[color].pattern
+        if loop:
+            uf.union(s, t)
+        new = range(len(uf), len(uf) + fresh)
+        uf.update(zip(new, new))
+    return uf
+
+
+def _loop_color_on_non_loops():
+    """A system whose loop-kind color L also labels edges with two ends.
+
+    Expanding such an edge glues its ends, so the walk's unions merge
+    items; in loop-normalized systems a loop-kind edge is a loop and they
+    merge none.
+    """
+    from rewrite_groups.graphs import ColoredGraph, Edge
+    from rewrite_groups.replacement import ReplacementSystem, Rule
+
+    base = ColoredGraph(["x", "y", "z"], [Edge("e", "L", "x", "y"), Edge("f", "P", "y", "z"),
+                                          Edge("g", "L", "z", "x")])
+    return ReplacementSystem(["L", "P"], base, {
+        "L": Rule(ColoredGraph(["l", "v"], [Edge("a", "L", "l", "l"), Edge("b", "P", "l", "v"),
+                                            Edge("c", "L", "v", "l")]), ("loop", "l")),
+        "P": Rule(ColoredGraph(["i", "m", "t"], [Edge("p", "P", "i", "m"),
+                                                 Edge("q", "L", "m", "t")]), ("pair", "i", "t")),
+    })
+
+
+@pytest.mark.parametrize("name", ["loop color on non-loops", "basilica~", "rabbit:3~", "airplane"])
+def test_walk_union_find_has_the_roots_of_union_calls(name):
+    S = _loop_color_on_non_loops() if name == "loop color on non-loops" else _system(name)
+    rng = random.Random(name)
+    expansions = [full_expansion(S, depth) for depth in range(1, 5)]
+    for _ in range(12):
+        exp = base_expansion(S)
+        for _ in range(rng.randint(0, 30)):
+            exp = exp.expand(rng.choice(exp.cells))
+        expansions.append(GraphExpansion(S, exp.cells))
+    for exp in expansions:
+        ref = _union_find_by_unions(exp)
+        assert exp._uf.keys() == ref.keys()
+        assert all(exp._uf.find(x) == ref.find(x) for x in ref)
 
 
 # -- _reduce against the round-based scan ------------------------------------------

@@ -19,7 +19,17 @@ on one side only.  The curves:
   reduced);
 - ``compose``: ``compose(x1, x0^n)`` in F, with x0^n built beforehand;
 
-for n = 32, 128, 512 and 1024.  Standard library only.
+for n = 32, 128, 512 and 1024.  The ``reduce`` diagrams are reduced
+already, so that curve times the scan alone; two more curves time
+reductions that merge:
+
+- ``reduce_padded``: ``_reduce`` of x1 with its domain split down to
+  ``full_expansion(F, depth)``, for depth 6, 8, 10 and 12: every round
+  merges a whole level of families;
+- ``reduce_cancel``: ``_reduce`` of the unreduced diagram of x0^n x0^-n,
+  for n = 8, 32 and 128: it reduces to the identity, one family a round.
+
+Standard library only.
 """
 
 from __future__ import annotations
@@ -36,6 +46,9 @@ REPEATS = 5
 ROUNDS = 3
 DEPTHS = {"interval_F": (4, 6, 8, 10), "dendrite:3": (1, 2, 3, 4, 5)}
 POWERS = (32, 128, 512, 1024)
+PADDINGS = (6, 8, 10, 12)
+CANCELS = (8, 32, 128)
+OP_CURVES = ("reduce", "compose", "reduce_padded", "reduce_cancel")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -53,10 +66,11 @@ def measure() -> dict:
     """The curves of the tree on ``sys.path``; run in a process of its own."""
     from rewrite_groups.catalog import catalog
     from rewrite_groups.rearrangement import (
-        Rearrangement, _product_map, _reduce, compose, from_cell_map, power)
+        Rearrangement, _product_map, _reduce, compose, from_cell_map, invert, power)
     from rewrite_groups.replacement import GraphExpansion, full_expansion
 
-    curves: dict = {"expansion_build": {}, "reduce": [], "compose": []}
+    curves: dict = {"expansion_build": {}, "reduce": [], "compose": [],
+                    "reduce_padded": [], "reduce_cancel": []}
     for name, depths in DEPTHS.items():
         S = catalog(name)
         points = curves["expansion_build"][name] = []
@@ -70,16 +84,31 @@ def measure() -> dict:
     x1 = from_cell_map(F, [(("s", "0"), ("s", "0")), (("s", "1", "0", "0"), ("s", "1", "0")),
                            (("s", "1", "0", "1"), ("s", "1", "1", "0")),
                            (("s", "1", "1"), ("s", "1", "1", "1"))])
+
+    def unreduced(factors):
+        phi, dbase, rbase = _product_map(factors)
+        return Rearrangement(GraphExpansion(F, phi, dbase), phi,
+                             GraphExpansion(F, phi.values(), rbase), _reduced=True)
+
     for n in POWERS:
         p = power(x0, n)
-        phi, dbase, rbase = _product_map([p, x1])
-        unreduced = Rearrangement(GraphExpansion(F, phi, dbase), phi,
-                                  GraphExpansion(F, phi.values(), rbase), _reduced=True)
+        g = unreduced([p, x1])
         reduced = compose(x1, p)
-        curves["reduce"].append({"n": n, "cells": len(phi), "reduced_cells": len(reduced.phi),
-                                 "ms": best(lambda: _reduce(unreduced))})
+        curves["reduce"].append({"n": n, "cells": len(g.phi), "reduced_cells": len(reduced.phi),
+                                 "ms": best(lambda: _reduce(g))})
         curves["compose"].append({"n": n, "cells": len(reduced.phi),
                                   "ms": best(lambda: compose(x1, p))})
+    for depth in PADDINGS:
+        g = x1.expand_domain_to(full_expansion(F, depth).cells)
+        curves["reduce_padded"].append({"depth": depth, "cells": len(g.phi),
+                                        "reduced_cells": len(_reduce(g)[2]),
+                                        "ms": best(lambda: _reduce(g))})
+    for n in CANCELS:
+        p = power(x0, n)
+        g = unreduced([p, invert(p)])
+        curves["reduce_cancel"].append({"n": n, "cells": len(g.phi),
+                                        "reduced_cells": len(_reduce(g)[2]),
+                                        "ms": best(lambda: _reduce(g))})
     return curves
 
 
@@ -93,7 +122,7 @@ def run_side(root: str) -> dict:
 def points(curves: dict) -> list:
     """Every point of the curves, in one fixed order."""
     builds = [p for curve in curves["expansion_build"].values() for p in curve]
-    return builds + curves["reduce"] + curves["compose"]
+    return builds + [p for k in OP_CURVES for p in curves[k]]
 
 
 def keep_best(best, run: dict) -> dict:
@@ -112,7 +141,7 @@ def ratios(parent: dict, change: dict) -> dict:
 
     out = {f"expansion_build.{k}": pairs(parent["expansion_build"][k], change["expansion_build"][k])
            for k in parent["expansion_build"]}
-    out.update({k: pairs(parent[k], change[k]) for k in ("reduce", "compose")})
+    out.update({k: pairs(parent[k], change[k]) for k in OP_CURVES})
     return out
 
 
