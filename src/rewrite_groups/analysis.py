@@ -12,14 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rearrangement import (
-    Rearrangement,
-    compose,
-    from_cell_map,
-    identity,
-    power,
-    reduced_flipless,
-)
+from .rearrangement import Rearrangement, from_cell_map, reduced_flipless
 from .replacement import ReplacementSystem
 
 Word = tuple
@@ -40,15 +33,6 @@ class BadParams(ValueError):
 # -- imbalance and components -------------------------------------------------------
 
 
-def _expanded_words(cells) -> set:
-    """Interior nodes of the forest: proper nonempty prefixes of the cells."""
-    out = set()
-    for w in cells:
-        for k in range(1, len(w)):
-            out.add(w[:k])
-    return out
-
-
 @dataclass(frozen=True)
 class ImbalanceProfile:
     domain: int
@@ -57,34 +41,14 @@ class ImbalanceProfile:
     range_components: tuple
 
     def as_tuple(self):
+        """The measure ``minimize_representative`` decreases, lexicographically."""
         return (self.domain, len(self.domain_components), len(self.range_components))
 
 
 def _components_of(carets: set) -> tuple:
     """Cluster a caret set into the maximal trees it forms."""
-    comps = []
-    seen = set()
-    for root in sorted(carets, key=lambda w: (len(w), w)):
-        if root in seen:
-            continue
-        comp = [root]
-        seen.add(root)
-        queue = [root]
-        while queue:
-            w = queue.pop()
-            for v in carets:
-                if v not in seen and len(v) == len(w) + 1 and v[: len(w)] == w:
-                    seen.add(v)
-                    comp.append(v)
-                    queue.append(v)
-        # only roots without a caret parent start components
-        if root[:-1] in carets:
-            continue
-        comps.append(tuple(sorted(comp)))
-    # rebuild ignoring nested roots
     all_c = set(carets)
     comps = []
-    assigned = set()
     roots = [w for w in all_c if w[:-1] not in all_c]
     for root in sorted(roots, key=lambda w: (len(w), w)):
         comp = [root]
@@ -96,15 +60,13 @@ def _components_of(carets: set) -> tuple:
                     comp.append(v)
                     queue.append(v)
         comps.append(tuple(sorted(comp)))
-        assigned |= set(comp)
     return tuple(sorted(comps))
 
 
 def imbalance(g: Rearrangement, representative: Rearrangement = None) -> ImbalanceProfile:
     """Caret difference of the two forests of a (default: canonical) diagram."""
     d = representative if representative is not None else reduced_flipless(g)
-    fd = _expanded_words(d.domain.cells)
-    fr = _expanded_words(d.range_.cells)
+    fd, fr = d.domain._inner.keys(), d.range_._inner.keys()
     dm = fd - fr
     rm = fr - fd
     return ImbalanceProfile(len(dm), len(rm), _components_of(dm), _components_of(rm))
@@ -152,8 +114,7 @@ def _caret_subtree(carets_all: set, root: Word) -> set:
 
 
 def _find_move(d: Rearrangement, prof: ImbalanceProfile):
-    fd = _expanded_words(d.domain.cells)
-    fr = _expanded_words(d.range_.cells)
+    fd, fr = d.domain._inner.keys(), d.range_._inner.keys()
     dm = fd - fr
     rm = fr - fd
     dcells = set(d.domain.cells)
@@ -231,25 +192,12 @@ def is_torsion(g: Rearrangement):
     """(True, order) for torsion elements, else (False, None).
 
     The minimized representative has equal forests exactly for torsion
-    elements; the order is then the order of the induced cell permutation.
+    elements.  It is flipless (``reduced_flipless`` is, and ``expand_at``
+    keeps it so), so the order is then the order of its cell permutation.
     """
     d = minimize_representative(g)
     if set(d.domain.cells) == set(d.range_.cells):
-        if all(d.phi[w] == w for w in d.phi) and not d.flips:
-            return True, 1
-        if g.is_identity():
-            return True, 1
-        # flips square to the identity on the flipped cell's subtree
-        base_order = _permutation_order(d.phi)
-        order = base_order
-        if d.flips:
-            h = power(g, order)
-            extra = 1
-            while not h.is_identity():
-                h = compose(h, power(g, order))
-                extra += 1
-            order *= extra
-        return True, order
+        return True, _permutation_order(d.phi)
     return False, None
 
 
@@ -263,14 +211,12 @@ def wandering_cell(g: Rearrangement) -> Word:
     d = minimize_representative(g)
     if set(d.domain.cells) == set(d.range_.cells):
         raise IsTorsion("torsion elements have no wandering cell")
-    fd = _expanded_words(d.domain.cells)
     rcells = set(d.range_.cells)
     dcells = set(d.domain.cells)
     for e in sorted(dcells):
-        if e not in _expanded_words(d.range_.cells):
+        if e not in d.range_._inner:
             continue
         # follow the orbit of e until it lands below e
-        seen = [e]
         x = e
         for _ in range(len(dcells) + 1):
             x = d.phi[x] if x in d.phi else None
@@ -355,11 +301,10 @@ def _perm_sign(perm: dict) -> int:
 
 def dendrite_parity(g: Rearrangement) -> int:
     """Sum over branch points of the sign of the induced branch permutation."""
-    _dendrite_order(g.system)
+    n = _dendrite_order(g.system)
     d = reduced_flipless(g)
     total = 0
-    LG_D, LG_R = d.domain.leaf_graph, d.range_.leaf_graph
-    n = _dendrite_order(g.system)
+    LG_D = d.domain.leaf_graph
     vmap = {}
     for w, v in d.phi.items():
         ed, er = d.domain.cell_edge(w), d.range_.cell_edge(v)
@@ -370,20 +315,9 @@ def dendrite_parity(g: Rearrangement) -> int:
             continue
         bi_d = _branch_index(g.system, d.domain, vertex)
         bi_r = _branch_index(g.system, d.range_, vmap[vertex])
-        perm = {}
-        for w, i in bi_d.items():
-            image = d.phi[_covering_cell(d, w)]
-            image_word = image + w[len(_covering_cell(d, w)):]
-            perm[i] = bi_r[image_word]
-        total += _perm_sign(perm)
+        # the words of bi_d are the domain cells at the vertex
+        total += _perm_sign({i: bi_r[d.phi[w]] for w, i in bi_d.items()})
     return total % 2
-
-
-def _covering_cell(d: Rearrangement, word: Word) -> Word:
-    for w in d.domain.cells:
-        if word[: len(w)] == w:
-            return w
-    raise KeyError(word)
 
 
 def _trailing_n(system, word: Word, n: int) -> int:

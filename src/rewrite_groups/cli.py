@@ -350,9 +350,11 @@ def cmd_torsion(args):
         return EXIT_OK
     w = an.wandering_cell(g)
     ok = an.wandering_certificate(g, w, args.powers)
-    payload = {"torsion": False, "wandering_cell": list(w), "verified_powers": args.powers}
+    payload = {"torsion": False, "wandering_cell": list(w), "verified_powers": args.powers,
+               "certificate_holds": ok}
     _emit(args, payload, f"infinite order; wandering cell: {' '.join(w)} (verified {ok})")
-    return EXIT_OK
+    # like conj, which prints no unverified conjugator, a failed certificate is an error
+    return EXIT_OK if ok else EXIT_COMPUTE
 
 
 def cmd_phi(args):

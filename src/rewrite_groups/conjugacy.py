@@ -270,6 +270,10 @@ class ClosedDiagram(Diagram):
         return StrandDiagram(self.system, nodes, strands, sources, sinks)
 
     def open_element(self) -> Rearrangement:
+        """The element of the diagram cut at its base line, over its own base graph.
+
+        The tests' reference for the element a closed diagram stands for.
+        """
         b = self.base_graph()
         return to_rearrangement(self.open_diagram(), b, b)
 
@@ -1096,34 +1100,26 @@ def _strand_path_through_bps(d: ClosedDiagram, sid):
     return count, s.dst[0], s.dst[1]
 
 
-def _find_chained_type1(d: ClosedDiagram):
-    """(split, merge, count): all children reach the same merge through c bps."""
+def _chained_pairs(d: ClosedDiagram):
+    """Every Type 1 and Type 2 pair of ``d``, across base points, with its count.
+
+    Yields (split, merge, c) for each split whose out port p reaches port p
+    of one merge of its colour through c base points on every port, in
+    split order; then (merge, split, c) for each merge whose out strand
+    reaches a split of its colour through c base points, in merge order.
+    The pairs with c = 0 are the Type 1 pairs of ``type1_candidates`` and
+    the Type 2 pairs of ``type2_candidates``.
+    """
     for snode in d.splits():
-        color = d.nodes[snode][1]
-        arity = len(d.system.rules[color].graph.edges)
-        info = []
-        for p in range(arity):
-            c, end, port = _strand_path_through_bps(d, d.out_strand(snode, p))
-            info.append((c, end, port))
-        ends = {x[1] for x in info}
-        counts = {x[0] for x in info}
-        if len(ends) != 1 or len(counts) != 1:
-            continue
-        end = ends.pop()
-        kind = d.nodes.get(end)
-        if not (isinstance(kind, tuple) and kind[0] == "merge" and kind[1] == color):
-            continue
-        if [x[2] for x in info] != list(range(arity)):
-            continue
-        yield snode, end, counts.pop()
-
-
-def _find_chained_type2(d: ClosedDiagram):
+        ends = [_strand_path_through_bps(d, d.out_strand(snode, p))
+                for p in range(d.arity(snode))]
+        c, end, _ = ends[0]
+        if (d.nodes[end] == ("merge", d.nodes[snode][1])
+                and ends == [(c, end, p) for p in range(len(ends))]):
+            yield snode, end, c
     for mnode in d.merges():
-        c, end, port = _strand_path_through_bps(d, d.out_strand(mnode))
-        kind = d.nodes.get(end)
-        if (isinstance(kind, tuple) and kind[0] == "split" and port == 0
-                and kind[1] == d.nodes[mnode][1]):
+        c, end, _ = _strand_path_through_bps(d, d.out_strand(mnode))
+        if d.nodes[end] == ("split", d.nodes[mnode][1]):
             yield mnode, end, c
 
 
@@ -1135,54 +1131,41 @@ def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None, collect=None)
     conjugator is built only when its ``conj`` or ``inverse`` is read.
     Raises if clearing shifts get stuck, which reduction-confluence rules out
     for the rule sets this library ships.
+
+    Each round scans the diagram once (``_chained_pairs``) and makes the
+    first move that applies: a Type 1 cancellation (a split-led pair at
+    count 0), a Type 2 one (a merge-led pair at count 0), a shift that
+    brings a chained pair closer (all counts are then above 0), a Type 3
+    reduction.  When none applies, the cut line is parked and the flips
+    are oriented.  With ``rng`` each step picks its candidate at random.
     """
     log = collect if collect is not None else []
 
     def pick(options):
-        options = list(options)
         if not options:
             return None
         return rng.choice(options) if rng is not None else options[0]
 
     while True:
-        c1 = pick(d.type1_candidates())
+        chained = list(_chained_pairs(d))
+        adjacent = [(a, b) for a, b, c in chained if c == 0]
+        c1 = pick([(a, b) for a, b in adjacent if d.nodes[a][0] == "split"])
         if c1 is not None:
             d = d.cancel_type1(*c1)
             continue
-        c2 = pick(d.type2_candidates())
+        c2 = pick(adjacent)
         if c2 is not None:
             if any(d.strands[a].label != d.strands[b].label for a, b in d.mirrored(*c2)):
                 raise NotAdjacent("type 2 with unequal labels")
             d = d.cancel_type2(*c2)
             continue
-        chained = list(_find_chained_type1(d)) + list(_find_chained_type2(d))
         if rng is not None:
             rng.shuffle(chained)
-        if chained:
-            progressed = False
-            for item in chained:
-                node_a, node_b, count = item
-                attempts = []
-                if isinstance(d.nodes[node_a], tuple) and d.nodes[node_a][0] == "split":
-                    attempts = [
-                        lambda: shift_up_split(d, node_a),
-                        lambda: shift_down_merge(d, node_b),
-                    ]
-                else:
-                    attempts = [lambda: shift_up_merge(d, _first_bp_below(d, node_a))]
-                for attempt in attempts:
-                    try:
-                        mv = attempt()
-                    except NotAdjacent:
-                        continue
-                    d = mv.diagram
-                    log.append(mv)
-                    progressed = True
-                    break
-                if progressed:
-                    break
-            if progressed:
-                continue
+        mv = _clearing_shift(d, chained)
+        if mv is not None:
+            d = mv.diagram
+            log.append(mv)
+            continue
         m = find_type3(d, virtual, rng=rng)
         if m is None:
             mflip = find_type3(d, virtual, allow_flips=True, rng=rng)
@@ -1199,6 +1182,21 @@ def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None, collect=None)
             continue
         d, log = _minimize_line(d, log)
         return _canonical_flip_orientation(d, log)
+
+
+def _clearing_shift(d: ClosedDiagram, chained: list) -> Optional[Move]:
+    """The first shift that brings a pair of ``chained`` closer, or None."""
+    for a, b, _count in chained:
+        if d.nodes[a][0] == "split":
+            attempts = (lambda: shift_up_split(d, a), lambda: shift_down_merge(d, b))
+        else:
+            attempts = (lambda: shift_up_merge(d, _first_bp_below(d, a)),)
+        for attempt in attempts:
+            try:
+                return attempt()
+            except NotAdjacent:
+                pass
+    return None
 
 
 def _minimize_line(d: ClosedDiagram, log: list):
@@ -1859,31 +1857,3 @@ def _glue(p1, p2, matching):
             if v not in verts:
                 verts.append(v)
     return ColoredGraph(verts, edges), (emap1, vmap1), (emap2, vmap2)
-
-
-def closed_to_dot(d: ClosedDiagram, name: str = "C") -> str:
-    """DOT for a closed diagram: base points drawn on a dashed cut line."""
-    from .graphs import dot_color_map
-
-    cm = dot_color_map({s.color for s in d.strands.values()})
-    lines = [f'digraph "{name}" {{']
-    bps = d.bps()
-    for nid, kind in d.nodes.items():
-        tag = str(nid)
-        if kind == "bp":
-            lines.append(f'  "{tag}" [shape=square, style=dashed, label="{tag}"];')
-        elif kind[0] == "split":
-            lines.append(f'  "{tag}" [shape=invtriangle, label=""];')
-        else:
-            lines.append(f'  "{tag}" [shape=triangle, label=""];')
-    if len(bps) > 1:
-        chain = " -> ".join(f'"{b}"' for b in bps)
-        lines.append(f"  {{ rank=same; {'; '.join(chr(34) + str(b) + chr(34) for b in bps)} }}")
-        lines.append(f"  {chain} [style=dashed, arrowhead=none, constraint=false];")
-    for sid, st in d.strands.items():
-        v, w, z = st.label
-        lines.append(
-            f'  "{st.src[0]}" -> "{st.dst[0]}" [label="({v},{w},{z})", color={cm[st.color]}];'
-        )
-    lines.append("}")
-    return "\n".join(lines)

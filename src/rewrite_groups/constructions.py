@@ -18,6 +18,7 @@ from .replacement import (
     RationalSequence,
     ReplacementSystem,
     Rule,
+    expansion_containing,
 )
 
 Word = tuple
@@ -173,7 +174,7 @@ def stabilizer_rational(system: ReplacementSystem, q: RationalSequence):
     if compact:
         # base: the minimal expansion showing the edge x, recolored gamma_1;
         # gamma_i expands like the color before y_i, marking y_i as gamma_{i+1}
-        exp = GraphExpansion(system, _antichain_containing(system, x))
+        exp = expansion_containing(system, [x])
         target = x
         marked_letter = [y[i] for i in range(k)]
         host_color = [system.word_color(x + y[:i]) for i in range(k)]
@@ -186,7 +187,7 @@ def stabilizer_rational(system: ReplacementSystem, q: RationalSequence):
         for i in range(k):
             color_map[gammas[i]] = host_color[i]
     else:
-        exp = GraphExpansion(system, _antichain_containing(system, x + y[:1]))
+        exp = expansion_containing(system, [x + y[:1]])
         target = x + y[:1]
         for i in range(k):
             rules[gammas[i]] = recolored_rule(system.word_color(x + y[: i + 1]),
@@ -203,15 +204,6 @@ def stabilizer_rational(system: ReplacementSystem, q: RationalSequence):
     base = ColoredGraph(exp.leaf_graph.vertices, base_edges)
     marked = ReplacementSystem(list(system.colors) + gammas, base, rules)
     return marked, color_map
-
-
-def _antichain_containing(system: ReplacementSystem, word: Word) -> list:
-    cells = [(e.name,) for e in system.base.edges]
-    for i in range(1, len(word)):
-        prefix = word[:i]
-        kids = [prefix + (e.name,) for e in system.rules[system.word_color(prefix)].graph.edges]
-        cells = [c for c in cells if c != prefix] + kids
-    return cells
 
 
 def transport_element(g: Rearrangement, target: ReplacementSystem,

@@ -364,9 +364,10 @@ def gluing_class(system: ReplacementSystem, s: RationalSequence) -> set:
     that can reach a cycle, are what is left after repeatedly peeling off
     nodes with no successor left.  Partners are enumerated depth-first along
     one path, with a stack of successor iterators and the path's nodes with
-    their positions, so no recursion limit applies.  Building, peeling and each
-    enumerated path take time linear in the product.  Every partner found is
-    re-checked by a run of the automaton.
+    their positions, so no recursion limit applies.  The path's nodes are
+    distinct, so it never holds more than len(succ) - 1 labels and needs no
+    cap.  Building, peeling and each enumerated path take time linear in the
+    product.  Every partner found is re-checked by a run of the automaton.
     """
     if not system.validate().finite_branching_sufficient:
         raise FiniteBranchingUnknown(
@@ -405,7 +406,6 @@ def gluing_class(system: ReplacementSystem, s: RationalSequence) -> set:
     live = {node for node, d in degree.items() if d}
     # live infinite paths from the root, one path at a time
     out = set()
-    cap = 4 * (len(succ) + 2)
     if root in live:
         labels, position = [], {root: 0}    # the path: its nodes in order, with positions
         stack = [iter(succ[root])]
@@ -421,8 +421,6 @@ def gluing_class(system: ReplacementSystem, s: RationalSequence) -> set:
                         pass
                     continue
                 labels.append(b)
-                if len(labels) > cap:
-                    raise FiniteBranchingUnknown("partner enumeration did not close")
                 position[y] = len(position)
                 stack.append(iter(succ[y]))
                 break

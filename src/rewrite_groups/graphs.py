@@ -118,9 +118,11 @@ class ColoredGraph:
         return self._degrees
 
     def out_degree(self, v: str) -> int:
+        """Edges leaving v: the directed half of ``degree``, as graph users read it."""
         return self._degree_counts()[0][v]
 
     def in_degree(self, v: str) -> int:
+        """Edges entering v: the directed half of ``degree``, as graph users read it."""
         return self._degree_counts()[1][v]
 
     def degree(self, v: str) -> int:

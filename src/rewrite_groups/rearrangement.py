@@ -105,10 +105,6 @@ class Rearrangement:
 
     # -- basic properties ---------------------------------------------------
 
-    @property
-    def is_group_element(self) -> bool:
-        return self.domain.base == self.range_.base == self.system.base
-
     def encoding(self) -> tuple:
         return (
             self.domain.base.encoding(),
@@ -238,10 +234,14 @@ class Rearrangement:
     # -- action on words and sequences ---------------------------------------
 
     def domain_cell_covering(self, word: Word) -> Word:
+        """The domain cell that is a prefix of ``word``; ValueError if there is none."""
         word = tuple(word)
-        for w in self.domain.cells:
-            if word[: len(w)] == w:
-                return w
+        leaves, inner = self.domain._leaves, self.domain._inner
+        for k in range(1, len(word) + 1):
+            if word[:k] in leaves:
+                return word[:k]
+            if word[:k] not in inner:
+                break
         raise ValueError(f"{word} does not extend a domain cell")
 
     def apply_word(self, word: Word) -> Word:
@@ -255,14 +255,7 @@ class Rearrangement:
         return v + rest
 
     def apply_rational(self, s: RationalSequence) -> RationalSequence:
-        maxlen = max(len(w) for w in self.domain.cells)
-        d = None
-        for k in range(1, maxlen + 1):
-            if s.prefix_of_length(k) in set(self.domain.cells):
-                d = s.prefix_of_length(k)
-                break
-        if d is None:
-            raise ValueError("domain cells do not cover the sequence")
+        d = self.domain_cell_covering(s.prefix_of_length(max(map(len, self.domain.cells))))
         k = len(d)
         v = self.phi[d]
         head = list(v)
@@ -457,7 +450,10 @@ def reduced_flipless(g: Rearrangement) -> Rearrangement:
 
 
 def reduce_with_order(g: Rearrangement, rng) -> Rearrangement:
-    """Reduce with a randomized candidate order (for confluence testing)."""
+    """Reduce with a randomized candidate order (for confluence testing).
+
+    The order-independence tests reach ``_reduce(rng=)`` through it.
+    """
     domain, range_, phi, flips = _reduce(g, rng=rng)
     return Rearrangement(domain, phi, range_, flips, _reduced=True)
 
@@ -492,10 +488,6 @@ def invert(g: Rearrangement) -> Rearrangement:
         if w in gf.flips:
             flips.append(v)
     return Rearrangement(gf.range_, phi, gf.domain, flips)
-
-
-def equals(g: Rearrangement, h: Rearrangement) -> bool:
-    return g == h
 
 
 def power(g: Rearrangement, n: int) -> Rearrangement:

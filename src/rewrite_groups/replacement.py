@@ -154,10 +154,6 @@ class ReplacementSystem:
             g = self.rules[e.color].graph
         return out
 
-    def word_colors(self, word: Word) -> list:
-        """Color of each letter; raises KeyError for words outside the language."""
-        return [e.color for e in self.walk(word)]
-
     def word_color(self, word: Word) -> str:
         return self.walk(word)[-1].color
 
@@ -687,9 +683,6 @@ class GraphExpansion:
     def cell_is_loop(self, word: Word) -> bool:
         _, s, t = self.cell_ends(word)
         return s == t
-
-    def cell_type(self, word: Word) -> tuple:
-        return (self.cell_color(word), self.cell_is_loop(word))
 
     # -- rewriting -----------------------------------------------------------
 

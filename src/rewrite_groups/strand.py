@@ -308,14 +308,6 @@ class StrandDiagram(Diagram):
         defect = copy_defect(rule, kids, {rule.iota: v, rule.tau: w})
         return None if defect is None else f"{nid}: {defect}"
 
-    def r_branching_report(self):
-        """(ok, violated condition index or None, message or None)."""
-        try:
-            self.validate_r_branching()
-        except NotRBranching as e:
-            return (False, e.condition, str(e))
-        return (True, None, None)
-
     def validate_r_branching(self):
         """Raises NotRBranching with the violated condition index."""
         for nid in self.splits() + self.merges():
@@ -813,12 +805,6 @@ def compose(f: StrandDiagram, g: StrandDiagram) -> StrandDiagram:
     sinks = [("f", n) for n in f.sinks]
     glued = StrandDiagram(f.system, nodes, strands, sources, sinks)
     return glued.reduce()
-
-
-def identity_diagram(system: ReplacementSystem, base: Optional[ColoredGraph] = None) -> StrandDiagram:
-    from .rearrangement import identity
-
-    return from_rearrangement(identity(system, base))
 
 
 def decompose(d: StrandDiagram):

@@ -121,6 +121,25 @@ def test_random_torsion_dichotomy(rng):
                 assert an.wandering_certificate(g, w, 8), (name, i)
 
 
+def test_torsion_order_is_the_least_identity_power():
+    # many of these elements have flipped cells; the minimized representative
+    # is flipless, so its cell permutation alone gives the order
+    torsion_count = flipped = 0
+    for name in ["airplane", "dendrite:3", "bubble_bath"]:
+        S = catalog(name)
+        rng = random.Random(11)
+        for i in range(40):
+            g = random_rearrangement(S, rng, 2, 1)
+            torsion, order = an.is_torsion(g)
+            if not torsion:
+                continue
+            least = next((n for n in range(1, 25) if power(g, n).is_identity()), None)
+            assert order == least, (name, i)
+            torsion_count += 1
+            flipped += bool(g.flips)
+    assert torsion_count >= 80 and flipped >= 30
+
+
 def test_dendrite_generator_tables():
     gens = an.dendrite_generators(3)
     g0, g1 = gens["g0"], gens["g1"]

@@ -158,6 +158,18 @@ def test_torsion_and_phi(tmp_path, x0_file):
     assert json.loads(out) == {"parity": 0, "derivative": 0}
 
 
+def test_torsion_reports_whether_the_certificate_held(x0_file, monkeypatch):
+    from rewrite_groups import analysis as an
+
+    code, out, _ = run(["torsion", "--system", "interval_F", x0_file, "--json"])
+    assert code == 0 and json.loads(out)["certificate_holds"] is True
+    monkeypatch.setattr(an, "wandering_certificate", lambda g, w, powers: False)
+    code, out, _ = run(["torsion", "--system", "interval_F", x0_file, "--json"])
+    assert code == 3 and json.loads(out)["certificate_holds"] is False
+    code, out, _ = run(["torsion", "--system", "interval_F", x0_file])
+    assert code == 3 and "(verified False)" in out
+
+
 def test_usage_errors():
     code, _, err = run(["glued", "--system", "airplane", "s b2", "s b3 (r1)"])
     assert code == 2

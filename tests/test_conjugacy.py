@@ -78,7 +78,8 @@ def test_open_close_round_trip(rng):
             back = eta.open_diagram()
             # cutting at the base line recovers the element up to renaming
             b = eta.base_graph()
-            assert sd.to_rearrangement(back, b, b).is_group_element is (b == S.base) or True
+            assert sd.to_rearrangement(back, b, b) == \
+                conjugate_by(g, cj.initial_renaming(S, eta, g)), (name, i)
             assert cj.close(back) == eta, (name, i)
 
 
@@ -399,13 +400,6 @@ def test_stable_vanishing_configuration_count_matches_cycling():
     assert all(nu[nu[x]] == x for x in stable)
 
 
-def test_closed_dot_emitter():
-    F, x0, _ = f_generators()
-    eta, _ = cj.reduce_closed(cj.close_element(x0))
-    dot = cj.closed_to_dot(eta)
-    assert dot.startswith("digraph") and "dashed" in dot
-
-
 # -- canonical keys ------------------------------------------------------------------
 
 
@@ -646,6 +640,60 @@ def test_bald_keys_match_the_all_anchors_reference(rng):
         assert key == _reference_bald_key(d)
         loops += sum(row[0] == "loop" for row in key) > 1
     assert loops >= 3  # several base-point-only components in one diagram
+
+
+def _reference_chained_type1(d):
+    """(split, merge, c): every child reaches the same merge through c base points."""
+    for snode in d.splits():
+        color = d.nodes[snode][1]
+        arity = len(d.system.rules[color].graph.edges)
+        info = []
+        for p in range(arity):
+            c, end, port = cj._strand_path_through_bps(d, d.out_strand(snode, p))
+            info.append((c, end, port))
+        ends = {x[1] for x in info}
+        counts = {x[0] for x in info}
+        if len(ends) != 1 or len(counts) != 1:
+            continue
+        end = ends.pop()
+        kind = d.nodes.get(end)
+        if not (isinstance(kind, tuple) and kind[0] == "merge" and kind[1] == color):
+            continue
+        if [x[2] for x in info] != list(range(arity)):
+            continue
+        yield snode, end, counts.pop()
+
+
+def _reference_chained_type2(d):
+    """(merge, split, c): the merge's out strand reaches a split through c base points."""
+    for mnode in d.merges():
+        c, end, port = cj._strand_path_through_bps(d, d.out_strand(mnode))
+        kind = d.nodes.get(end)
+        if (isinstance(kind, tuple) and kind[0] == "split" and port == 0
+                and kind[1] == d.nodes[mnode][1]):
+            yield mnode, end, c
+
+
+def test_chained_pairs_match_the_separate_scans(rng, monkeypatch):
+    # every diagram that reduce_closed scans while the corpus is built, too
+    scanned, scan = [], cj._chained_pairs
+
+    def recording(d):
+        scanned.append(d)
+        return scan(d)
+
+    monkeypatch.setattr(cj, "_chained_pairs", recording)
+    diagrams = _key_corpus(rng) + _corpus_closures()
+    monkeypatch.undo()
+    adjacent = chained = 0
+    for d in diagrams + scanned:
+        pairs = list(cj._chained_pairs(d))
+        assert pairs == list(_reference_chained_type1(d)) + list(_reference_chained_type2(d))
+        assert ({(a, b) for a, b, c in pairs if c == 0}
+                == set(d.type1_candidates()) | set(d.type2_candidates()))
+        adjacent += any(c == 0 for _, _, c in pairs)
+        chained += any(c > 0 for _, _, c in pairs)
+    assert len(scanned) >= 500 and adjacent >= 100 and chained >= 100
 
 
 def _reference_rename(d, mapping):

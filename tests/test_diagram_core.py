@@ -55,8 +55,9 @@ def test_faithful_copy_violation_is_condition_1():
         "b": sd.Strand("1", ("x", "t", 1), ("sp", 1), ("si2", 0)),
     }
     d = sd.StrandDiagram(F, nodes, strands, ["so"], ["si1", "si2"])
-    ok, cond, message = d.r_branching_report()
-    assert not ok and cond == 1 and "inconsistent substitution at p1" in message
+    with pytest.raises(sd.NotRBranching) as err:
+        d.validate_r_branching()
+    assert err.value.condition == 1 and "inconsistent substitution at p1" in str(err.value)
 
 
 def test_type2_pair_with_differing_labels_is_unified():

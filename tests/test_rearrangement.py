@@ -14,7 +14,6 @@ from rewrite_groups.rearrangement import (
     commutator,
     compose,
     conjugate_by,
-    equals,
     from_cell_map,
     identity,
     invert,
@@ -134,7 +133,9 @@ def test_type_preservation(rng):
     for _ in range(10):
         g = random_rearrangement(A, rng, 3, 2)
         for w in g.domain.cells:
-            assert g.domain.cell_type(w) == g.range_.cell_type(g.phi[w])
+            v = g.phi[w]
+            assert (g.domain.cell_color(w), g.domain.cell_is_loop(w)) == \
+                (g.range_.cell_color(v), g.range_.cell_is_loop(v))
 
 
 def test_equality_matches_action_oracle(rng):
@@ -146,7 +147,7 @@ def test_equality_matches_action_oracle(rng):
         h = random_rearrangement(F, rng, 3, 2)
         ref = minimal_refinement(g.domain, h.domain)
         agree = all(g.apply_word(w) == h.apply_word(w) for w in ref.cells)
-        assert agree == equals(g, h), i
+        assert agree == (g == h), i
 
 
 def test_apply_rational_period_preserved():
@@ -167,6 +168,64 @@ def test_apply_rational_flipped_cells():
     image = g0.apply_rational(s)
     assert image == RationalSequence.make(("3", "1"), ("2",))
     assert invert(g0).apply_rational(image) == s
+
+
+def _reference_covering(g, word):
+    """The domain cell that is a prefix of the word, by a scan of every cell."""
+    for w in g.domain.cells:
+        if word[: len(w)] == w:
+            return w
+    return None
+
+
+def _reference_apply_rational(g, s):
+    """apply_rational's cell search as a loop over prefix lengths."""
+    maxlen = max(len(w) for w in g.domain.cells)
+    for k in range(1, maxlen + 1):
+        if s.prefix_of_length(k) in set(g.domain.cells):
+            d = s.prefix_of_length(k)
+            break
+    else:
+        raise ValueError("domain cells do not cover the sequence")
+    head, k = list(g.phi[d]), len(d)
+    if d in g.flips:
+        head.append(g.psi(g.domain.cell_color(d)).edge_map[s.letter(k)])
+        k += 1
+    if k < len(s.prefix):
+        return RationalSequence.make(tuple(head) + s.prefix[k:], s.period)
+    j = (k - len(s.prefix)) % len(s.period)
+    return RationalSequence.make(tuple(head), s.period[j:] + s.period[:j])
+
+
+def test_cell_lookup_matches_the_cell_scan(rng):
+    from conftest import random_rational
+
+    found = uncovered = 0
+    for name in ["interval_F", "circle_T", "airplane", "basilica", "dendrite:3"]:
+        S = catalog(name)
+        for _ in range(6):
+            g = random_rearrangement(S, rng, 3, 2)
+            words = [c + ("x",) * rng.randint(0, 2) for c in g.domain.cells]
+            for _ in range(8):
+                p = random_rational(S, rng)
+                words.append(p.prefix_of_length(rng.randint(1, 6)))
+                assert g.apply_rational(p) == _reference_apply_rational(g, p), (name, p)
+            for word in words:
+                ref = _reference_covering(g, word)
+                if ref is None:
+                    uncovered += 1
+                    with pytest.raises(ValueError):
+                        g.domain_cell_covering(word)
+                else:
+                    found += 1
+                    assert g.domain_cell_covering(word) == ref, (name, word)
+        # a sequence outside every cell: its first letter is no base edge
+        outside = RationalSequence.make(("nowhere",), (S.base.edges[0].name,))
+        with pytest.raises(ValueError):
+            g.apply_rational(outside)
+        with pytest.raises(ValueError):
+            _reference_apply_rational(g, outside)
+    assert found >= 200 and uncovered >= 10
 
 
 def test_power_and_conjugation(rng):

@@ -77,7 +77,7 @@ def test_normalize_toy_mixed_color_agrees_letterwise():
         image = translate_word(N, S, word)
         assert N.language_contains(image)
         assert [N.letter_origin[(None, image[0])]] + [
-            N.letter_origin.get((N.word_colors(image[: i])[-1], image[i]), image[i])
+            N.letter_origin.get((N.word_color(image[: i]), image[i]), image[i])
             for i in range(1, len(image))
         ] == list(word)
 

@@ -29,6 +29,12 @@ reductions that merge:
 - ``reduce_cancel``: ``_reduce`` of the unreduced diagram of x0^n x0^-n,
   for n = 8, 32 and 128: it reduces to the identity, one family a round.
 
+One curve times the closed-diagram reduction of the conjugacy layer:
+
+- ``reduce_closed``: ``conjugacy.reduce_closed`` of the closure of
+  ``conjugate_by(compose(x0, x1), x1^n)`` in F, for n = 8, 16, 32 and 64:
+  2n + 3 logged moves, each followed by a scan of the whole diagram.
+
 Standard library only.
 """
 
@@ -48,7 +54,8 @@ DEPTHS = {"interval_F": (4, 6, 8, 10), "dendrite:3": (1, 2, 3, 4, 5)}
 POWERS = (32, 128, 512, 1024)
 PADDINGS = (6, 8, 10, 12)
 CANCELS = (8, 32, 128)
-OP_CURVES = ("reduce", "compose", "reduce_padded", "reduce_cancel")
+CLOSED = (8, 16, 32, 64)
+OP_CURVES = ("reduce", "compose", "reduce_padded", "reduce_cancel", "reduce_closed")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -65,12 +72,14 @@ def best(fn) -> float:
 def measure() -> dict:
     """The curves of the tree on ``sys.path``; run in a process of its own."""
     from rewrite_groups.catalog import catalog
+    from rewrite_groups.conjugacy import close_element, reduce_closed
     from rewrite_groups.rearrangement import (
-        Rearrangement, _product_map, _reduce, compose, from_cell_map, invert, power)
+        Rearrangement, _product_map, _reduce, compose, conjugate_by, from_cell_map, invert,
+        power)
     from rewrite_groups.replacement import GraphExpansion, full_expansion
 
     curves: dict = {"expansion_build": {}, "reduce": [], "compose": [],
-                    "reduce_padded": [], "reduce_cancel": []}
+                    "reduce_padded": [], "reduce_cancel": [], "reduce_closed": []}
     for name, depths in DEPTHS.items():
         S = catalog(name)
         points = curves["expansion_build"][name] = []
@@ -109,6 +118,11 @@ def measure() -> dict:
         curves["reduce_cancel"].append({"n": n, "cells": len(g.phi),
                                         "reduced_cells": len(_reduce(g)[2]),
                                         "ms": best(lambda: _reduce(g))})
+    for n in CLOSED:
+        eta = close_element(conjugate_by(compose(x0, x1), power(x1, n)))
+        curves["reduce_closed"].append({"n": n, "strands": len(eta.strands),
+                                        "moves": len(reduce_closed(eta)[1]),
+                                        "ms": best(lambda: reduce_closed(eta))})
     return curves
 
 
