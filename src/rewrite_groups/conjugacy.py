@@ -13,8 +13,8 @@ groupoid elements attached to the transformations performed along the way.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from dataclasses import dataclass, replace
+from collections import Counter, deque
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -205,32 +205,64 @@ class ClosedDiagram(Diagram):
         self.counter = counter
         self._traversal = None
         self._base = None
+        self._chains: dict = {}  # split or merge -> (end, count) of its chain or None
+        self._uses = None  # symbol -> number of label ends naming it, counted on first use
         self._wire()
 
-    def _with(self, nodes: dict, strands: dict) -> "ClosedDiagram":
-        return ClosedDiagram(self.system, nodes, strands, self.counter)
+    def _edit(self, drop_nodes=(), add_nodes=None, drop=(), put=None) -> "ClosedDiagram":
+        """``Diagram._edit``; added nodes are base points numbered from ``counter`` on.
+
+        The successor keeps its parent's chains but those of dropped nodes and
+        of every head whose chain reaches a put strand, and patches its counts.
+        """
+        add_nodes, put = add_nodes or {}, put or {}
+        d = super()._edit(drop_nodes, add_nodes, drop, put)
+        d.counter = self.counter + len(add_nodes)
+        d._traversal = d._base = None
+        chains = d._chains = dict(self._chains)
+        nodes, strands, ins = d.nodes, d.strands, d._in
+        for nid in drop_nodes:
+            chains.pop(nid, None)
+        for s in put.values() if chains else ():
+            head = s  # walked back through base points to the strand out of the chain's head
+            while nodes[head.src[0]] == "bp":
+                head = strands[ins[head.src[0]][0]]
+                if head is s:  # a pure loop of base points: no head
+                    break
+            chains.pop(head.src[0], None)
+        if self._uses is not None:
+            uses = d._uses = dict(self._uses)
+            gone = [self.strands[sid] for sid in drop]
+            for sid, s in put.items():
+                old = self.strands.get(sid)
+                if old is None or old.label != s.label:
+                    for x in s.label[:2]:
+                        uses[x] = uses.get(x, 0) + 1
+                    if old is not None:
+                        gone.append(old)
+            for s in gone:
+                uses[s.label[0]] -= 1
+                uses[s.label[1]] -= 1
+        return d
 
     def _relabelled(self, strands: dict) -> "ClosedDiagram":
         d = super()._relabelled(strands)
-        d._traversal = d._base = None  # both read labels
+        d._traversal = d._base = d._uses = None  # these read labels; the chains do not
         return d
-
-    def fresh(self, n=1):
-        ids = list(range(self.counter, self.counter + n))
-        return ids if n > 1 else ids[0]
 
     def bps(self):
         return sorted(n for n, k in self.nodes.items() if k == "bp")
 
     def fresh_symbols(self, n):
-        taken = self.symbols()
+        """The n least symbols z0, z1, ... that no strand label names."""
+        if self._uses is None:
+            self._uses = dict(Counter(x for s in self.strands.values() for x in s.label[:2]))
         out = []
         i = 0
         while len(out) < n:
             c = f"z{i}"
-            if c not in taken:
+            if not self._uses.get(c):
                 out.append(c)
-                taken.add(c)
             i += 1
         return out
 
@@ -643,29 +675,20 @@ def _shift_move(kind: str, d: ClosedDiagram, out_diag: ClosedDiagram, letter,
     return Move(kind, out_diag, lambda: element(reducing), lambda: element(not reducing))
 
 
-def _repair_cond2(d: ClosedDiagram, fresh: set) -> ClosedDiagram:
-    """Rename freshly generated symbols forced by merge-above-split adjacency.
+def _repair_cond2(labels: list, facing: list, fresh: list) -> list:
+    """``labels`` with their fresh symbols renamed as merge-above-split adjacency forces.
 
-    A shift relabels the moved node with fresh interior symbols; when the move
-    leaves a merge feeding a split directly, the R-branching condition on
-    mirrored chains forces those labels to agree with the neighbour's, so the
-    fresh symbols are renamed rather than kept.
+    A shift gives the moved node's new strands (``labels``, in port order)
+    fresh interior symbols.  If the node and one of its colour become a merge
+    feeding a split, mirrored chains must agree, so each fresh symbol becomes
+    the one it faces in ``facing``; fresh symbols name no other strand.
     """
-    while True:
-        renaming: dict = {}
-        for mnode, snode in d.type2_candidates():
-            for a, b in d.mirrored(mnode, snode):
-                for x, y in zip(d.strands[a].label[:2], d.strands[b].label[:2]):
-                    if x == y:
-                        continue
-                    if x in fresh:
-                        renaming[x] = y
-                    elif y in fresh:
-                        renaming[y] = x
-        if not renaming:
-            return d
-        fresh = fresh - set(renaming)
-        d = d.rename(renaming)
+    renaming: dict = {}
+    for new, old in zip(labels, facing):
+        for x, y in zip(new[:2], old[:2]):
+            if x != y and x in fresh:
+                renaming[x] = y
+    return [(renaming.get(a, a), renaming.get(b, b), z) for a, b, z in labels]
 
 
 def shift_down_split(d: ClosedDiagram, bp) -> Move:
@@ -677,29 +700,23 @@ def shift_down_split(d: ClosedDiagram, bp) -> Move:
         raise NotAdjacent("base point does not feed a split")
     color = kind[1]
     rule = d.system.rules[color]
-    arity = len(rule.graph.edges)
-    up = d.strands[d.in_strand(bp)]
-    nodes = dict(d.nodes)
-    strands = dict(d.strands)
-    counter = d.counter
-    fresh = d.fresh_symbols(len(rule.graph.vertices))
-    new_labels = _instantiate(d.system, color, up.label[0], up.label[1], fresh)
-    del nodes[bp]
     up_sid = d.in_strand(bp)
-    strands[up_sid] = replace(up, dst=(snode, 0))
-    del strands[d.out_strand(bp)]
-    new_bps = []
-    for p in range(arity):
-        nb = counter
-        counter += 1
-        nodes[nb] = "bp"
-        new_bps.append(nb)
+    up = d.strands[up_sid]
+    fresh = d.fresh_symbols(len(rule.graph.vertices))
+    labels = _instantiate(d.system, color, up.label[0], up.label[1], fresh)
+    if d.nodes[up.src[0]] == ("merge", color):
+        labels = _repair_cond2(labels, [d.strands[d.in_strand(up.src[0], p)].label
+                                        for p in range(len(labels))], fresh)
+    new_bps = range(d.counter, d.counter + len(labels))
+    put = {up_sid: Strand(up.color, up.label, up.src, (snode, 0))}
+    for p, (nb, label) in enumerate(zip(new_bps, labels)):
         child_sid = d.out_strand(snode, p)
-        child = strands[child_sid]
-        strands[("u", nb)] = Strand(child.color, new_labels[p], (snode, p), (nb, 0))
-        strands[child_sid] = replace(child, src=(nb, 0))
-    out_diag = _repair_cond2(ClosedDiagram(d.system, nodes, strands, counter), set(fresh))
-    return _shift_move("shift_down_split", d, out_diag, bp, new_bps, reducing=False)
+        # the child may be the strand into bp, already rerouted
+        child = put.get(child_sid) or d.strands[child_sid]
+        put[("u", nb)] = Strand(child.color, label, (snode, p), (nb, 0))
+        put[child_sid] = Strand(child.color, child.label, (nb, 0), child.dst)
+    out_diag = d._edit((bp,), dict.fromkeys(new_bps, "bp"), (d.out_strand(bp),), put)
+    return _shift_move("shift_down_split", d, out_diag, bp, list(new_bps), reducing=False)
 
 
 def shift_up_split(d: ClosedDiagram, snode) -> Move:
@@ -721,25 +738,19 @@ def shift_up_split(d: ClosedDiagram, snode) -> Move:
     sub: dict = {}
     if copy_defect(rule, lowers, sub) is not None:
         raise NotAdjacent("labels below the line are not a faithful copy")
-    v, w = sub[rule.iota], sub[rule.tau]
-    nodes = dict(d.nodes)
-    strands = dict(d.strands)
-    counter = d.counter
-    nb = counter
-    counter += 1
-    nodes[nb] = "bp"
+    nb = d.counter
     up_sid = d.in_strand(snode)
     up = d.strands[up_sid]
-    strands[up_sid] = replace(up, dst=(nb, 0))
-    strands[("d", nb)] = Strand(up.color, (v, w, up.label[2]), (nb, 0), (snode, 0))
-    for p in range(arity):
-        child_sid = d.out_strand(snode, p)
-        bp = bps[p]
+    put = {up_sid: Strand(up.color, up.label, up.src, (nb, 0)),
+           ("d", nb): Strand(up.color, (sub[rule.iota], sub[rule.tau], up.label[2]),
+                             (nb, 0), (snode, 0))}
+    for p, bp in enumerate(bps):
         low_sid = d.out_strand(bp)
-        del strands[child_sid]
-        del nodes[bp]
-        strands[low_sid] = replace(strands[low_sid], src=(snode, p))
-    return _shift_move("shift_up_split", d, ClosedDiagram(d.system, nodes, strands, counter),
+        # the strand below may be the split's in strand, already rerouted
+        low = put.get(low_sid) or d.strands[low_sid]
+        put[low_sid] = Strand(low.color, low.label, (snode, p), low.dst)
+    drop = [d.out_strand(snode, p) for p in range(arity)]
+    return _shift_move("shift_up_split", d, d._edit(bps, {nb: "bp"}, drop, put),
                        nb, bps, reducing=True)
 
 
@@ -752,29 +763,23 @@ def shift_up_merge(d: ClosedDiagram, bp) -> Move:
         raise NotAdjacent("base point is not fed by a merge")
     color = kind[1]
     rule = d.system.rules[color]
-    arity = len(rule.graph.edges)
-    low = d.strands[d.out_strand(bp)]
-    nodes = dict(d.nodes)
-    strands = dict(d.strands)
-    counter = d.counter
-    fresh = d.fresh_symbols(len(rule.graph.vertices))
-    new_labels = _instantiate(d.system, color, low.label[0], low.label[1], fresh)
-    del nodes[bp]
     low_sid = d.out_strand(bp)
-    strands[low_sid] = replace(low, src=(mnode, 0))
-    del strands[d.in_strand(bp)]
-    new_bps = []
-    for p in range(arity):
-        nb = counter
-        counter += 1
-        nodes[nb] = "bp"
-        new_bps.append(nb)
+    low = d.strands[low_sid]
+    fresh = d.fresh_symbols(len(rule.graph.vertices))
+    labels = _instantiate(d.system, color, low.label[0], low.label[1], fresh)
+    if d.nodes[low.dst[0]] == ("split", color):
+        labels = _repair_cond2(labels, [d.strands[d.out_strand(low.dst[0], p)].label
+                                        for p in range(len(labels))], fresh)
+    new_bps = range(d.counter, d.counter + len(labels))
+    put = {low_sid: Strand(low.color, low.label, (mnode, 0), low.dst)}
+    for p, (nb, label) in enumerate(zip(new_bps, labels)):
         in_sid = d.in_strand(mnode, p)
-        top = strands[in_sid]
-        strands[in_sid] = replace(top, dst=(nb, 0))
-        strands[("d", nb)] = Strand(top.color, new_labels[p], (nb, 0), (mnode, p))
-    out_diag = _repair_cond2(ClosedDiagram(d.system, nodes, strands, counter), set(fresh))
-    return _shift_move("shift_up_merge", d, out_diag, bp, new_bps, reducing=False)
+        # the strand into the merge may be the strand out of bp, already rerouted
+        top = put.get(in_sid) or d.strands[in_sid]
+        put[in_sid] = Strand(top.color, top.label, top.src, (nb, 0))
+        put[("d", nb)] = Strand(top.color, label, (nb, 0), (mnode, p))
+    out_diag = d._edit((bp,), dict.fromkeys(new_bps, "bp"), (d.in_strand(bp),), put)
+    return _shift_move("shift_up_merge", d, out_diag, bp, list(new_bps), reducing=False)
 
 
 def shift_down_merge(d: ClosedDiagram, mnode) -> Move:
@@ -796,25 +801,19 @@ def shift_down_merge(d: ClosedDiagram, mnode) -> Move:
     sub: dict = {}
     if copy_defect(rule, uppers, sub) is not None:
         raise NotAdjacent("labels above the line are not a faithful copy")
-    v, w = sub[rule.iota], sub[rule.tau]
-    nodes = dict(d.nodes)
-    strands = dict(d.strands)
-    counter = d.counter
-    nb = counter
-    counter += 1
-    nodes[nb] = "bp"
+    nb = d.counter
     out_sid = d.out_strand(mnode)
     out = d.strands[out_sid]
-    strands[out_sid] = replace(out, src=(nb, 0))
-    strands[("u", nb)] = Strand(out.color, (v, w, out.label[2]), (mnode, 0), (nb, 0))
-    for p in range(arity):
-        in_sid = d.in_strand(mnode, p)
-        bp = bps[p]
+    put = {out_sid: Strand(out.color, out.label, (nb, 0), out.dst),
+           ("u", nb): Strand(out.color, (sub[rule.iota], sub[rule.tau], out.label[2]),
+                             (mnode, 0), (nb, 0))}
+    for p, bp in enumerate(bps):
         up_sid = d.in_strand(bp)
-        del strands[in_sid]
-        del nodes[bp]
-        strands[up_sid] = replace(strands[up_sid], dst=(mnode, p))
-    return _shift_move("shift_down_merge", d, ClosedDiagram(d.system, nodes, strands, counter),
+        # the strand above may be the merge's out strand, already rerouted
+        top = put.get(up_sid) or d.strands[up_sid]
+        put[up_sid] = Strand(top.color, top.label, top.src, (mnode, p))
+    drop = [d.in_strand(mnode, p) for p in range(arity)]
+    return _shift_move("shift_down_merge", d, d._edit(bps, {nb: "bp"}, drop, put),
                        nb, bps, reducing=True)
 
 
@@ -848,7 +847,7 @@ def flip_loop(d: ClosedDiagram, bps: tuple) -> Move:
     strands = dict(d.strands)
     for sid in sids:
         st = strands[sid]
-        strands[sid] = replace(st, label=(st.label[1], st.label[0], st.label[2]))
+        strands[sid] = Strand(st.color, (st.label[1], st.label[0], st.label[2]), st.src, st.dst)
     out_diag = d._relabelled(strands)
 
     def conjugator():
@@ -1100,27 +1099,39 @@ def _strand_path_through_bps(d: ClosedDiagram, sid):
     return count, s.dst[0], s.dst[1]
 
 
-def _chained_pairs(d: ClosedDiagram):
+def _chained_pairs(d: ClosedDiagram) -> list:
     """Every Type 1 and Type 2 pair of ``d``, across base points, with its count.
 
-    Yields (split, merge, c) for each split whose out port p reaches port p
+    Lists (split, merge, c) for each split whose out port p reaches port p
     of one merge of its colour through c base points on every port, in
     split order; then (merge, split, c) for each merge whose out strand
     reaches a split of its colour through c base points, in merge order.
     The pairs with c = 0 are the Type 1 pairs of ``type1_candidates`` and
-    the Type 2 pairs of ``type2_candidates``.
+    the Type 2 pairs of ``type2_candidates``.  Each node's chain is read
+    from ``d._chains`` and followed only where no entry is kept.
     """
-    for snode in d.splits():
-        ends = [_strand_path_through_bps(d, d.out_strand(snode, p))
-                for p in range(d.arity(snode))]
+    chains = d._chains
+    splits, merges = [], []
+    for nid, kind in d.nodes.items():
+        if kind == "bp":
+            continue
+        if nid not in chains:
+            chains[nid] = _chain(d, nid, kind)
+        if chains[nid] is not None:
+            (splits if kind[0] == "split" else merges).append((nid, *chains[nid]))
+    return splits + merges
+
+
+def _chain(d: ClosedDiagram, nid, kind):
+    """(end, count) of the chained pair that split or merge nid leads, or None."""
+    if kind[0] == "split":
+        ends = [_strand_path_through_bps(d, d.out_strand(nid, p)) for p in range(d.arity(nid))]
         c, end, _ = ends[0]
-        if (d.nodes[end] == ("merge", d.nodes[snode][1])
-                and ends == [(c, end, p) for p in range(len(ends))]):
-            yield snode, end, c
-    for mnode in d.merges():
-        c, end, _ = _strand_path_through_bps(d, d.out_strand(mnode))
-        if d.nodes[end] == ("split", d.nodes[mnode][1]):
-            yield mnode, end, c
+        if d.nodes[end] == ("merge", kind[1]) and ends == [(c, end, p) for p in range(len(ends))]:
+            return end, c
+        return None
+    c, end, _ = _strand_path_through_bps(d, d.out_strand(nid))
+    return (end, c) if d.nodes[end] == ("split", kind[1]) else None
 
 
 def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None, collect=None):
@@ -1132,7 +1143,9 @@ def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None, collect=None)
     Raises if clearing shifts get stuck, which reduction-confluence rules out
     for the rule sets this library ships.
 
-    Each round scans the diagram once (``_chained_pairs``) and makes the
+    Each round reads the chained pairs once (``_chained_pairs``, from the
+    chain cache that every move's ``_edit`` keeps up to date, so only chains
+    through the strands a move put are followed again) and makes the
     first move that applies: a Type 1 cancellation (a split-led pair at
     count 0), a Type 2 one (a merge-led pair at count 0), a shift that
     brings a chained pair closer (all counts are then above 0), a Type 3
@@ -1147,7 +1160,7 @@ def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None, collect=None)
         return rng.choice(options) if rng is not None else options[0]
 
     while True:
-        chained = list(_chained_pairs(d))
+        chained = _chained_pairs(d)
         adjacent = [(a, b) for a, b, c in chained if c == 0]
         c1 = pick([(a, b) for a, b in adjacent if d.nodes[a][0] == "split"])
         if c1 is not None:

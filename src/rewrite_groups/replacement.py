@@ -129,6 +129,7 @@ class ReplacementSystem:
         self._report: Optional[ValidationReport] = None
         self._psi: dict = {}
         self._gluing = None  # the gluing automaton, compiled on first use (gluing.py)
+        self._strand_ports: dict = {}  # split/merge kind -> its port sets (strand.py)
 
     # -- graphs and letters --------------------------------------------------
 

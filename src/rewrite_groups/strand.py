@@ -11,14 +11,15 @@ Open diagrams (``StrandDiagram``, ended by sources and sinks) and closed ones
 (``conjugacy.ClosedDiagram``, ended by base points) share one wiring and
 reduction core, ``Diagram``: the port index and its check, the faithful-copy
 test of a split or merge, the Type 1/Type 2 candidate scans and the splice
-that cancels a Type 1 or Type 2 pair.
+that cancels a Type 1 or Type 2 pair.  ``_wire`` indexes and checks a
+diagram built from outside; a cancellation or closed-diagram move makes an
+``_edit`` of its parent, which patches the index where ports changed.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import ColoredGraph, UnionFind
@@ -104,9 +105,11 @@ class Diagram:
     Node kinds are ("split", c) and ("merge", c) plus the end kinds in
     ``END_PORTS``.  A split has one in strand (port 0) and one out strand per
     edge of c's rule, in rule order; a merge is the mirror image; an end kind
-    maps to its (in ports, out ports).  A subclass sets ``system``,
-    ``nodes`` and ``strands``, calls ``_wire`` and builds its own kind of
-    diagram in ``_with``.
+    maps to its (in ports, out ports).  A diagram built from outside sets
+    ``system``, ``nodes`` and ``strands`` and calls ``_wire``, which indexes
+    and checks every node; a successor made by a move is an ``_edit`` of its
+    parent, which patches the index and checks only the nodes it touches.
+    A diagram is never changed after it is made.
     """
 
     END_PORTS: dict = {}
@@ -123,33 +126,92 @@ class Diagram:
         for sid, s in self.strands.items():
             outs.setdefault(s.src[0], {})[s.src[1]] = sid
             ins.setdefault(s.dst[0], {})[s.dst[1]] = sid
-        # node kind -> (in ports, out ports), filled in as kinds are met
-        ports = dict(self.END_PORTS)
+        self._out, self._in = outs, ins
+        if self._check_ports(self.nodes) != 2 * len(self.strands):
+            raise NotXDiagram("a strand ends at no node, or two strands share a port")
+
+    def _edit(self, drop_nodes=(), add_nodes=None, drop=(), put=None) -> "Diagram":
+        """A successor: this diagram with nodes and strands dropped, added or replaced.
+
+        ``add_nodes`` maps new node ids to kinds, ``put`` strand ids to their
+        new strands (disjoint from ``drop``).  Existing ids keep their place,
+        new ones are appended in order.  The port index is copied and patched,
+        and each node whose ports changed gets ``_wire``'s check: NotXDiagram
+        for a strand left at a dropped node, two strands on one port or a
+        strand to an unknown node.
+        """
+        add_nodes, put = add_nodes or {}, put or {}
+        d = self._clone()
+        nodes, strands = d.nodes, d.strands = dict(self.nodes), dict(self.strands)
+        for nid in drop_nodes:
+            del nodes[nid]
+        nodes.update(add_nodes)
+        # per index, the ports strands leave and the (port, strand) pairs they
+        # enter; a strand that keeps an end keeps its entry there
+        out_gone, out_come, in_gone, in_come = [], [], [], []
+        for sid in drop:
+            s = strands.pop(sid)
+            out_gone.append(s.src)
+            in_gone.append(s.dst)
+        for sid, s in put.items():
+            old = strands.get(sid)
+            strands[sid] = s
+            if old is None or old.src != s.src:
+                out_come.append((s.src, sid))
+                if old is not None:
+                    out_gone.append(old.src)
+            if old is None or old.dst != s.dst:
+                in_come.append((s.dst, sid))
+                if old is not None:
+                    in_gone.append(old.dst)
+        touched = dict.fromkeys(add_nodes)
+        d._out, d._in = dict(self._out), dict(self._in)
+        for index, gone, come in ((d._out, out_gone, out_come), (d._in, in_gone, in_come)):
+            copied: dict = {}  # node -> its port dict, copied from the parent's on first change
+            for nid, port in gone:
+                if nid not in copied:
+                    copied[nid] = index[nid] = dict(index[nid])
+                del copied[nid][port]
+            for (nid, port), sid in come:
+                if nid not in nodes:
+                    raise NotXDiagram(f"strand {sid!r} ends at unknown node {nid!r}")
+                if nid not in copied:
+                    copied[nid] = index[nid] = dict(index.get(nid, _NO_PORTS))
+                if copied[nid].setdefault(port, sid) != sid:
+                    raise NotXDiagram(f"two strands share port {port} of node {nid!r}")
+            touched.update(dict.fromkeys(copied))
+        for nid in drop_nodes:
+            if any((d._out.pop(nid, _NO_PORTS), d._in.pop(nid, _NO_PORTS))):
+                raise NotXDiagram(f"a strand is left at dropped node {nid!r}")
+            touched.pop(nid, None)
+        d._check_ports(touched)
+        return d
+
+    def _check_ports(self, nids) -> int:
+        """Raise NotXDiagram unless each node of nids has exactly its kind's ports; count them."""
+        nodes, ins, outs = self.nodes, self._in, self._out
+        ends, trees = self.END_PORTS, self.system._strand_ports
         used = 0
-        for nid, kind in self.nodes.items():
-            want = ports.get(kind)
-            if want is None:
-                want = ports[kind] = self._tree_ports(nid, kind)
+        for nid in nids:
+            kind = nodes[nid]
+            want = ends.get(kind) or trees.get(kind) or self._tree_ports(nid, kind)
             i, o = ins.get(nid, _NO_PORTS), outs.get(nid, _NO_PORTS)
             if i.keys() != want[0] or o.keys() != want[1]:
                 raise NotXDiagram(f"{kind} node {nid!r} has in ports {sorted(i)} "
                                   f"and out ports {sorted(o)}")
             used += len(i) + len(o)
-        if used != 2 * len(self.strands):
-            raise NotXDiagram("a strand ends at no node, or two strands share a port")
-        self._out, self._in = outs, ins
+        return used
 
     def _tree_ports(self, nid, kind) -> tuple:
-        """(in ports, out ports) of a split or merge kind."""
+        """(in ports, out ports) of a split or merge kind, kept per system once found."""
         rules = self.system.rules
         if not (isinstance(kind, tuple) and len(kind) == 2
                 and kind[0] in ("split", "merge") and kind[1] in rules):
             raise NotXDiagram(f"node {nid!r} has unknown kind {kind!r}")
         one, tree = frozenset({0}), frozenset(range(len(rules[kind[1]].graph.edges)))
-        return (one, tree) if kind[0] == "split" else (tree, one)
-
-    def _with(self, nodes: dict, strands: dict) -> "Diagram":
-        raise NotImplementedError
+        ports = (one, tree) if kind[0] == "split" else (tree, one)
+        self.system._strand_ports[kind] = ports
+        return ports
 
     # -- structure ------------------------------------------------------------
 
@@ -206,8 +268,14 @@ class Diagram:
         The nodes and the port index, which ``_wire`` checked for this
         diagram, are shared rather than rebuilt.
         """
-        d = copy.copy(self)
+        d = self._clone()
         d.strands = strands
+        return d
+
+    def _clone(self) -> "Diagram":
+        """A shallow copy (``copy.copy`` without its protocol lookups)."""
+        d = object.__new__(type(self))
+        d.__dict__.update(self.__dict__)
         return d
 
     # -- type 1 and type 2 reductions ------------------------------------------
@@ -236,24 +304,21 @@ class Diagram:
 
     def cancel_type1(self, split_nid, merge_nid) -> "Diagram":
         """Remove a type 1 pair; the split's in strand ends where the merge's out strand did."""
-        nodes, strands = dict(self.nodes), dict(self.strands)
-        for p in range(self.arity(split_nid)):
-            del strands[self.out_strand(split_nid, p)]
-        bottom = strands.pop(self.out_strand(merge_nid))
-        top = self.in_strand(split_nid)
-        strands[top] = replace(strands[top], dst=bottom.dst)
-        del nodes[split_nid], nodes[merge_nid]
-        return self._with(nodes, strands)
+        drop = [self.out_strand(split_nid, p) for p in range(self.arity(split_nid))]
+        drop.append(self.out_strand(merge_nid))
+        top_sid = self.in_strand(split_nid)
+        top, bottom = self.strands[top_sid], self.strands[drop[-1]]
+        return self._edit((split_nid, merge_nid), None, drop,
+                          {top_sid: Strand(top.color, top.label, top.src, bottom.dst)})
 
     def cancel_type2(self, merge_nid, split_nid) -> "Diagram":
         """Remove a type 2 pair; strand p into the merge ends where split port p's strand did."""
-        nodes, strands = dict(self.nodes), dict(self.strands)
+        put, drop = {}, [self.out_strand(merge_nid)]
         for a, b in self.mirrored(merge_nid, split_nid):
-            strands[a] = replace(strands[a], dst=strands[b].dst)
-            del strands[b]
-        del strands[self.out_strand(merge_nid)]
-        del nodes[merge_nid], nodes[split_nid]
-        return self._with(nodes, strands)
+            s = self.strands[a]
+            put[a] = Strand(s.color, s.label, s.src, self.strands[b].dst)
+            drop.append(b)
+        return self._edit((merge_nid, split_nid), None, drop, put)
 
 
 class StrandDiagram(Diagram):
@@ -275,9 +340,6 @@ class StrandDiagram(Diagram):
         self.sources = list(sources)
         self.sinks = list(sinks)
         self._wire()
-
-    def _with(self, nodes: dict, strands: dict) -> "StrandDiagram":
-        return StrandDiagram(self.system, nodes, strands, self.sources, self.sinks)
 
     # -- structure ------------------------------------------------------------
 

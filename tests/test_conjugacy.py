@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import importlib.util
 import itertools
@@ -883,25 +884,78 @@ def test_close_element_matches_closing_the_open_diagram(rng):
     assert str(error.value) == str(ref_error.value)
 
 
-def test_relabelled_diagrams_keep_an_exact_port_index(rng, monkeypatch):
+def _unwired_diagrams(monkeypatch, work):
+    """The closed diagrams built without ``_wire`` (relabelled or edited) while
+    ``work()`` runs, and what it returned."""
     made = []
-    relabelled = cj.ClosedDiagram._relabelled
+    for name in ("_relabelled", "_edit"):
+        build = getattr(cj.ClosedDiagram, name)
 
-    def recording(self, strands):
-        d = relabelled(self, strands)
-        made.append(d)
-        return d
+        def recording(self, *args, _build=build):
+            d = _build(self, *args)
+            made.append(d)
+            return d
 
-    monkeypatch.setattr(cj.ClosedDiagram, "_relabelled", recording)
+        monkeypatch.setattr(cj.ClosedDiagram, name, recording)
+    out = work()
+    monkeypatch.undo()
+    return made, out
+
+
+def _reduce_and_search(rng):
+    """Reduce seeded closures in F, T, V, basilica, airplane and dendrite:3 and
+    search each for similarity with the closure of a conjugate."""
     for g in _seeded_elements(rng, 2):
         k = random_rearrangement(g.system, rng, 2, 2)
         eta, _ = cj.reduce_closed(cj.close_element(g))
         zeta, _ = cj.reduce_closed(cj.close_element(conjugate_by(g, k)))
         cj.similarity_search(eta, zeta)
+
+
+def test_relabelled_diagrams_keep_an_exact_port_index(rng, monkeypatch):
+    made, _ = _unwired_diagrams(monkeypatch, lambda: _reduce_and_search(rng))
     assert len(made) >= 50
     for d in made:
         fresh = cj.ClosedDiagram(d.system, d.nodes, d.strands, d.counter)
         assert (d._out, d._in) == (fresh._out, fresh._in)
+
+
+def _edited_and_corpus_diagrams(rng, monkeypatch) -> list:
+    """The diagrams that reduction and search build without ``_wire``, while
+    they also build the key corpus and the corpus closures, and those."""
+    def work():
+        _reduce_and_search(rng)
+        return _key_corpus(rng) + _corpus_closures()
+
+    made, corpus = _unwired_diagrams(monkeypatch, work)
+    return made + corpus
+
+
+def test_chain_cache_matches_a_full_scan(rng, monkeypatch):
+    # each diagram's cached chains are its parent's, minus those an edit
+    # reached; a freshly wired copy keeps none and follows every chain
+    inherited = chained = 0
+    for d in _edited_and_corpus_diagrams(rng, monkeypatch):
+        inherited += bool(d._chains)
+        pairs = cj._chained_pairs(d)
+        fresh = cj.ClosedDiagram(d.system, d.nodes, d.strands, d.counter)
+        assert fresh._chains == {} and pairs == cj._chained_pairs(fresh)
+        chained += any(c > 0 for _, _, c in pairs)
+    assert inherited >= 500 and chained >= 200
+
+
+def test_fresh_symbols_match_a_full_scan(rng, monkeypatch):
+    counted = 0
+    for d in _edited_and_corpus_diagrams(rng, monkeypatch):
+        uses = d._uses
+        if uses is not None:
+            counted += 1
+            labels = [x for s in d.strands.values() for x in s.label[:2]]
+            assert {x: n for x, n in uses.items() if n} == dict(collections.Counter(labels))
+        taken = d.symbols()
+        assert d.fresh_symbols(4) == [c for c in (f"z{i}" for i in range(len(taken) + 4))
+                                      if c not in taken][:4]
+    assert counted >= 500
 
 
 MOVE_KINDS = {"shift_down_split", "shift_up_split", "shift_up_merge", "shift_down_merge",

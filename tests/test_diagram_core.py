@@ -10,6 +10,7 @@ from rewrite_groups import conjugacy as cj
 from rewrite_groups import strand as sd
 from rewrite_groups.catalog import catalog
 from rewrite_groups.graphs import ColoredGraph, Edge
+from rewrite_groups.rearrangement import invert, random_rearrangement
 from rewrite_groups.replacement import ReplacementSystem, Rule
 
 
@@ -126,3 +127,41 @@ def test_ends_must_spell_a_graph():
     d = sd.StrandDiagram(F, nodes, strands, ["so1", "so2"], ["si1", "si2"])
     with pytest.raises(sd.NotXDiagram, match="sources and sinks spell different graphs"):
         cj.close(d)
+
+
+def test_edits_refuse_malformed_wiring():
+    _F, x0, _ = f_generators()
+    closed = cj.close_element(x0)
+    for d in (closed, closed.open_diagram()):
+        snode = d.splits()[0]
+        top = d.in_strand(snode)
+        s = d.strands[top]
+        with pytest.raises(sd.NotXDiagram, match="left at dropped node"):
+            d._edit(drop_nodes=(snode,))
+        with pytest.raises(sd.NotXDiagram, match="share port"):
+            d._edit(put={"extra": sd.Strand(s.color, s.label, s.src, ("elsewhere", 0))})
+        with pytest.raises(sd.NotXDiagram, match="unknown node"):
+            d._edit(put={top: sd.Strand(s.color, s.label, s.src, ("nowhere", 0))})
+        with pytest.raises(sd.NotXDiagram, match="in ports"):  # the split loses its in strand
+            d._edit(drop=(top,))
+        assert d._edit().strands == d.strands
+
+
+def test_edited_open_diagrams_keep_an_exact_port_index(rng, monkeypatch):
+    made = []
+    edit = sd.Diagram._edit
+
+    def recording(self, *args):
+        d = edit(self, *args)
+        made.append(d)
+        return d
+
+    monkeypatch.setattr(sd.Diagram, "_edit", recording)
+    for name in ("interval_F", "cantor_V", "basilica", "dendrite:3"):
+        g = random_rearrangement(catalog(name), rng, 3, 2)
+        sd.compose(sd.from_rearrangement(invert(g)), sd.from_rearrangement(g))
+    monkeypatch.undo()
+    assert len(made) >= 20 and {type(d) for d in made} == {sd.StrandDiagram}
+    for d in made:
+        fresh = sd.StrandDiagram(d.system, d.nodes, d.strands, d.sources, d.sinks)
+        assert (d._out, d._in) == (fresh._out, fresh._in)

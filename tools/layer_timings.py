@@ -9,7 +9,11 @@ The change is the source tree of this checkout (``src/``), the parent the
 of its own, importing only its own tree: every point is the best of five
 runs in one process, and the sides alternate for three such processes
 each, keeping each point's best, so a slow spell of the host does not fall
-on one side only.  The curves:
+on one side only.  Each point is read at the benchmark's nominal host
+speed: the reference loop of ``bench/hostspeed.py`` (this checkout's, for
+both sides) is timed three times just before and three times after the
+point's runs, and the best run is scaled by the nominal time over the
+median of those samples.  The curves:
 
 - ``expansion_build``: ``GraphExpansion`` construction from the cells of
   ``full_expansion(system, depth)``, for interval_F and dendrite:3 at
@@ -32,8 +36,8 @@ reductions that merge:
 One curve times the closed-diagram reduction of the conjugacy layer:
 
 - ``reduce_closed``: ``conjugacy.reduce_closed`` of the closure of
-  ``conjugate_by(compose(x0, x1), x1^n)`` in F, for n = 8, 16, 32 and 64:
-  2n + 3 logged moves, each followed by a scan of the whole diagram.
+  ``conjugate_by(compose(x0, x1), x1^n)`` in F, for n = 8, 16, 32, 64 and
+  128 (37 to 397 strands): 2n + 3 logged moves.
 
 Standard library only.
 """
@@ -49,24 +53,30 @@ import sys
 import time
 
 REPEATS = 5
+SAMPLES = 3  # reference-loop samples taken before and after each point
 ROUNDS = 3
 DEPTHS = {"interval_F": (4, 6, 8, 10), "dendrite:3": (1, 2, 3, 4, 5)}
 POWERS = (32, 128, 512, 1024)
 PADDINGS = (6, 8, 10, 12)
 CANCELS = (8, 32, 128)
-CLOSED = (8, 16, 32, 64)
+CLOSED = (8, 16, 32, 64, 128)
 OP_CURVES = ("reduce", "compose", "reduce_padded", "reduce_cancel", "reduce_closed")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def best(fn) -> float:
-    """Best of REPEATS calls, in milliseconds."""
+def best(fn, speed) -> float:
+    """Best of REPEATS calls, in milliseconds at the nominal host speed."""
+    for _ in range(SAMPLES):
+        speed.sample(force=True)
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
-        times.append(time.perf_counter() - start)
-    return round(min(times) * 1e3, 4)
+        times.append((time.perf_counter() - start, start))
+    for _ in range(SAMPLES):
+        speed.sample(force=True)
+    seconds, start = min(times)
+    return round(speed.scaled(start, seconds) * 1e3, 4)
 
 
 def measure() -> dict:
@@ -78,6 +88,10 @@ def measure() -> dict:
         power)
     from rewrite_groups.replacement import GraphExpansion, full_expansion
 
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    from hostspeed import HostSpeed
+
+    speed = HostSpeed()
     curves: dict = {"expansion_build": {}, "reduce": [], "compose": [],
                     "reduce_padded": [], "reduce_cancel": [], "reduce_closed": []}
     for name, depths in DEPTHS.items():
@@ -86,7 +100,7 @@ def measure() -> dict:
         for depth in depths:
             cells = full_expansion(S, depth).cells
             points.append({"depth": depth, "cells": len(cells),
-                           "ms": best(lambda: GraphExpansion(S, cells))})
+                           "ms": best(lambda: GraphExpansion(S, cells), speed)})
     F = catalog("interval_F")
     x0 = from_cell_map(F, [(("s", "0", "0"), ("s", "0")), (("s", "0", "1"), ("s", "1", "0")),
                            (("s", "1"), ("s", "1", "1"))])
@@ -104,25 +118,25 @@ def measure() -> dict:
         g = unreduced([p, x1])
         reduced = compose(x1, p)
         curves["reduce"].append({"n": n, "cells": len(g.phi), "reduced_cells": len(reduced.phi),
-                                 "ms": best(lambda: _reduce(g))})
+                                 "ms": best(lambda: _reduce(g), speed)})
         curves["compose"].append({"n": n, "cells": len(reduced.phi),
-                                  "ms": best(lambda: compose(x1, p))})
+                                  "ms": best(lambda: compose(x1, p), speed)})
     for depth in PADDINGS:
         g = x1.expand_domain_to(full_expansion(F, depth).cells)
         curves["reduce_padded"].append({"depth": depth, "cells": len(g.phi),
                                         "reduced_cells": len(_reduce(g)[2]),
-                                        "ms": best(lambda: _reduce(g))})
+                                        "ms": best(lambda: _reduce(g), speed)})
     for n in CANCELS:
         p = power(x0, n)
         g = unreduced([p, invert(p)])
         curves["reduce_cancel"].append({"n": n, "cells": len(g.phi),
                                         "reduced_cells": len(_reduce(g)[2]),
-                                        "ms": best(lambda: _reduce(g))})
+                                        "ms": best(lambda: _reduce(g), speed)})
     for n in CLOSED:
         eta = close_element(conjugate_by(compose(x0, x1), power(x1, n)))
         curves["reduce_closed"].append({"n": n, "strands": len(eta.strands),
                                         "moves": len(reduce_closed(eta)[1]),
-                                        "ms": best(lambda: reduce_closed(eta))})
+                                        "ms": best(lambda: reduce_closed(eta), speed)})
     return curves
 
 
@@ -175,7 +189,8 @@ def main():
         parent = keep_best(parent, run_side(os.path.abspath(args.parent)))
         change = keep_best(change, run_side(ROOT))
     report = {
-        "statistic": f"best of {REPEATS} runs in each of {ROUNDS} alternating processes, ms",
+        "statistic": (f"best of {REPEATS} runs in each of {ROUNDS} alternating processes, "
+                      "ms at the nominal host speed of bench/hostspeed.py"),
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "cpus": os.cpu_count()},
         "curves": {"parent": parent, "change": change},
