@@ -919,7 +919,13 @@ def all_similarity_moves(d: ClosedDiagram) -> list:
 
 
 def pure_loops(d: ClosedDiagram) -> list:
-    """Cycles passing only through base points: [(bp list, strand list)]."""
+    """Cycles passing only through base points: [(bp list, strand list)].
+
+    A base point has one strand in and one out, so the run of base points
+    from one either comes back to it or ends at a split or merge.  Every
+    base point of a run that ends is marked and never walked from again, so
+    each base point is walked over once.
+    """
     seen = set()
     out = []
     for b in d.bps():
@@ -928,22 +934,19 @@ def pure_loops(d: ClosedDiagram) -> list:
         bps = [b]
         strands = []
         cur = b
-        closed_loop = False
         while True:
             sid = d.out_strand(cur)
-            s = d.strands[sid]
-            nxt = s.dst[0]
-            if d.nodes[nxt] != "bp":
+            nxt = d.strands[sid].dst[0]
+            if nxt == b:
+                strands.append(sid)
+                out.append((bps, strands))
+                break
+            if d.nodes[nxt] != "bp" or nxt in seen:
                 break
             strands.append(sid)
-            if nxt == b:
-                closed_loop = True
-                break
             bps.append(nxt)
             cur = nxt
-        if closed_loop and len(strands) == len(bps):
-            out.append((bps, strands))
-            seen.update(bps)
+        seen.update(bps)
     return out
 
 

@@ -10,9 +10,9 @@ representative used for equality and hashing.
 The same diagrams, taken over base graphs other than the system's own,
 form the replacement groupoid; composition below is implemented at that
 generality so the conjugacy machinery can reuse it.  Every composition
-(``product``, and ``compose``, ``power`` and ``conjugate_by`` through it)
-multiplies the factors as prefix exchanges on words and builds, validates
-and reduces one diagram at the end.
+(``product``, and ``compose`` and ``conjugate_by`` through it) multiplies
+the factors as prefix exchanges on words and builds, validates and reduces
+one diagram at the end; ``power`` squares through ``product``.
 """
 
 from __future__ import annotations
@@ -81,17 +81,17 @@ class Rearrangement:
         if set(self.phi) != dcells or set(self.phi.values()) != rcells or len(self.phi) != len(dcells):
             raise NotAnIsomorphism("phi is not a bijection between the cell sets")
         undirected = self.system.validate().undirected_colors
-        # vertices are the union-find roots of the cells' ends (``cell_ends``)
+        # vertices are the integers at the cells' ends (``cell_ends``)
         vmap: dict = {}
 
         def bind(a, b, w, end):
             if vmap.setdefault(a, b) != b:
                 raise NotAnIsomorphism(f"inconsistent vertex image for vertex {' '.join(w)}/{end}")
 
-        dom, ran = self.domain.cell_ends, self.range_.cell_ends
+        dom, ran = self.domain._leaves, self.range_._leaves
         for w, v in self.phi.items():
-            color, s, t = dom(w)
-            rcolor, rs, rt = ran(v)
+            color, s, t = dom[w]
+            rcolor, rs, rt = ran[v]
             if color != rcolor or (s == t) != (rs == rt):
                 raise TypeMismatch(f"cells {w} and {v} have different types")
             if w in self.flips:
@@ -386,9 +386,9 @@ def _reduce(g: Rearrangement, allow_flips: bool = True, rng=None) -> tuple:
     """Apply reductions until none is possible; returns the reduced pieces.
 
     Reduction runs in rounds: one scan collects every family that is
-    reducible now, all of them are merged, and the domain and range are
-    built once per round.  The candidates are the domain's families, which
-    the walk that built it recorded (``GraphExpansion._families``), in
+    reducible now, and all of them are merged at once, as edits of the
+    domain and range (``GraphExpansion._merged``), not new walks.  The
+    candidates are the domain's families (``GraphExpansion._families``), in
     sorted order; those with a flipped child are skipped.  The families of a
     round have distinct parents, and so do their images; an interior vertex
     that passes the degree check carries no edge of another family, so the
@@ -437,8 +437,8 @@ def _reduce(g: Rearrangement, allow_flips: bool = True, rng=None) -> tuple:
             phi[u] = vp
             if flip:
                 flips.add(u)
-        domain = GraphExpansion(system, phi, domain.base)
-        range_ = GraphExpansion(system, phi.values(), range_.base)
+        domain = domain._merged([m[0] for m in moves])
+        range_ = range_._merged([m[1] for m in moves])
 
 
 def reduced_flipless(g: Rearrangement) -> Rearrangement:
@@ -491,12 +491,15 @@ def invert(g: Rearrangement) -> Rearrangement:
 
 
 def power(g: Rearrangement, n: int) -> Rearrangement:
-    """g^n as one product of |n| factors (of g^-1 for negative n)."""
+    """g^n (of g^-1 for negative n) by repeated squaring, each step a reduced ``product``."""
     if n < 0:
         return power(invert(g), -n)
     if n == 0:
         return identity(g.system, g.domain.base)
-    return product([g] * n)
+    if n == 1:
+        return g
+    half = power(g, n // 2)
+    return product([half, half] + [g] * (n % 2))
 
 
 def conjugate_by(g: Rearrangement, k: Rearrangement) -> Rearrangement:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .graphs import ColoredGraph, Edge, UnionFind
+from .graphs import ColoredGraph, Edge
 
 Word = tuple  # tuple[str, ...]; first letter from the base graph
 
@@ -527,14 +527,16 @@ def walk_forest(system: ReplacementSystem, base: ColoredGraph, cells: Sequence[W
 
     The forest is expanded top-down from the edges of ``base``, each node
     visited once, children in edge order.  Returns (leaves, inner, families,
-    uf): ``leaves`` maps each cell, in depth-first order, and ``inner`` each
+    glued): ``leaves`` maps each cell, in depth-first order, and ``inner`` each
     interior word (strict prefix of a cell) to (color, s, t), where s and t
-    are integer items of the union-find ``uf``; two items are one vertex of
-    the leaf graph exactly when ``uf`` gives them the same root.
-    ``families`` lists, in walk order, the interior words whose rule
-    children are all cells, the only words a reduction can merge.  The
-    union-find is a list while the walk runs and a ``UnionFind`` with the
-    same roots at the end.
+    are integers naming vertices of the leaf graph: two ends are one vertex
+    exactly when their integers are equal.  ``families`` lists, in walk
+    order, the interior words whose rule children are all cells, the only
+    words a reduction can merge.
+
+    The ends are items of a union-find (a list) while the walk runs.  A
+    loop-kind rule on an edge with two ends glues them; ``glued`` is True
+    when that merged two roots, and then every end is resolved to its root.
 
     Raises KeyError for a word outside the language, and NotACell unless the
     cells, without duplicates, are the leaves of a complete subforest.
@@ -568,6 +570,7 @@ def walk_forest(system: ReplacementSystem, base: ColoredGraph, cells: Sequence[W
     inner: dict = {}
     families: list = []
     stack: list = []
+    glued = False
 
     def push(kids: dict, edges: tuple, sub: list) -> bool:
         """Stack the children of one node; True when they are all cells."""
@@ -605,10 +608,20 @@ def walk_forest(system: ReplacementSystem, base: ColoredGraph, cells: Sequence[W
                 b = uf[b]
             if a != b:
                 uf[a] = b
+                glued = True
         uf.extend(new)
         if push(node[1], edges, [s, *new] if loop else [s, t, *new]):
             families.append(word)
-    return leaves, inner, families, UnionFind(enumerate(uf))
+    if glued:
+        def find(x):
+            while uf[x] != x:
+                x = uf[x]
+            return x
+
+        for ends in (leaves, inner):
+            for w, (color, s, t) in ends.items():
+                ends[w] = (color, find(s), find(t))
+    return leaves, inner, families, glued
 
 
 def _reject(system: ReplacementSystem, base: ColoredGraph, cells, reason: str):
@@ -627,19 +640,19 @@ class GraphExpansion:
     Construction is one depth-first walk of the forest (``walk_forest``)
     that visits each node once: it checks language, antichain and
     completeness and emits the cells already in depth-first order.  It keeps
-    what the walk returns: the color and integer endpoints of every cell,
-    the color of every interior word, the families (interior words whose
-    rule children are all cells) and the union-find over the endpoints.
-    Validation and reduction read the endpoints' roots (``cell_ends``,
-    ``root_degree``), and reduction reads the families; the named leaf
-    graph is built on first access.
+    what the walk returns: the color and the vertices (integers) at both
+    ends of every cell and interior word, and the families (interior words
+    whose rule children are all cells).  Validation and reduction read the
+    ends (``cell_ends``, ``root_degree``), and reduction reads the families;
+    the named leaf graph is built on first access.  A reduction makes its
+    expansion by editing these (``_merged``), not by another walk.
     """
 
     def __init__(self, system: ReplacementSystem, cells: Iterable[Word],
                  base: Optional[ColoredGraph] = None):
         self.system = system
         self.base = base if base is not None else system.base
-        self._leaves, self._inner, self._families, self._uf = walk_forest(
+        self._leaves, self._inner, self._families, self._glued = walk_forest(
             system, self.base, [tuple(c) for c in cells])
         self.cells = tuple(self._leaves)
 
@@ -662,19 +675,17 @@ class GraphExpansion:
         return (self._leaves.get(word) or self._inner[word])[0]
 
     def cell_ends(self, word: Word) -> tuple:
-        """(color, s, t) of a cell; s and t are roots, equal roots one leaf-graph vertex."""
-        color, s, t = self._leaves[word]
-        return color, self._uf.find(s), self._uf.find(t)
+        """(color, s, t) of a cell; s and t are vertices, equal integers one leaf-graph vertex."""
+        return self._leaves[word]
 
     @cached_property
     def _root_degrees(self) -> Counter:
-        find = self._uf.find
-        deg = Counter(find(s) for _, s, _ in self._leaves.values())
-        deg.update(find(t) for _, _, t in self._leaves.values())
+        deg = Counter(s for _, s, _ in self._leaves.values())
+        deg.update(t for _, _, t in self._leaves.values())
         return deg
 
     def root_degree(self, root: int) -> int:
-        """Degree of the leaf-graph vertex with this root, counted on first use."""
+        """Degree of the leaf-graph vertex with this integer, counted on first use."""
         return self._root_degrees[root]
 
     def cell_edge(self, word: Word) -> Edge:
@@ -696,10 +707,49 @@ class GraphExpansion:
         return GraphExpansion(self.system, cells, self.base)
 
     def reduce(self, family: Iterable[Word]) -> "GraphExpansion":
-        family = {tuple(w) for w in family}
-        parent = self.check_reducible(family)
-        cells = [c for c in self.cells if c not in family] + [parent]
-        return GraphExpansion(self.system, cells, self.base)
+        return self._merged([self.check_reducible(family)])
+
+    def _merged(self, parents: list) -> "GraphExpansion":
+        """This expansion with the family of each parent merged into its parent.
+
+        Each family must have passed ``check_reducible``, and the walk that
+        built this expansion checked the rest, so the result is an edit of
+        what the walk recorded: each family's cells give way to their parent
+        at the first child's place (depth-first order is kept), the parent
+        leaves the interior words, and its own parent becomes a family once
+        all its children are cells.  The vertex integers keep their values.
+
+        An expansion whose walk glued the two ends of an edge (``glued``: a
+        loop-kind color on an edge with two ends) is walked again instead: a
+        fresh walk does not glue the ends of a merged parent that is a cell.
+        """
+        inner, rules = self._inner, self.system.rules
+        edit = {}  # each merged cell -> its parent if it is the first child, else None
+        for p in parents:
+            kids = [p + (e.name,) for e in rules[inner[p][0]].graph.edges]
+            edit.update(dict.fromkeys(kids))
+            edit[kids[0]] = p
+        leaves = {}
+        for w, ends in self._leaves.items():
+            p = edit.get(w, w)
+            if p is w:
+                leaves[w] = ends
+            elif p is not None:
+                leaves[p] = inner[p]
+        if self._glued:
+            return GraphExpansion(self.system, leaves, self.base)
+        inner = dict(inner)
+        for p in parents:
+            del inner[p]
+        families = [u for u in self._families if u not in leaves]
+        for u in dict.fromkeys(p[:-1] for p in parents):
+            if u and all(u + (e,) in leaves for e in rules[inner[u][0]].letters):
+                families.append(u)
+        out = object.__new__(GraphExpansion)
+        out.system, out.base, out._glued = self.system, self.base, False
+        out._leaves, out._inner, out._families = leaves, inner, families
+        out.cells = tuple(leaves)
+        return out
 
     def check_reducible(self, family: Iterable[Word]) -> Word:
         """The parent of ``family`` if ``reduce`` may merge it; raise NotReducible if not.
@@ -723,13 +773,13 @@ class GraphExpansion:
         rule = self.system.rules[self._inner[parent][0]]
         if {w[-1] for w in family} != rule.letters:
             raise NotReducible("family is not the full set of children")
-        need, find, degree = rule.end_degrees, self._uf.find, self.root_degree
+        need, degree = rule.end_degrees, self.root_degree
         for w in family:
             _, s, t = leaves[w]
             ds, dt = need[w[-1]]
-            if ds is not None and degree(find(s)) != ds:
+            if ds is not None and degree(s) != ds:
                 raise NotReducible(f"vertex {' '.join(w)}/s has outside incidences")
-            if dt is not None and degree(find(t)) != dt:
+            if dt is not None and degree(t) != dt:
                 raise NotReducible(f"vertex {' '.join(w)}/t has outside incidences")
         return parent
 

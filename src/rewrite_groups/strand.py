@@ -522,9 +522,9 @@ def glue_forests(g: Rearrangement, closed: bool = False) -> tuple:
 
     Returns (nodes, strands, tops, bottoms): ``tops[i]`` is the id of the
     strand leaving end i of the domain base, ``bottoms[i]`` of the one
-    entering end i of the range base.  Each word's color and ends are read
-    off the walk the expansions made when they were built (``_leaves``,
-    ``_inner``, ``_uf``).  Open, the ends are nodes ("src", i) and
+    entering end i of the range base.  Each word's color and ends (the
+    integers of its leaf-graph vertices) are read off what the expansions
+    recorded (``_leaves``, ``_inner``).  Open, the ends are nodes ("src", i) and
     ("snk", i), the splits ("sp", w) and the merges ("mg", v).  ``closed``
     glues end i of both bases into base point i and numbers the splits, then
     the merges, ("n", j) from the number of base points on, as
@@ -537,7 +537,6 @@ def glue_forests(g: Rearrangement, closed: bool = False) -> tuple:
     # sets, which fixes the node ids of closed diagrams
     dprefix = {w[:k] for w in dcells for k in range(1, len(w))}
     rprefix = {v[:k] for v in rcells for k in range(1, len(v))}
-    duf, ruf = dom._uf, ran._uf
     # (color, s, t) of every word of each forest
     dends, rends = {**dom._inner, **dom._leaves}, {**ran._inner, **ran._leaves}
     # a symbol is a vertex of the domain leaf graph glued along phi to one of
@@ -545,16 +544,16 @@ def glue_forests(g: Rearrangement, closed: bool = False) -> tuple:
     uf = UnionFind()
     for w in dom.cells:
         (_, ds, dt), (_, rs, rt) = dends[w], rends[g.phi[w]]
-        uf.union(("D", duf.find(ds)), ("R", ruf.find(rs)))
-        uf.union(("D", duf.find(dt)), ("R", ruf.find(rt)))
+        uf.union(("D", ds), ("R", rs))
+        uf.union(("D", dt), ("R", rt))
     names: dict = {}
 
     def holder(ends: dict, base: ColoredGraph, w: Word) -> ColoredGraph:
         """The graph in which the last letter of w is an edge."""
         return base if len(w) == 1 else system.rules[ends[w[:-1]][0]].graph
 
-    def label(side, forest, ends, base, w: Word) -> tuple:
-        syms = [names.setdefault(uf.find((side, forest.find(x))), f"x{len(names)}")
+    def label(side, ends, base, w: Word) -> tuple:
+        syms = [names.setdefault(uf.find((side, x)), f"x{len(names)}")
                 for x in ends[w][1:]]
         return (syms[0], syms[1], holder(ends, base, w).parallel_index(w[-1]))
 
@@ -594,11 +593,11 @@ def glue_forests(g: Rearrangement, closed: bool = False) -> tuple:
     for w in sorted(dprefix | dcells, key=lambda x: (len(x), x)):
         sid = f"s{len(strands)}"
         dst = (split[w], 0) if w in dprefix else lower_end(g.phi[w], sid)
-        strands[sid] = Strand(dends[w][0], label("D", duf, dends, dom.base, w),
+        strands[sid] = Strand(dends[w][0], label("D", dends, dom.base, w),
                               upper_end(w, sid), dst)
     for v in sorted(rprefix, key=lambda x: (len(x), x)):
         sid = f"s{len(strands)}"
-        strands[sid] = Strand(rends[v][0], label("R", ruf, rends, ran.base, v),
+        strands[sid] = Strand(rends[v][0], label("R", rends, ran.base, v),
                               (merge[v], 0), lower_end(v, sid))
     return (nodes, strands, [tops[i] for i in range(len(tops))],
             [bottoms[i] for i in range(len(bottoms))])

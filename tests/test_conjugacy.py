@@ -643,6 +643,51 @@ def test_bald_keys_match_the_all_anchors_reference(rng):
     assert loops >= 3  # several base-point-only components in one diagram
 
 
+def _reference_pure_loops(d):
+    """``pure_loops`` as it walked from every base point not yet on a loop, the reference."""
+    seen = set()
+    out = []
+    for b in d.bps():
+        if b in seen:
+            continue
+        bps = [b]
+        strands = []
+        cur = b
+        closed_loop = False
+        while True:
+            sid = d.out_strand(cur)
+            s = d.strands[sid]
+            nxt = s.dst[0]
+            if d.nodes[nxt] != "bp":
+                break
+            strands.append(sid)
+            if nxt == b:
+                closed_loop = True
+                break
+            bps.append(nxt)
+            cur = nxt
+        if closed_loop and len(strands) == len(bps):
+            out.append((bps, strands))
+            seen.update(bps)
+    return out
+
+
+def test_pure_loops_match_the_walk_from_every_base_point(rng, monkeypatch):
+    F, x0, x1 = f_generators()
+    # the 397-strand closure of the reduce_closed curve of tools/layer_timings.py,
+    # and the diagrams its reduction edits, which hold long runs of base points
+    eta0 = cj.close_element(conjugate_by(compose(x0, x1), product([x1] * 128)))
+    assert len(eta0.strands) == 397
+    made, (eta, _) = _unwired_diagrams(monkeypatch, lambda: cj.reduce_closed(eta0))
+    loops = runs = 0
+    for d in [eta0, eta, *made] + _key_corpus(rng) + _corpus_closures():
+        found = cj.pure_loops(d)
+        assert found == _reference_pure_loops(d)
+        loops += len(found)
+        runs += len(d.bps()) - sum(len(bps) for bps, _ in found)
+    assert loops >= 50 and runs >= 10000
+
+
 def _reference_chained_type1(d):
     """(split, merge, c): every child reaches the same merge through c base points."""
     for snode in d.splits():

@@ -1,9 +1,12 @@
-"""The reduction path: the families and union-find recorded by the forest
-walk, ``_reduce`` against the round-based scan over every cell, the checks
-of ``check_reducible``, and the rejections of ``walk_forest``."""
+"""The reduction path: the families and vertex ends recorded by the forest
+walk, the expansions a reduction merges against a walk of their cells,
+``_reduce`` against the round-based scan over every cell, the checks of
+``check_reducible``, and the rejections of ``walk_forest``."""
 
+import importlib.util
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -90,20 +93,36 @@ def test_families_over_another_base():
         _assert_families(exp)
 
 
-def _union_find_by_unions(exp):
-    """The union-find of ``exp``'s walk rebuilt with ``UnionFind.union``, the reference.
+def _ends_by_unions(exp):
+    """(color, s, t) of every word of ``exp``'s forest, by ``UnionFind.union``, the reference.
 
-    ``_inner`` holds the interior words in walk order, so replaying their
-    rules allocates the same fresh items and makes the same unions.
+    The forest is replayed from its words alone: from the base edges down
+    to ``exp.cells``, children in rule-edge order, each rule copy numbered
+    boundary first and then its other vertices in graph order, and each
+    loop-kind rule uniting the two ends of its edge.  The walk allocates
+    its items in the same order, so the ends it resolved are these roots.
     """
-    uf = UnionFind((i, i) for i in range(len(exp.base.vertices)))
-    for color, s, t in exp._inner.values():
-        loop, fresh, _ = exp.system.rules[color].pattern
-        if loop:
+    S, cells = exp.system, set(exp.cells)
+    ids = {v: i for i, v in enumerate(exp.base.vertices)}
+    uf = UnionFind((i, i) for i in ids.values())
+    items = {}
+    stack = [((e.name,), e.color, ids[e.src], ids[e.dst]) for e in reversed(exp.base.edges)]
+    while stack:
+        w, color, s, t = stack.pop()
+        items[w] = (color, s, t)
+        if w in cells:
+            continue
+        rule = S.rules[color]
+        if rule.kind == "loop":
             uf.union(s, t)
-        new = range(len(uf), len(uf) + fresh)
-        uf.update(zip(new, new))
-    return uf
+        num = dict(zip(rule.boundary_vertices(), (s, t)))
+        for v in rule.graph.vertices:
+            if v not in num:
+                num[v] = len(uf)
+                uf.add(len(uf))
+        stack.extend((w + (e.name,), e.color, num[e.src], num[e.dst])
+                     for e in reversed(rule.graph.edges))
+    return {w: (color, uf.find(s), uf.find(t)) for w, (color, s, t) in items.items()}
 
 
 def _loop_color_on_non_loops():
@@ -136,10 +155,122 @@ def test_walk_union_find_has_the_roots_of_union_calls(name):
         for _ in range(rng.randint(0, 30)):
             exp = exp.expand(rng.choice(exp.cells))
         expansions.append(GraphExpansion(S, exp.cells))
+    glued = 0
     for exp in expansions:
-        ref = _union_find_by_unions(exp)
-        assert exp._uf.keys() == ref.keys()
-        assert all(exp._uf.find(x) == ref.find(x) for x in ref)
+        assert {**exp._inner, **exp._leaves} == _ends_by_unions(exp)
+        glued += exp._glued
+    assert glued if name == "loop color on non-loops" else not glued
+
+
+# -- merged expansions against the walk ----------------------------------------------
+
+BENCH_INPUTS = Path(__file__).resolve().parent.parent / "bench" / "inputs.py"
+
+
+def _bench_generators():
+    """{system name: generators and their inverses} of the benchmark's catalog systems."""
+    from rewrite_groups.analysis import dendrite_generators
+    from rewrite_groups.rearrangement import invert, rearrangement_from_json
+
+    spec = importlib.util.spec_from_file_location("bench_inputs", BENCH_INPUTS)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    out = {}
+    for name, gens in inputs.GENERATORS.items():
+        S = catalog(name)
+        out[name] = [rearrangement_from_json(S, inputs.as_json(c)) for c in gens.values()]
+    out["dendrite:3"] = list(dendrite_generators(3).values())
+    return {name: gens + [invert(g) for g in gens] for name, gens in out.items()}
+
+
+def _assert_as_walked(exp):
+    """``exp`` holds what a walk of its cells records: the same forest and vertices."""
+    ref = GraphExpansion(exp.system, exp.cells, exp.base)
+    assert exp.cells == ref.cells
+    assert list(exp._inner) == list(ref._inner)
+    assert {w: c for w, (c, _, _) in exp._inner.items()} == {
+        w: c for w, (c, _, _) in ref._inner.items()}
+    assert set(exp._families) == set(ref._families)
+    assert len(set(exp._families)) == len(exp._families)
+    # the vertex integers may differ; the vertex partition of the cell ends may not
+    rename: dict = {}
+    for w in exp.cells:
+        color, s, t = exp.cell_ends(w)
+        rcolor, rs, rt = ref.cell_ends(w)
+        assert color == rcolor
+        assert rename.setdefault(s, rs) == rs and rename.setdefault(t, rt) == rt
+        assert exp.root_degree(s) == ref.root_degree(rs)
+        assert exp.root_degree(t) == ref.root_degree(rt)
+    assert len(set(rename.values())) == len(rename)
+
+
+def _reduce_checking_every_round(g, monkeypatch, **kwargs):
+    """``_reduce(g)``, every expansion a round makes checked against the walk;
+    returns how many expansions the rounds merged."""
+    made = []
+    merged = GraphExpansion._merged
+
+    def recording(self, parents):
+        out = merged(self, parents)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(GraphExpansion, "_merged", recording)
+    domain, range_, phi, flips = _reduce(g, **kwargs)
+    monkeypatch.setattr(GraphExpansion, "_merged", merged)
+    for exp in made:
+        _assert_as_walked(exp)
+    _assert_as_walked(domain)
+    _assert_as_walked(range_)
+    return len(made)
+
+
+def test_merged_expansions_equal_the_walk_of_their_cells(monkeypatch):
+    from rewrite_groups.rearrangement import invert, power
+
+    rng = random.Random(17)
+    for name, pool in _bench_generators().items():
+        merged = 0
+        for _ in range(6):
+            factors = [rng.choice(pool) for _ in range(rng.randint(2, 6))]
+            # a word, and the word times its inverse, which reduces to the identity
+            for word in (factors, factors + [invert(f) for f in reversed(factors)]):
+                g = _unreduced(word)
+                merged += _reduce_checking_every_round(g, monkeypatch)
+                merged += _reduce_checking_every_round(g.flipless(), monkeypatch,
+                                                       allow_flips=False)
+        assert merged >= 12, name
+    # the reduce_cancel diagrams of tools/layer_timings.py: the unreduced
+    # x0^n x0^-n (n + 2 cells), one family a round down to the identity
+    x0 = _bench_generators()["interval_F"][0]
+    for n in (1, 4, 16, 64):
+        p = power(x0, n)
+        assert _reduce_checking_every_round(_unreduced([p, invert(p)]), monkeypatch) == 2 * (n + 1)
+    # an expansion merged by ``GraphExpansion.reduce``
+    exp = full_expansion(catalog("interval_F"), 4)
+    for family in exp.reducible_families()[:3]:
+        _assert_as_walked(exp.reduce(family))
+
+
+def test_merged_expansions_of_a_glued_walk_are_walked(monkeypatch):
+    # expanding the loop-kind edge e glues its two ends; merged back, a
+    # fresh walk of the cells splits them again, so the merge walks too
+    S = _loop_color_on_non_loops()
+    exp = base_expansion(S).expand(("e",))
+    _, s, t = exp._inner[("e",)]
+    assert exp._glued and s == t
+    identity = Rearrangement(exp, {w: w for w in exp.cells}, exp, _reduced=True)
+    assert _reduce_checking_every_round(identity, monkeypatch) == 2
+    domain = _reduce(identity)[0]
+    _, s, t = domain.cell_ends(("e",))
+    assert domain.cells == base_expansion(S).cells and s != t
+    rng = random.Random(5)
+    for _ in range(6):
+        exp = base_expansion(S)
+        for _ in range(rng.randint(1, 8)):
+            exp = exp.expand(rng.choice(exp.cells))
+        for family in exp.reducible_families():
+            _assert_as_walked(exp.reduce(family))
 
 
 # -- _reduce against the round-based scan ------------------------------------------

@@ -31,7 +31,8 @@ reductions that merge:
   ``full_expansion(F, depth)``, for depth 6, 8, 10 and 12: every round
   merges a whole level of families;
 - ``reduce_cancel``: ``_reduce`` of the unreduced diagram of x0^n x0^-n,
-  for n = 8, 32 and 128: it reduces to the identity, one family a round.
+  for n = 8, 32, 128 and 512: it reduces to the identity, one family a
+  round.
 
 One curve times the closed-diagram reduction of the conjugacy layer:
 
@@ -58,7 +59,7 @@ ROUNDS = 3
 DEPTHS = {"interval_F": (4, 6, 8, 10), "dendrite:3": (1, 2, 3, 4, 5)}
 POWERS = (32, 128, 512, 1024)
 PADDINGS = (6, 8, 10, 12)
-CANCELS = (8, 32, 128)
+CANCELS = (8, 32, 128, 512)
 CLOSED = (8, 16, 32, 64, 128)
 OP_CURVES = ("reduce", "compose", "reduce_padded", "reduce_cancel", "reduce_closed")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
