@@ -76,7 +76,11 @@ def imbalance(g: Rearrangement, representative: Rearrangement = None) -> Imbalan
 
 
 def _expandable_chains(d: Rearrangement):
-    """Chains u1..un of domain cells with u_{i+1} = phi(u_i), all distinct."""
+    """Chains u1..un of domain cells with u_{i+1} = phi(u_i), all distinct.
+
+    Yields (chain, n, phi(u_n)): the chains from one u1 share one list,
+    which only grows, so ``chain[:n]`` is the chain yielded, then and later.
+    """
     cells = set(d.domain.cells)
     for u in sorted(cells):
         chain = [u]
@@ -85,7 +89,7 @@ def _expandable_chains(d: Rearrangement):
             nxt = d.phi[chain[-1]]
             if nxt in seen:
                 break
-            yield list(chain), nxt
+            yield chain, len(chain), nxt
             if nxt not in cells:
                 break
             chain.append(nxt)
@@ -120,7 +124,7 @@ def _find_move(d: Rearrangement, prof: ImbalanceProfile):
     dcells = set(d.domain.cells)
     rcells = set(d.range_.cells)
     moves = []
-    for chain, end in _expandable_chains(d):
+    for chain, n, end in _expandable_chains(d):
         u1 = chain[0]
         # u1 is a domain cell by construction; end = phi(last)
         u1_interior_r = u1 in fr
@@ -128,7 +132,7 @@ def _find_move(d: Rearrangement, prof: ImbalanceProfile):
         if u1_interior_r and end_interior_d:
             sub = _caret_subtree(dm, end)
             if sub:
-                moves.append((1, len(chain), chain, end, sub, "d"))
+                moves.append((1, n, chain, end, sub, "d"))
                 continue
         if (u1 not in fr and u1 not in rcells) and end_interior_d:
             comp_end = _component_containing(prof.domain_components, end)
@@ -136,7 +140,7 @@ def _find_move(d: Rearrangement, prof: ImbalanceProfile):
             if comp_end is not None and comp_end != comp_u1:
                 sub = _caret_subtree(dm, end)
                 if sub:
-                    moves.append((2, len(chain), chain, end, sub, "d"))
+                    moves.append((2, n, chain, end, sub, "d"))
                     continue
         if (end not in fd and end not in dcells) and u1_interior_r:
             comp_u1 = _component_containing(prof.range_components, u1)
@@ -144,14 +148,15 @@ def _find_move(d: Rearrangement, prof: ImbalanceProfile):
             if comp_u1 is not None and comp_u1 != comp_end:
                 sub = _caret_subtree(rm, u1)
                 if sub:
-                    moves.append((3, len(chain), chain, u1, sub, "r"))
+                    moves.append((3, n, chain, u1, sub, "r"))
     if not moves:
         return None
     moves.sort(key=lambda m: (m[0], m[1]))
-    _kind, _n, chain, root, sub, _side = moves[0]
+    # a kept chain is a prefix of a list that only grew after it was kept
+    _kind, n, chain, root, sub, _side = moves[0]
     out = d
     rel = sorted({w[len(root):] for w in sub}, key=len)
-    for u in chain:
+    for u in chain[:n]:
         for suffix in rel:
             out = out.expand_at(u + suffix)
     return out

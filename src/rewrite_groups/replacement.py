@@ -82,6 +82,13 @@ class Rule:
         return self.kind == "loop", len(num) - len(bv), edges
 
     @cached_property
+    def split_pattern(self) -> tuple:
+        """``pattern`` as ``GraphExpansion._split`` applies it: the edges in
+        edge order, each letter as the one-letter suffix it adds to a word."""
+        loop, fresh, edges = self.pattern
+        return loop, fresh, tuple(((name,), c, a, b) for name, c, a, b in reversed(edges))
+
+    @cached_property
     def letters(self) -> frozenset:
         """The names of the rule edges: the last letters of a word's children."""
         return frozenset(e.name for e in self.graph.edges)
@@ -525,14 +532,17 @@ class RationalSequence:
 def walk_forest(system: ReplacementSystem, base: ColoredGraph, cells: Sequence[Word]) -> tuple:
     """One iterative depth-first walk of the forest whose leaves are ``cells``.
 
-    The forest is expanded top-down from the edges of ``base``, each node
-    visited once, children in edge order.  Returns (leaves, inner, families,
-    glued): ``leaves`` maps each cell, in depth-first order, and ``inner`` each
-    interior word (strict prefix of a cell) to (color, s, t), where s and t
-    are integers naming vertices of the leaf graph: two ends are one vertex
-    exactly when their integers are equal.  ``families`` lists, in walk
-    order, the interior words whose rule children are all cells, the only
-    words a reduction can merge.
+    Only expansions built from cells a caller supplies are walked
+    (``GraphExpansion(...)``, ``base_expansion``), and the splits and merges
+    that fall back to a walk; the others edit what an earlier walk recorded.  The forest is expanded top-down from the
+    edges of ``base``, each node visited once, children in edge order.
+    Returns (leaves, inner, families, glued, size): ``leaves`` maps each
+    cell, in depth-first order, and ``inner`` each interior word (strict
+    prefix of a cell), in depth-first preorder, to (color, s, t), where s
+    and t are integers naming vertices of the leaf graph: two ends are one
+    vertex exactly when their integers are equal.  ``families`` lists, in
+    walk order, the interior words whose rule children are all cells, the
+    only words a reduction can merge.  ``size`` is the next free integer.
 
     The ends are items of a union-find (a list) while the walk runs.  A
     loop-kind rule on an edge with two ends glues them; ``glued`` is True
@@ -621,7 +631,7 @@ def walk_forest(system: ReplacementSystem, base: ColoredGraph, cells: Sequence[W
         for ends in (leaves, inner):
             for w, (color, s, t) in ends.items():
                 ends[w] = (color, find(s), find(t))
-    return leaves, inner, families, glued
+    return leaves, inner, families, glued, len(uf)
 
 
 def _reject(system: ReplacementSystem, base: ColoredGraph, cells, reason: str):
@@ -637,24 +647,39 @@ class GraphExpansion:
     ``base`` may differ from the system's base graph: generalized expansions
     over other base graphs are what the replacement groupoid acts on.
 
-    Construction is one depth-first walk of the forest (``walk_forest``)
-    that visits each node once: it checks language, antichain and
-    completeness and emits the cells already in depth-first order.  It keeps
-    what the walk returns: the color and the vertices (integers) at both
-    ends of every cell and interior word, and the families (interior words
-    whose rule children are all cells).  Validation and reduction read the
-    ends (``cell_ends``, ``root_degree``), and reduction reads the families;
-    the named leaf graph is built on first access.  A reduction makes its
-    expansion by editing these (``_merged``), not by another walk.
+    An expansion is built by a walk, a merge or a split.  Built from cells,
+    it is one depth-first walk of the forest (``walk_forest``) that visits
+    each node once: it checks language, antichain and completeness and emits
+    the cells already in depth-first order.  It keeps what the walk returns:
+    the color and the vertices (integers) at both ends of every cell
+    (``_leaves``) and interior word (``_inner``), the families (interior
+    words whose rule children are all cells, ``_families``) and the next
+    free vertex integer (``_next``).  A reduction makes its expansion by
+    editing these (``_merged``), and a refinement (``expand``,
+    ``full_expansion``, ``expansion_containing``) by splitting cells
+    (``_split``), not by another walk.  The cells stay in depth-first order
+    either way; ``_inner`` lists parents before children, in depth-first
+    preorder only when walked, so what needs forest order reads ``cells``.
+    Validation and reduction read the ends (``cell_ends``, ``root_degree``),
+    and reduction reads the families; the named leaf graph is built on first
+    access.
     """
 
     def __init__(self, system: ReplacementSystem, cells: Iterable[Word],
                  base: Optional[ColoredGraph] = None):
         self.system = system
         self.base = base if base is not None else system.base
-        self._leaves, self._inner, self._families, self._glued = walk_forest(
+        self._leaves, self._inner, self._families, self._glued, self._next = walk_forest(
             system, self.base, [tuple(c) for c in cells])
         self.cells = tuple(self._leaves)
+
+    def _edited(self, leaves: dict, inner: dict, families: list, size: int) -> "GraphExpansion":
+        """An expansion over this one's system and base holding the given records."""
+        out = object.__new__(GraphExpansion)
+        out.system, out.base, out._glued, out._next = self.system, self.base, False, size
+        out._leaves, out._inner, out._families = leaves, inner, families
+        out.cells = tuple(leaves)
+        return out
 
     @cached_property
     def leaf_graph(self) -> ColoredGraph:
@@ -699,11 +724,61 @@ class GraphExpansion:
     # -- rewriting -----------------------------------------------------------
 
     def expand(self, word: Word) -> "GraphExpansion":
-        word = tuple(word)
-        if word not in self._leaves:
-            raise NotACell(f"{word} is not a cell of this expansion")
-        kids = [word + (e.name,) for e in self.system.rules[self._leaves[word][0]].graph.edges]
-        cells = [c for c in self.cells if c != word] + kids
+        """This expansion with the cell ``word`` split into its rule children
+        (``_split``); NotACell if ``word`` is not a cell."""
+        return self._split([tuple(word)])
+
+    def _split(self, cells: Iterable[Word]) -> "GraphExpansion":
+        """This expansion with each given cell split into its rule children.
+
+        The dual of ``_merged``, an edit of what the walk recorded: each cell
+        gives way, at its own place in depth-first cell order, to its
+        children, whose ends come from the rule (``Rule.split_pattern``); the
+        new vertices get integers from ``_next`` on, in cell order.  Each split cell joins the
+        interior words and the families, and its parent leaves the families.
+        Raises NotACell for a word that is not a cell.
+
+        An expansion whose walk glued two ends (``glued``), or a split where
+        a loop-kind rule would glue two distinct ends, is walked again
+        instead: gluing resolves ends all over the forest.
+        """
+        leaves, split = self._leaves, set(cells)
+        if not split <= leaves.keys():
+            w = next(w for w in split if w not in leaves)
+            raise NotACell(f"{w} is not a cell of this expansion")
+        if self._glued:
+            return self._rewalked(split)
+        rules = self.system.rules
+        out, inner, n, kids = {}, dict(self._inner), self._next, []
+        # unless every cell splits, a cell of a length no split cell has is
+        # kept without hashing it
+        lengths = None if len(split) == len(leaves) else {len(w) for w in split}
+        for w, ends in leaves.items():
+            if lengths is not None and (len(w) not in lengths or w not in split):
+                out[w] = ends
+                continue
+            color, s, t = ends
+            loop, fresh, edges = rules[color].split_pattern
+            if loop and s != t:
+                return self._rewalked(split)
+            sub = (s, *range(n, n + fresh)) if loop else (s, t, *range(n, n + fresh))
+            n += fresh
+            inner[w] = ends
+            kids.append(w)
+            for suffix, c, a, b in edges:
+                out[w + suffix] = (c, sub[a], sub[b])
+        parents = {w[:-1] for w in kids}
+        families = [u for u in self._families if u not in parents] + kids
+        return self._edited(out, inner, families, n)
+
+    def _rewalked(self, split: set) -> "GraphExpansion":
+        """``_split(split)`` by a walk of the new cells."""
+        rules, cells = self.system.rules, []
+        for w, (color, _, _) in self._leaves.items():
+            if w in split:
+                cells.extend(w + (e.name,) for e in rules[color].graph.edges)
+            else:
+                cells.append(w)
         return GraphExpansion(self.system, cells, self.base)
 
     def reduce(self, family: Iterable[Word]) -> "GraphExpansion":
@@ -745,11 +820,7 @@ class GraphExpansion:
         for u in dict.fromkeys(p[:-1] for p in parents):
             if u and all(u + (e,) in leaves for e in rules[inner[u][0]].letters):
                 families.append(u)
-        out = object.__new__(GraphExpansion)
-        out.system, out.base, out._glued = self.system, self.base, False
-        out._leaves, out._inner, out._families = leaves, inner, families
-        out.cells = tuple(leaves)
-        return out
+        return self._edited(leaves, inner, families, self._next)
 
     def check_reducible(self, family: Iterable[Word]) -> Word:
         """The parent of ``family`` if ``reduce`` may merge it; raise NotReducible if not.
@@ -820,14 +891,13 @@ def base_expansion(system: ReplacementSystem, base: Optional[ColoredGraph] = Non
 def full_expansion(system: ReplacementSystem, depth: int) -> GraphExpansion:
     """E_depth: every edge expanded at every step; cells have length depth+1.
 
-    The words of length depth+1 are generated level by level from the rule
-    colors, and one expansion is built from them, by one walk that keeps the
-    interior colors on the way.
+    The base expansion is split ``depth`` times, every cell at once
+    (``GraphExpansion._split``): no word list and no walk beyond the base's.
     """
-    words = [((e.name,), e.color) for e in system.base.edges]
+    exp = base_expansion(system)
     for _ in range(depth):
-        words = [(w + (e.name,), e.color) for w, c in words for e in system.rules[c].graph.edges]
-    return GraphExpansion(system, [w for w, _ in words])
+        exp = exp._split(exp.cells)
+    return exp
 
 
 def minimal_refinement(e1: GraphExpansion, e2: GraphExpansion) -> GraphExpansion:
@@ -846,13 +916,19 @@ def minimal_refinement(e1: GraphExpansion, e2: GraphExpansion) -> GraphExpansion
 
 def expansion_containing(system: ReplacementSystem, words: Iterable[Word],
                          base: Optional[ColoredGraph] = None) -> GraphExpansion:
-    """The coarsest expansion in which every given word is a union of cells."""
+    """The coarsest expansion in which every given word is a union of cells.
+
+    The strict prefixes of the words are its interior words.  They are split
+    one level at a time, one ``GraphExpansion._split`` per level: the
+    prefixes of length k are cells once those of length k - 1 are split.
+    Raises KeyError for a word outside the language.
+    """
     exp = base_expansion(system, base)
-    todo = sorted({tuple(w) for w in words}, key=len)
-    for w in todo:
-        for k in range(1, len(w)):
-            if w[:k] in exp._leaves:
-                exp = exp.expand(w[:k])
+    words = {tuple(w) for w in words}
+    for w in words:
+        system.walk(w, exp.base)
+    for k in range(1, max(map(len, words), default=0)):
+        exp = exp._split({w[:k] for w in words if len(w) > k})
     return exp
 
 

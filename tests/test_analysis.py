@@ -7,10 +7,12 @@ from conftest import f_generators, t_rotation
 from rewrite_groups.catalog import catalog
 from rewrite_groups.rearrangement import (
     compose,
+    conjugate_by,
     identity,
     invert,
     power,
     random_rearrangement,
+    reduced_flipless,
 )
 from rewrite_groups import analysis as an
 
@@ -138,6 +140,67 @@ def test_torsion_order_is_the_least_identity_power():
             torsion_count += 1
             flipped += bool(g.flips)
     assert torsion_count >= 80 and flipped >= 30
+
+
+def _copying_chains(d):
+    """``analysis._expandable_chains`` as it was, a fresh copy of every chain: the reference."""
+    cells = set(d.domain.cells)
+    for u in sorted(cells):
+        chain = [u]
+        seen = {u}
+        while True:
+            nxt = d.phi[chain[-1]]
+            if nxt in seen:
+                break
+            yield list(chain), nxt
+            if nxt not in cells:
+                break
+            chain.append(nxt)
+            seen.add(nxt)
+
+
+def _minimized_with(chains, g, monkeypatch):
+    """The diagrams ``minimize_representative(g)`` moves through, and ``is_torsion(g)``,
+    with ``chains`` as the chain generator."""
+    moves = []
+    find_move = an._find_move
+
+    def recording(d, prof):
+        out = find_move(d, prof)
+        moves.append(out)
+        return out
+
+    monkeypatch.setattr(an, "_expandable_chains", chains)
+    monkeypatch.setattr(an, "_find_move", recording)
+    an.minimize_representative(g)
+    torsion = an.is_torsion(g)
+    monkeypatch.undo()
+    return moves, torsion
+
+
+def test_shared_chains_make_the_moves_of_copied_chains(monkeypatch):
+    def reference(d):
+        return ((chain, len(chain), end) for chain, end in _copying_chains(d))
+
+    F, x0, x1 = f_generators()
+    elements = [conjugate_by(x1, power(x0, n)) for n in (1, 2, 3, 5, 8, 16, 32, 64)]
+    for name in ["interval_F", "circle_T", "cantor_V", "dendrite:3"]:
+        S = catalog(name)
+        rng = random.Random(name)
+        elements += [random_rearrangement(S, rng, 3, 2) for _ in range(10)]
+    shown = 0
+    for g in elements:
+        d = reduced_flipless(g)
+        assert [(chain[:n], end) for chain, n, end in an._expandable_chains(d)] == list(
+            _copying_chains(d))
+        moves, torsion = _minimized_with(an._expandable_chains, g, monkeypatch)
+        ref_moves, ref_torsion = _minimized_with(reference, g, monkeypatch)
+        assert torsion == ref_torsion
+        assert len(moves) == len(ref_moves)
+        for move, ref in zip(moves, ref_moves):
+            assert move == ref and (move is None or repr(move) == repr(ref))
+        shown += len(moves) > 1
+    assert shown >= 10
 
 
 def test_dendrite_generator_tables():

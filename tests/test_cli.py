@@ -298,6 +298,15 @@ def test_word_outside_the_language_is_a_computation_error(tmp_path):
     assert code == 3 and "KeyError" in err
 
 
+def test_stabilizer_cells_outside_the_language_are_a_computation_error():
+    code, out, _ = run(["stabilizer", "--system", "interval_F", "--vertex", "s 0/t",
+                        "--cells", "s 0"])
+    assert code == 0 and json.loads(out)["base"]
+    code, _, err = run(["stabilizer", "--system", "interval_F", "--vertex", "s 0/t",
+                        "--cells", "s x"])
+    assert code == 3 and "KeyError" in err
+
+
 @pytest.mark.parametrize("data", [
     {"phi": 5}, {}, {"phi": [[["s", "0"]]]}, {"phi": [[[0], [1]]]}, {"phi": [{"s": "0"}]},
 ], ids=["phi_not_a_list", "no_phi", "entry_without_image", "letters_not_strings",

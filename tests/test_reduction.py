@@ -1,6 +1,6 @@
 """The reduction path: the families and vertex ends recorded by the forest
-walk, the expansions a reduction merges against a walk of their cells,
-``_reduce`` against the round-based scan over every cell, the checks of
+walk, the expansions a reduction merges or a refinement splits against a
+walk of their cells, ``_reduce`` against the round-based scan over every cell, the checks of
 ``check_reducible``, and the rejections of ``walk_forest``."""
 
 import importlib.util
@@ -149,7 +149,8 @@ def _loop_color_on_non_loops():
 def test_walk_union_find_has_the_roots_of_union_calls(name):
     S = _loop_color_on_non_loops() if name == "loop color on non-loops" else _system(name)
     rng = random.Random(name)
-    expansions = [full_expansion(S, depth) for depth in range(1, 5)]
+    # walked, not split: a split numbers its new vertices in cell order
+    expansions = [GraphExpansion(S, full_expansion(S, depth).cells) for depth in range(1, 5)]
     for _ in range(12):
         exp = base_expansion(S)
         for _ in range(rng.randint(0, 30)):
@@ -187,21 +188,30 @@ def _assert_as_walked(exp):
     """``exp`` holds what a walk of its cells records: the same forest and vertices."""
     ref = GraphExpansion(exp.system, exp.cells, exp.base)
     assert exp.cells == ref.cells
-    assert list(exp._inner) == list(ref._inner)
     assert {w: c for w, (c, _, _) in exp._inner.items()} == {
         w: c for w, (c, _, _) in ref._inner.items()}
+    # interior words come after their parents; only a walk lists them in
+    # depth-first preorder, and nothing reads that order
+    listed = {()}
+    for w in exp._inner:
+        assert w[:-1] in listed
+        listed.add(w)
     assert set(exp._families) == set(ref._families)
     assert len(set(exp._families)) == len(exp._families)
-    # the vertex integers may differ; the vertex partition of the cell ends may not
+    # the vertex integers may differ; the vertex partition of all ends may not
     rename: dict = {}
-    for w in exp.cells:
-        color, s, t = exp.cell_ends(w)
-        rcolor, rs, rt = ref.cell_ends(w)
-        assert color == rcolor
-        assert rename.setdefault(s, rs) == rs and rename.setdefault(t, rt) == rt
-        assert exp.root_degree(s) == ref.root_degree(rs)
-        assert exp.root_degree(t) == ref.root_degree(rt)
+    for ends, ref_ends in ((exp._leaves, ref._leaves), (exp._inner, ref._inner)):
+        for w, (color, s, t) in ends.items():
+            rcolor, rs, rt = ref_ends[w]
+            assert color == rcolor
+            assert rename.setdefault(s, rs) == rs and rename.setdefault(t, rt) == rt
     assert len(set(rename.values())) == len(rename)
+    assert max(rename, default=-1) < exp._next
+    for w in exp.cells:
+        _, s, t = exp.cell_ends(w)
+        assert exp.root_degree(s) == ref.root_degree(rename[s])
+        assert exp.root_degree(t) == ref.root_degree(rename[t])
+    assert exp.leaf_graph.encoding() == ref.leaf_graph.encoding()
 
 
 def _reduce_checking_every_round(g, monkeypatch, **kwargs):
@@ -271,6 +281,106 @@ def test_merged_expansions_of_a_glued_walk_are_walked(monkeypatch):
             exp = exp.expand(rng.choice(exp.cells))
         for family in exp.reducible_families():
             _assert_as_walked(exp.reduce(family))
+
+
+# -- split expansions against the walk ------------------------------------------------
+
+# the full expansions that the limit-space benchmark times
+LIMIT_SPACE_DEPTHS = {"airplane": 4, "dendrite:4": 3, "circle_T": 7, "interval_F": 7,
+                      "cantor_V": 7, "dendrite:3": 4}
+LOOP_COLOR = "loop color on non-loops"
+
+
+def _counting_rewalks(monkeypatch) -> list:
+    """Record every split that ``GraphExpansion._rewalked`` makes by a walk."""
+    rewalks = []
+    rewalked = GraphExpansion._rewalked
+
+    def recording(self, split):
+        rewalks.append(split)
+        return rewalked(self, split)
+
+    monkeypatch.setattr(GraphExpansion, "_rewalked", recording)
+    return rewalks
+
+
+@pytest.mark.parametrize("name", SYSTEMS + ["dendrite:4", "basilica~", LOOP_COLOR])
+def test_split_expansions_equal_the_walk_of_their_cells(name, monkeypatch):
+    S = _loop_color_on_non_loops() if name == LOOP_COLOR else _system(name)
+    rewalks = _counting_rewalks(monkeypatch)
+    for depth in sorted({0, 1, 2, 3, LIMIT_SPACE_DEPTHS.get(name, 3)}):
+        exp = full_expansion(S, depth)
+        assert all(len(w) == depth + 1 for w in exp.cells)
+        _assert_as_walked(exp)
+    rng = random.Random(name)
+    for _ in range(3):
+        exp = base_expansion(S)
+        for _ in range(25):
+            exp = exp.expand(rng.choice(exp.cells))
+            _assert_as_walked(exp)
+    # only a loop-kind color on an edge with two ends makes a split walk
+    assert rewalks if name == LOOP_COLOR else not rewalks
+
+
+def test_split_of_a_glued_edge_is_walked(monkeypatch):
+    # expanding the loop-kind edge e of the base glues its two ends: the
+    # split walks, and so does every later split of the glued expansion
+    S = _loop_color_on_non_loops()
+    rewalks = _counting_rewalks(monkeypatch)
+    exp = base_expansion(S).expand(("f",))
+    assert not rewalks and not exp._glued
+    exp = exp.expand(("e",))
+    assert rewalks == [{("e",)}] and exp._glued
+    _assert_as_walked(exp)
+    exp = exp.expand(("f", "p"))
+    assert rewalks[1:] == [{("f", "p")}]
+    _assert_as_walked(exp)
+
+
+def _walked_expand(self, word):
+    """``GraphExpansion.expand`` by a walk of the new cells, the reference."""
+    word = tuple(word)
+    if word not in self._leaves:
+        raise NotACell(f"{word} is not a cell of this expansion")
+    kids = [word + (e.name,) for e in self.system.rules[self._leaves[word][0]].graph.edges]
+    cells = [c for c in self.cells if c != word] + kids
+    return GraphExpansion(self.system, cells, self.base)
+
+
+@pytest.mark.parametrize("name", ["interval_F", "circle_T", "cantor_V", "airplane", "basilica",
+                                  "dendrite:3", "vicsek:4"])
+def test_expand_at_chains_equal_a_walked_reference(name, monkeypatch):
+    S = catalog(name)
+    split = GraphExpansion.expand
+    for seed in range(4):
+        chains = []
+        for expand in (split, _walked_expand):
+            monkeypatch.setattr(GraphExpansion, "expand", expand)
+            rng = random.Random(f"{name} {seed}")
+            g = random_rearrangement(S, rng)
+            chain = [g]
+            for _ in range(12):
+                g = g.expand_at(rng.choice(g.domain.cells))
+                chain.append(g)
+            chains.append(chain)
+        monkeypatch.setattr(GraphExpansion, "expand", split)
+        for g, ref in zip(*chains):
+            assert g == ref and repr(g) == repr(ref)
+            for side, ref_side in ((g.domain, ref.domain), (g.range_, ref.range_)):
+                assert side.cells == ref_side.cells
+                _assert_as_walked(side)
+
+
+@pytest.mark.parametrize("word", [("s",), ("s", "1"), ("s", "2"), ("s", "1", "0", "0"), (),
+                                  ("t",)])
+def test_expand_refuses_a_non_cell(word):
+    # the cells are s 0, s 1 0 and s 1 1: interior words, a word outside the
+    # language, a word below a cell, the empty word, a letter of no base edge
+    exp = base_expansion(catalog("interval_F")).expand(("s",)).expand(("s", "1"))
+    with pytest.raises(NotACell, match="is not a cell of this expansion"):
+        exp.expand(word)
+    with pytest.raises(NotACell):
+        exp._split([("s", "0"), word])
 
 
 # -- _reduce against the round-based scan ------------------------------------------

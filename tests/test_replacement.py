@@ -13,6 +13,7 @@ from rewrite_groups.replacement import (
     ReplacementSystem,
     Rule,
     base_expansion,
+    expansion_containing,
     full_expansion,
     make_expanding,
     minimal_refinement,
@@ -124,6 +125,49 @@ def test_full_expansions_interval():
     assert [" ".join(w) for w in full_expansion(I, 1).cells] == ["s 0", "s 1"]
     assert [" ".join(w) for w in full_expansion(I, 2).cells] == [
         "s 0 0", "s 0 1", "s 1 0", "s 1 1"]
+
+
+def _random_word(system, rng, length):
+    """A word of the language: each letter an edge of the graph its context names."""
+    word, g = [], system.base
+    for _ in range(length):
+        e = rng.choice(g.edges)
+        word.append(e.name)
+        g = system.rules[e.color].graph
+    return tuple(word)
+
+
+def _coarsest_cells(system, words):
+    """The cells of the expansion whose interior words are the strict
+    prefixes of ``words``, by a depth-first walk from the base: the reference."""
+    interior = {w[:k] for w in words for k in range(1, len(w))}
+    cells, stack = [], [(e.name,) for e in reversed(system.base.edges)]
+    while stack:
+        w = stack.pop()
+        if w in interior:
+            kids = system.rules[system.word_color(w)].graph.edges
+            stack.extend(w + (e.name,) for e in reversed(kids))
+        else:
+            cells.append(w)
+    return tuple(cells)
+
+
+@pytest.mark.parametrize("name", ["interval_F", "airplane", "basilica", "dendrite:3", "vicsek:4"])
+def test_expansion_containing_is_the_coarsest_expansion(name):
+    S = catalog(name)
+    rng = random.Random(name)
+    for _ in range(12):
+        words = [_random_word(S, rng, rng.randint(1, 9)) for _ in range(rng.randint(0, 4))]
+        exp = expansion_containing(S, words)
+        assert exp.cells == _coarsest_cells(S, words)
+        assert exp.cells == GraphExpansion(S, exp.cells).cells
+
+
+@pytest.mark.parametrize("words", [
+    [("s", "x", "0")], [("q",)], [("s", "0"), ("s", "1", "2", "0")], [("s", "0", "0", "s")]])
+def test_expansion_containing_refuses_words_outside_the_language(words):
+    with pytest.raises(KeyError):
+        expansion_containing(catalog("interval_F"), words)
 
 
 def test_full_expansion_dendrite_edge_base():

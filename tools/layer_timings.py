@@ -18,6 +18,10 @@ median of those samples.  The curves:
 - ``expansion_build``: ``GraphExpansion`` construction from the cells of
   ``full_expansion(system, depth)``, for interval_F and dendrite:3 at
   increasing depth;
+- ``full_expansion``: ``full_expansion(system, depth)`` itself, for
+  interval_F at depths 4 to 10 and dendrite:3 at depths 2 to 6;
+- ``expansion_containing``: ``expansion_containing(F, [w])`` for one seeded
+  word w of interval_F of length 64, 128, 256 and 512;
 - ``reduce``: ``rearrangement._reduce`` of the unreduced diagram of
   ``compose(x1, x0^n)`` in F (its two factors' cell maps folded, not
   reduced);
@@ -40,6 +44,12 @@ One curve times the closed-diagram reduction of the conjugacy layer:
   ``conjugate_by(compose(x0, x1), x1^n)`` in F, for n = 8, 16, 32, 64 and
   128 (37 to 397 strands): 2n + 3 logged moves.
 
+One curve times the torsion decision of the analysis layer, which refines
+through ``Rearrangement.expand_at``:
+
+- ``is_torsion``: ``analysis.is_torsion(conjugate_by(x1, x0^n))`` in F,
+  for n = 32, 64, 128 and 256.
+
 Standard library only.
 """
 
@@ -57,11 +67,16 @@ REPEATS = 5
 SAMPLES = 3  # reference-loop samples taken before and after each point
 ROUNDS = 3
 DEPTHS = {"interval_F": (4, 6, 8, 10), "dendrite:3": (1, 2, 3, 4, 5)}
+FULL_DEPTHS = {"interval_F": range(4, 11), "dendrite:3": range(2, 7)}
+WORD_LENGTHS = (64, 128, 256, 512)
+TORSION = (32, 64, 128, 256)
 POWERS = (32, 128, 512, 1024)
 PADDINGS = (6, 8, 10, 12)
 CANCELS = (8, 32, 128, 512)
 CLOSED = (8, 16, 32, 64, 128)
-OP_CURVES = ("reduce", "compose", "reduce_padded", "reduce_cancel", "reduce_closed")
+OP_CURVES = ("reduce", "compose", "reduce_padded", "reduce_cancel", "reduce_closed",
+             "expansion_containing", "is_torsion")
+BY_SYSTEM = ("expansion_build", "full_expansion")  # curves with one point list per system
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -82,19 +97,22 @@ def best(fn, speed) -> float:
 
 def measure() -> dict:
     """The curves of the tree on ``sys.path``; run in a process of its own."""
+    import random
+
+    from rewrite_groups.analysis import is_torsion
     from rewrite_groups.catalog import catalog
     from rewrite_groups.conjugacy import close_element, reduce_closed
     from rewrite_groups.rearrangement import (
         Rearrangement, _product_map, _reduce, compose, conjugate_by, from_cell_map, invert,
         power)
-    from rewrite_groups.replacement import GraphExpansion, full_expansion
+    from rewrite_groups.replacement import GraphExpansion, expansion_containing, full_expansion
 
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     from hostspeed import HostSpeed
 
     speed = HostSpeed()
-    curves: dict = {"expansion_build": {}, "reduce": [], "compose": [],
-                    "reduce_padded": [], "reduce_cancel": [], "reduce_closed": []}
+    curves: dict = {k: {} for k in BY_SYSTEM}
+    curves.update({k: [] for k in OP_CURVES})
     for name, depths in DEPTHS.items():
         S = catalog(name)
         points = curves["expansion_build"][name] = []
@@ -102,6 +120,13 @@ def measure() -> dict:
             cells = full_expansion(S, depth).cells
             points.append({"depth": depth, "cells": len(cells),
                            "ms": best(lambda: GraphExpansion(S, cells), speed)})
+    for name, depths in FULL_DEPTHS.items():
+        S = catalog(name)
+        S.validate()
+        points = curves["full_expansion"][name] = []
+        for depth in depths:
+            points.append({"depth": depth, "cells": len(full_expansion(S, depth).cells),
+                           "ms": best(lambda: full_expansion(S, depth), speed)})
     F = catalog("interval_F")
     x0 = from_cell_map(F, [(("s", "0", "0"), ("s", "0")), (("s", "0", "1"), ("s", "1", "0")),
                            (("s", "1"), ("s", "1", "1"))])
@@ -138,6 +163,16 @@ def measure() -> dict:
         curves["reduce_closed"].append({"n": n, "strands": len(eta.strands),
                                         "moves": len(reduce_closed(eta)[1]),
                                         "ms": best(lambda: reduce_closed(eta), speed)})
+    for length in WORD_LENGTHS:
+        rng = random.Random(length)
+        word = ("s",) + tuple(rng.choice("01") for _ in range(length - 1))
+        curves["expansion_containing"].append({
+            "length": length, "cells": len(expansion_containing(F, [word]).cells),
+            "ms": best(lambda: expansion_containing(F, [word]), speed)})
+    for n in TORSION:
+        g = conjugate_by(x1, power(x0, n))
+        curves["is_torsion"].append({"n": n, "cells": len(g.phi),
+                                     "ms": best(lambda: is_torsion(g), speed)})
     return curves
 
 
@@ -150,7 +185,7 @@ def run_side(root: str) -> dict:
 
 def points(curves: dict) -> list:
     """Every point of the curves, in one fixed order."""
-    builds = [p for curve in curves["expansion_build"].values() for p in curve]
+    builds = [p for k in BY_SYSTEM for curve in curves[k].values() for p in curve]
     return builds + [p for k in OP_CURVES for p in curves[k]]
 
 
@@ -168,8 +203,7 @@ def ratios(parent: dict, change: dict) -> dict:
     def pairs(a, b):
         return [round(y["ms"] / x["ms"], 3) for x, y in zip(a, b)]
 
-    out = {f"expansion_build.{k}": pairs(parent["expansion_build"][k], change["expansion_build"][k])
-           for k in parent["expansion_build"]}
+    out = {f"{c}.{k}": pairs(parent[c][k], change[c][k]) for c in BY_SYSTEM for k in parent[c]}
     out.update({k: pairs(parent[k], change[k]) for k in OP_CURVES})
     return out
 
