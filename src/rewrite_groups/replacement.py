@@ -41,7 +41,9 @@ class Rule:
     """Replacement graph of one color with its boundary marking.
 
     ``boundary`` is ("pair", iota, tau) for ordinary colors or ("loop", lam)
-    for loop-normalized colors whose edges are all loops.
+    for loop-normalized colors.  A loop-kind color labels only loops
+    (``ReplacementSystem`` checks it), so the ends of every edge it labels,
+    in every expansion, are one vertex.
     """
 
     graph: ColoredGraph
@@ -70,23 +72,25 @@ class Rule:
 
     @cached_property
     def pattern(self) -> tuple:
-        """(loop, fresh, edges): the rule as ``walk_forest`` applies it.
+        """(fresh, edges): the rule as ``walk_forest`` applies it.
 
-        The vertices are numbered boundary first (iota, then tau unless the
-        rule is a loop rule); ``fresh`` counts the others, and ``edges``
-        lists (letter, color, src, dst) by those numbers, last edge first.
+        The vertices are numbered iota 0, tau 1 (a loop rule's lambda, both,
+        gets 1) and the others from 2; ``fresh`` counts the others, and
+        ``edges`` lists (letter, color, src, dst) by those numbers, last edge
+        first.  The copy on an edge from s to t has vertices (s, t, *fresh).
         """
         bv = self.boundary_vertices()
-        num = {v: i for i, v in enumerate(bv + tuple(v for v in self.graph.vertices if v not in bv))}
+        others = [v for v in self.graph.vertices if v not in bv]
+        num = {self.iota: 0, self.tau: 1, **{v: i for i, v in enumerate(others, 2)}}
         edges = tuple((e.name, e.color, num[e.src], num[e.dst]) for e in reversed(self.graph.edges))
-        return self.kind == "loop", len(num) - len(bv), edges
+        return len(others), edges
 
     @cached_property
     def split_pattern(self) -> tuple:
         """``pattern`` as ``GraphExpansion._split`` applies it: the edges in
         edge order, each letter as the one-letter suffix it adds to a word."""
-        loop, fresh, edges = self.pattern
-        return loop, fresh, tuple(((name,), c, a, b) for name, c, a, b in reversed(edges))
+        fresh, edges = self.pattern
+        return fresh, tuple(((name,), c, a, b) for name, c, a, b in reversed(edges))
 
     @cached_property
     def letters(self) -> frozenset:
@@ -133,6 +137,9 @@ class ReplacementSystem:
                     raise MalformedSystem(f"boundary vertex {v!r} missing in rule {c!r}")
             if rule.kind == "pair" and rule.iota == rule.tau:
                 raise MalformedSystem(f"rule {c!r}: initial and terminal vertices coincide")
+        self._loop_colors = frozenset(c for c in self.colors if self.rules[c].kind == "loop")
+        for ctx in [None, *self.colors]:
+            self._check_loops(self.graph_of(ctx))
         self._report: Optional[ValidationReport] = None
         self._psi: dict = {}
         self._gluing = None  # the gluing automaton, compiled on first use (gluing.py)
@@ -146,6 +153,13 @@ class ReplacementSystem:
 
     def letter_color(self, context: Optional[str], letter: str) -> str:
         return self.graph_of(context).edge(letter).color
+
+    def _check_loops(self, g: ColoredGraph) -> None:
+        """Raise MalformedSystem if a loop-kind color labels a non-loop edge of ``g``."""
+        for e in g.edges:
+            if e.color in self._loop_colors and not e.is_loop:
+                raise MalformedSystem(f"loop-boundary color {e.color!r} colors the non-loop edge "
+                                      f"{e.name!r}")
 
     def walk(self, word: Word, base: Optional[ColoredGraph] = None) -> list:
         """The edge each letter names, read as a walk on the color graph.
@@ -292,13 +306,16 @@ class ReplacementSystem:
         self._psi[color] = psi
         return psi
 
-    def _loop_uniform(self) -> bool:
+    def _loop_status(self) -> dict:
+        """Color -> the set of ``is_loop`` over the base and rule edges it labels."""
         status: dict = {}
-        for ctx in [None] + list(self.colors):
-            g = self.graph_of(ctx)
-            for e in g.edges:
+        for ctx in [None, *self.colors]:
+            for e in self.graph_of(ctx).edges:
                 status.setdefault(e.color, set()).add(e.is_loop)
-        for c, kinds in status.items():
+        return status
+
+    def _loop_uniform(self) -> bool:
+        for c, kinds in self._loop_status().items():
             if len(kinds) > 1:
                 return False
             looped = kinds == {True}
@@ -345,10 +362,7 @@ def normalize_loops(system: ReplacementSystem) -> ReplacementSystem:
     if system._loop_uniform():
         return system
 
-    status: dict = {}
-    for ctx in [None] + list(system.colors):
-        for e in system.graph_of(ctx).edges:
-            status.setdefault(e.color, set()).add(e.is_loop)
+    status = system._loop_status()
 
     def needs_split(c):
         return status.get(c) == {True, False}
@@ -397,9 +411,6 @@ def normalize_loops(system: ReplacementSystem) -> ReplacementSystem:
 
     for c in system.colors:
         rule = system.rules[c]
-        occ = status.get(c, set())
-        if rule.kind == "loop" and occ - {True}:
-            raise MalformedSystem(f"loop-boundary color {c!r} colors non-loop edges")
         if needs_split(c):
             new_colors.append(c)
             new_rules[c] = Rule(convert_graph(rule.graph, c), rule.boundary)
@@ -533,23 +544,23 @@ def walk_forest(system: ReplacementSystem, base: ColoredGraph, cells: Sequence[W
     """One iterative depth-first walk of the forest whose leaves are ``cells``.
 
     Only expansions built from cells a caller supplies are walked
-    (``GraphExpansion(...)``, ``base_expansion``), and the splits and merges
-    that fall back to a walk; the others edit what an earlier walk recorded.  The forest is expanded top-down from the
-    edges of ``base``, each node visited once, children in edge order.
-    Returns (leaves, inner, families, glued, size): ``leaves`` maps each
-    cell, in depth-first order, and ``inner`` each interior word (strict
-    prefix of a cell), in depth-first preorder, to (color, s, t), where s
-    and t are integers naming vertices of the leaf graph: two ends are one
-    vertex exactly when their integers are equal.  ``families`` lists, in
-    walk order, the interior words whose rule children are all cells, the
-    only words a reduction can merge.  ``size`` is the next free integer.
+    (``GraphExpansion(...)``, ``base_expansion``); the others edit what an
+    earlier walk recorded.  The forest is expanded top-down from the edges
+    of ``base``, each node visited once, children in edge order.  Returns
+    (leaves, inner, families, size): ``leaves`` maps each cell, in
+    depth-first order, and ``inner`` each interior word (strict prefix of a
+    cell), in depth-first preorder, to (color, s, t), where s and t are
+    integers naming vertices of the leaf graph: two ends are one vertex
+    exactly when their integers are equal.  Each rule copy keeps the ends of
+    the edge it replaces and numbers its other vertices from the next free
+    integer (``Rule.pattern``); a loop-kind color labels only loops, so no
+    copy glues two ends.  ``families`` lists, in walk order, the interior
+    words whose rule children are all cells, the only words a reduction can
+    merge.  ``size`` is the next free integer.
 
-    The ends are items of a union-find (a list) while the walk runs.  A
-    loop-kind rule on an edge with two ends glues them; ``glued`` is True
-    when that merged two roots, and then every end is resolved to its root.
-
-    Raises KeyError for a word outside the language, and NotACell unless the
-    cells, without duplicates, are the leaves of a complete subforest.
+    Raises MalformedSystem if a loop-kind color labels a non-loop edge of
+    ``base``, KeyError for a word outside the language, and NotACell unless
+    the cells, without duplicates, are the leaves of a complete subforest.
     """
     # the trie: an interior word is a [word, children] list, a cell its word;
     # ``trie`` maps each interior word to its children
@@ -574,15 +585,16 @@ def walk_forest(system: ReplacementSystem, base: ColoredGraph, cells: Sequence[W
         if w[-1] in kids:
             _reject(system, base, cells, f"{w} is a duplicate cell or extended by another cell")
         kids[w[-1]] = w
+    if base is not system.base:
+        system._check_loops(base)
     ids = {v: i for i, v in enumerate(base.vertices)}
-    uf = list(range(len(ids)))
+    size = len(ids)
     leaves: dict = {}
     inner: dict = {}
     families: list = []
     stack: list = []
-    glued = False
 
-    def push(kids: dict, edges: tuple, sub: list) -> bool:
+    def push(kids: dict, edges: tuple, sub: Sequence[int]) -> bool:
         """Stack the children of one node; True when they are all cells."""
         if len(kids) != len(edges):
             _reject(system, base, cells, "cells do not form a complete partition")
@@ -597,7 +609,7 @@ def walk_forest(system: ReplacementSystem, base: ColoredGraph, cells: Sequence[W
         return all_cells
 
     push(root, tuple((e.name, e.color, ids[e.src], ids[e.dst]) for e in reversed(base.edges)),
-         range(len(ids)))
+         range(size))
     while stack:
         node, color, s, t = stack.pop()
         if type(node) is not list:
@@ -605,33 +617,11 @@ def walk_forest(system: ReplacementSystem, base: ColoredGraph, cells: Sequence[W
             continue
         word = node[0]
         inner[word] = (color, s, t)
-        loop, fresh, edges = system.rules[color].pattern
-        n = len(uf)
-        new = range(n, n + fresh)
-        if loop:  # UnionFind.union(s, t): t's root becomes the root of both
-            a, b = s, t
-            while uf[a] != a:
-                uf[a] = uf[uf[a]]
-                a = uf[a]
-            while uf[b] != b:
-                uf[b] = uf[uf[b]]
-                b = uf[b]
-            if a != b:
-                uf[a] = b
-                glued = True
-        uf.extend(new)
-        if push(node[1], edges, [s, *new] if loop else [s, t, *new]):
+        fresh, edges = system.rules[color].pattern
+        if push(node[1], edges, (s, t, *range(size, size + fresh))):
             families.append(word)
-    if glued:
-        def find(x):
-            while uf[x] != x:
-                x = uf[x]
-            return x
-
-        for ends in (leaves, inner):
-            for w, (color, s, t) in ends.items():
-                ends[w] = (color, find(s), find(t))
-    return leaves, inner, families, glued, len(uf)
+        size += fresh
+    return leaves, inner, families, size
 
 
 def _reject(system: ReplacementSystem, base: ColoredGraph, cells, reason: str):
@@ -657,9 +647,11 @@ class GraphExpansion:
     free vertex integer (``_next``).  A reduction makes its expansion by
     editing these (``_merged``), and a refinement (``expand``,
     ``full_expansion``, ``expansion_containing``) by splitting cells
-    (``_split``), not by another walk.  The cells stay in depth-first order
-    either way; ``_inner`` lists parents before children, in depth-first
-    preorder only when walked, so what needs forest order reads ``cells``.
+    (``_split``), not by another walk: a loop-kind color labels only loops,
+    so no rule copy identifies two ends and no edit changes an end.  The
+    cells stay in depth-first order either way; ``_inner`` lists parents
+    before children, in depth-first preorder only when walked, so what needs
+    forest order reads ``cells``.
     Validation and reduction read the ends (``cell_ends``, ``root_degree``),
     and reduction reads the families; the named leaf graph is built on first
     access.
@@ -669,14 +661,14 @@ class GraphExpansion:
                  base: Optional[ColoredGraph] = None):
         self.system = system
         self.base = base if base is not None else system.base
-        self._leaves, self._inner, self._families, self._glued, self._next = walk_forest(
+        self._leaves, self._inner, self._families, self._next = walk_forest(
             system, self.base, [tuple(c) for c in cells])
         self.cells = tuple(self._leaves)
 
     def _edited(self, leaves: dict, inner: dict, families: list, size: int) -> "GraphExpansion":
         """An expansion over this one's system and base holding the given records."""
         out = object.__new__(GraphExpansion)
-        out.system, out.base, out._glued, out._next = self.system, self.base, False, size
+        out.system, out.base, out._next = self.system, self.base, size
         out._leaves, out._inner, out._families = leaves, inner, families
         out.cells = tuple(leaves)
         return out
@@ -717,10 +709,6 @@ class GraphExpansion:
         """The cell's edge of the named leaf graph."""
         return self.leaf_graph.edge(" ".join(word))
 
-    def cell_is_loop(self, word: Word) -> bool:
-        _, s, t = self.cell_ends(word)
-        return s == t
-
     # -- rewriting -----------------------------------------------------------
 
     def expand(self, word: Word) -> "GraphExpansion":
@@ -733,21 +721,16 @@ class GraphExpansion:
 
         The dual of ``_merged``, an edit of what the walk recorded: each cell
         gives way, at its own place in depth-first cell order, to its
-        children, whose ends come from the rule (``Rule.split_pattern``); the
-        new vertices get integers from ``_next`` on, in cell order.  Each split cell joins the
-        interior words and the families, and its parent leaves the families.
-        Raises NotACell for a word that is not a cell.
-
-        An expansion whose walk glued two ends (``glued``), or a split where
-        a loop-kind rule would glue two distinct ends, is walked again
-        instead: gluing resolves ends all over the forest.
+        children, whose ends come from the rule (``Rule.split_pattern``), as
+        in the walk; the new vertices get integers from ``_next`` on, in cell
+        order.  Each split cell joins the interior words and the families,
+        and its parent leaves the families.  Raises NotACell for a word that
+        is not a cell.
         """
         leaves, split = self._leaves, set(cells)
         if not split <= leaves.keys():
             w = next(w for w in split if w not in leaves)
             raise NotACell(f"{w} is not a cell of this expansion")
-        if self._glued:
-            return self._rewalked(split)
         rules = self.system.rules
         out, inner, n, kids = {}, dict(self._inner), self._next, []
         # unless every cell splits, a cell of a length no split cell has is
@@ -758,10 +741,8 @@ class GraphExpansion:
                 out[w] = ends
                 continue
             color, s, t = ends
-            loop, fresh, edges = rules[color].split_pattern
-            if loop and s != t:
-                return self._rewalked(split)
-            sub = (s, *range(n, n + fresh)) if loop else (s, t, *range(n, n + fresh))
+            fresh, edges = rules[color].split_pattern
+            sub = (s, t, *range(n, n + fresh))
             n += fresh
             inner[w] = ends
             kids.append(w)
@@ -770,16 +751,6 @@ class GraphExpansion:
         parents = {w[:-1] for w in kids}
         families = [u for u in self._families if u not in parents] + kids
         return self._edited(out, inner, families, n)
-
-    def _rewalked(self, split: set) -> "GraphExpansion":
-        """``_split(split)`` by a walk of the new cells."""
-        rules, cells = self.system.rules, []
-        for w, (color, _, _) in self._leaves.items():
-            if w in split:
-                cells.extend(w + (e.name,) for e in rules[color].graph.edges)
-            else:
-                cells.append(w)
-        return GraphExpansion(self.system, cells, self.base)
 
     def reduce(self, family: Iterable[Word]) -> "GraphExpansion":
         return self._merged([self.check_reducible(family)])
@@ -792,11 +763,8 @@ class GraphExpansion:
         what the walk recorded: each family's cells give way to their parent
         at the first child's place (depth-first order is kept), the parent
         leaves the interior words, and its own parent becomes a family once
-        all its children are cells.  The vertex integers keep their values.
-
-        An expansion whose walk glued the two ends of an edge (``glued``: a
-        loop-kind color on an edge with two ends) is walked again instead: a
-        fresh walk does not glue the ends of a merged parent that is a cell.
+        all its children are cells.  The vertex integers keep their values:
+        no rule copy glues two ends, so a merged parent's ends are as walked.
         """
         inner, rules = self._inner, self.system.rules
         edit = {}  # each merged cell -> its parent if it is the first child, else None
@@ -811,8 +779,6 @@ class GraphExpansion:
                 leaves[w] = ends
             elif p is not None:
                 leaves[p] = inner[p]
-        if self._glued:
-            return GraphExpansion(self.system, leaves, self.base)
         inner = dict(inner)
         for p in parents:
             del inner[p]
@@ -901,17 +867,10 @@ def full_expansion(system: ReplacementSystem, depth: int) -> GraphExpansion:
 
 
 def minimal_refinement(e1: GraphExpansion, e2: GraphExpansion) -> GraphExpansion:
+    """The coarsest common refinement of two expansions over one system and base."""
     if e1.system is not e2.system or e1.base != e2.base:
         raise ValueError("expansions live over different systems or bases")
-    a, b = set(e1.cells), set(e2.cells)
-    cells = set()
-    for w in a:
-        if any(w[: len(v)] == v for v in b if len(v) <= len(w)):
-            cells.add(w)
-    for w in b:
-        if any(w[: len(v)] == v for v in a if len(v) < len(w)):
-            cells.add(w)
-    return GraphExpansion(e1.system, cells, e1.base)
+    return expansion_containing(e1.system, e1.cells + e2.cells, e1.base)
 
 
 def expansion_containing(system: ReplacementSystem, words: Iterable[Word],

@@ -244,6 +244,21 @@ def test_system_from_json_file(tmp_path):
     assert json.loads(out)["undirected_colors"] == ["b"]
 
 
+def test_loop_color_on_a_non_loop_is_a_computation_error(tmp_path):
+    from rewrite_groups.catalog import catalog
+    from rewrite_groups.replacement import normalize_loops, system_to_json
+
+    # basilica~ with its base loop R of the loop-kind color 1~ given two ends
+    data = system_to_json(normalize_loops(catalog("basilica")))
+    data["base"]["vertices"].append("b1")
+    data["base"]["edges"][1]["dst"] = "b1"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    for command in (["validate"], ["expand", "--depth", "2"]):
+        code, out, err = run(command + ["--system", str(path)])
+        assert code == 3 and out == "" and "MalformedSystem" in err, command
+
+
 def test_expand_dendrite_depth_five():
     code, out, _ = run(["expand", "--system", "dendrite:3", "--depth", "5"])
     assert code == 0

@@ -130,12 +130,15 @@ def test_reduction_order_independence(rng):
 
 def test_type_preservation(rng):
     A = catalog("airplane")
+
+    def color_and_loop(exp, w):
+        color, s, t = exp.cell_ends(w)
+        return color, s == t
+
     for _ in range(10):
         g = random_rearrangement(A, rng, 3, 2)
         for w in g.domain.cells:
-            v = g.phi[w]
-            assert (g.domain.cell_color(w), g.domain.cell_is_loop(w)) == \
-                (g.range_.cell_color(v), g.range_.cell_is_loop(v))
+            assert color_and_loop(g.domain, w) == color_and_loop(g.range_, g.phi[w])
 
 
 def test_equality_matches_action_oracle(rng):
@@ -646,7 +649,9 @@ def test_inconsistent_vertex_image_names_a_cell():
 def test_loop_and_non_loop_cells_are_different_types():
     B = catalog("basilica")
     E = base_expansion(B).expand(("L",))
-    assert E.cell_is_loop(("L", "1")) and not E.cell_is_loop(("L", "0"))
+    _, s, t = E.cell_ends(("L", "1"))
+    _, s0, t0 = E.cell_ends(("L", "0"))
+    assert s == t and s0 != t0
     phi = {w: w for w in E.cells}
     phi[("L", "0")], phi[("L", "1")] = ("L", "1"), ("L", "0")
     with pytest.raises(TypeMismatch):

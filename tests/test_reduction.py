@@ -101,6 +101,8 @@ def _ends_by_unions(exp):
     boundary first and then its other vertices in graph order, and each
     loop-kind rule uniting the two ends of its edge.  The walk allocates
     its items in the same order, so the ends it resolved are these roots.
+    A loop-kind color labels only loops, so those unions merge nothing: the
+    walk keeps no union-find.
     """
     S, cells = exp.system, set(exp.cells)
     ids = {v: i for i, v in enumerate(exp.base.vertices)}
@@ -114,6 +116,7 @@ def _ends_by_unions(exp):
             continue
         rule = S.rules[color]
         if rule.kind == "loop":
+            assert s == t, w
             uf.union(s, t)
         num = dict(zip(rule.boundary_vertices(), (s, t)))
         for v in rule.graph.vertices:
@@ -125,29 +128,9 @@ def _ends_by_unions(exp):
     return {w: (color, uf.find(s), uf.find(t)) for w, (color, s, t) in items.items()}
 
 
-def _loop_color_on_non_loops():
-    """A system whose loop-kind color L also labels edges with two ends.
-
-    Expanding such an edge glues its ends, so the walk's unions merge
-    items; in loop-normalized systems a loop-kind edge is a loop and they
-    merge none.
-    """
-    from rewrite_groups.graphs import ColoredGraph, Edge
-    from rewrite_groups.replacement import ReplacementSystem, Rule
-
-    base = ColoredGraph(["x", "y", "z"], [Edge("e", "L", "x", "y"), Edge("f", "P", "y", "z"),
-                                          Edge("g", "L", "z", "x")])
-    return ReplacementSystem(["L", "P"], base, {
-        "L": Rule(ColoredGraph(["l", "v"], [Edge("a", "L", "l", "l"), Edge("b", "P", "l", "v"),
-                                            Edge("c", "L", "v", "l")]), ("loop", "l")),
-        "P": Rule(ColoredGraph(["i", "m", "t"], [Edge("p", "P", "i", "m"),
-                                                 Edge("q", "L", "m", "t")]), ("pair", "i", "t")),
-    })
-
-
-@pytest.mark.parametrize("name", ["loop color on non-loops", "basilica~", "rabbit:3~", "airplane"])
+@pytest.mark.parametrize("name", ["basilica~", "rabbit:3~", "airplane"])
 def test_walk_union_find_has_the_roots_of_union_calls(name):
-    S = _loop_color_on_non_loops() if name == "loop color on non-loops" else _system(name)
+    S = _system(name)
     rng = random.Random(name)
     # walked, not split: a split numbers its new vertices in cell order
     expansions = [GraphExpansion(S, full_expansion(S, depth).cells) for depth in range(1, 5)]
@@ -156,11 +139,8 @@ def test_walk_union_find_has_the_roots_of_union_calls(name):
         for _ in range(rng.randint(0, 30)):
             exp = exp.expand(rng.choice(exp.cells))
         expansions.append(GraphExpansion(S, exp.cells))
-    glued = 0
     for exp in expansions:
         assert {**exp._inner, **exp._leaves} == _ends_by_unions(exp)
-        glued += exp._glued
-    assert glued if name == "loop color on non-loops" else not glued
 
 
 # -- merged expansions against the walk ----------------------------------------------
@@ -262,52 +242,16 @@ def test_merged_expansions_equal_the_walk_of_their_cells(monkeypatch):
         _assert_as_walked(exp.reduce(family))
 
 
-def test_merged_expansions_of_a_glued_walk_are_walked(monkeypatch):
-    # expanding the loop-kind edge e glues its two ends; merged back, a
-    # fresh walk of the cells splits them again, so the merge walks too
-    S = _loop_color_on_non_loops()
-    exp = base_expansion(S).expand(("e",))
-    _, s, t = exp._inner[("e",)]
-    assert exp._glued and s == t
-    identity = Rearrangement(exp, {w: w for w in exp.cells}, exp, _reduced=True)
-    assert _reduce_checking_every_round(identity, monkeypatch) == 2
-    domain = _reduce(identity)[0]
-    _, s, t = domain.cell_ends(("e",))
-    assert domain.cells == base_expansion(S).cells and s != t
-    rng = random.Random(5)
-    for _ in range(6):
-        exp = base_expansion(S)
-        for _ in range(rng.randint(1, 8)):
-            exp = exp.expand(rng.choice(exp.cells))
-        for family in exp.reducible_families():
-            _assert_as_walked(exp.reduce(family))
-
-
 # -- split expansions against the walk ------------------------------------------------
 
 # the full expansions that the limit-space benchmark times
 LIMIT_SPACE_DEPTHS = {"airplane": 4, "dendrite:4": 3, "circle_T": 7, "interval_F": 7,
                       "cantor_V": 7, "dendrite:3": 4}
-LOOP_COLOR = "loop color on non-loops"
 
 
-def _counting_rewalks(monkeypatch) -> list:
-    """Record every split that ``GraphExpansion._rewalked`` makes by a walk."""
-    rewalks = []
-    rewalked = GraphExpansion._rewalked
-
-    def recording(self, split):
-        rewalks.append(split)
-        return rewalked(self, split)
-
-    monkeypatch.setattr(GraphExpansion, "_rewalked", recording)
-    return rewalks
-
-
-@pytest.mark.parametrize("name", SYSTEMS + ["dendrite:4", "basilica~", LOOP_COLOR])
-def test_split_expansions_equal_the_walk_of_their_cells(name, monkeypatch):
-    S = _loop_color_on_non_loops() if name == LOOP_COLOR else _system(name)
-    rewalks = _counting_rewalks(monkeypatch)
+@pytest.mark.parametrize("name", SYSTEMS + ["dendrite:4", "basilica~"])
+def test_split_expansions_equal_the_walk_of_their_cells(name):
+    S = _system(name)
     for depth in sorted({0, 1, 2, 3, LIMIT_SPACE_DEPTHS.get(name, 3)}):
         exp = full_expansion(S, depth)
         assert all(len(w) == depth + 1 for w in exp.cells)
@@ -318,23 +262,6 @@ def test_split_expansions_equal_the_walk_of_their_cells(name, monkeypatch):
         for _ in range(25):
             exp = exp.expand(rng.choice(exp.cells))
             _assert_as_walked(exp)
-    # only a loop-kind color on an edge with two ends makes a split walk
-    assert rewalks if name == LOOP_COLOR else not rewalks
-
-
-def test_split_of_a_glued_edge_is_walked(monkeypatch):
-    # expanding the loop-kind edge e of the base glues its two ends: the
-    # split walks, and so does every later split of the glued expansion
-    S = _loop_color_on_non_loops()
-    rewalks = _counting_rewalks(monkeypatch)
-    exp = base_expansion(S).expand(("f",))
-    assert not rewalks and not exp._glued
-    exp = exp.expand(("e",))
-    assert rewalks == [{("e",)}] and exp._glued
-    _assert_as_walked(exp)
-    exp = exp.expand(("f", "p"))
-    assert rewalks[1:] == [{("f", "p")}]
-    _assert_as_walked(exp)
 
 
 def _walked_expand(self, word):

@@ -6,6 +6,7 @@ from rewrite_groups.catalog import catalog, dendrite_edge_base
 from rewrite_groups.graphs import ColoredGraph, Edge, UnionFind
 from rewrite_groups.replacement import (
     GraphExpansion,
+    MalformedSystem,
     NotACell,
     NotReducible,
     NotRepairable,
@@ -254,6 +255,86 @@ def test_minimal_refinement_laws(rng):
         ab_c = minimal_refinement(minimal_refinement(a, b), c)
         a_bc = minimal_refinement(a, minimal_refinement(b, c))
         assert ab_c == a_bc
+
+
+def _prefix_scan_refinement(e1, e2):
+    """The common refinement by a scan of every pair of cells, the reference."""
+    a, b = set(e1.cells), set(e2.cells)
+    cells = set()
+    for w in a:
+        if any(w[: len(v)] == v for v in b if len(v) <= len(w)):
+            cells.add(w)
+    for w in b:
+        if any(w[: len(v)] == v for v in a if len(v) < len(w)):
+            cells.add(w)
+    return GraphExpansion(e1.system, cells, e1.base)
+
+
+@pytest.mark.parametrize("name", ["interval_F", "circle_T", "cantor_V", "airplane", "basilica",
+                                  "dendrite:3", "vicsek:4"])
+def test_minimal_refinement_equals_the_prefix_scan(name):
+    S = catalog(name)
+    rng = random.Random(name)
+
+    def random_exp():
+        e = base_expansion(S)
+        for _ in range(rng.randint(0, 10)):
+            e = e.expand(rng.choice(e.cells))
+        return e
+
+    for _ in range(12):
+        a, b = random_exp(), random_exp()
+        ref = _prefix_scan_refinement(a, b)
+        out = minimal_refinement(a, b)
+        assert out == ref and out.cells == ref.cells
+        assert out.leaf_graph.encoding() == ref.leaf_graph.encoding()
+
+
+def _pieces(base_edges, rules, colors=("L", "P")):
+    """(colors, base, rules) of a system over the colors L (loop-kind) and P (pair)."""
+    verts = sorted({v for e in base_edges for v in (e.src, e.dst)})
+    return list(colors), ColoredGraph(verts, base_edges), rules
+
+
+def _rules(q_src="m", boundary=("pair", "i", "t")):
+    """L's rule, and P's, whose edge q of color L runs from ``q_src`` to m."""
+    return {
+        "L": Rule(ColoredGraph(["l", "v"], [Edge("a", "L", "l", "l"), Edge("b", "P", "l", "v"),
+                                            Edge("c", "P", "v", "l")]), ("loop", "l")),
+        "P": Rule(ColoredGraph(["i", "m", "t"], [Edge("p", "P", "i", "m"), Edge("q", "L", q_src, "m"),
+                                                 Edge("r", "P", "m", "t")]), boundary),
+    }
+
+
+@pytest.mark.parametrize("pieces, message", [
+    (_pieces([Edge("e", "L", "x", "x"), Edge("f", "Q", "x", "y")], _rules()),
+     r"colors without declaration: \['Q'\]"),
+    (_pieces([Edge("e", "L", "x", "x")], _rules(), colors=("L", "P", "Q")),
+     "color 'Q' has no replacement rule"),
+    (_pieces([Edge("e", "L", "x", "x")], _rules(boundary=("pair", "i", "z"))),
+     "boundary vertex 'z' missing in rule 'P'"),
+    (_pieces([Edge("e", "L", "x", "x")], _rules(boundary=("pair", "i", "i"))),
+     "rule 'P': initial and terminal vertices coincide"),
+    (_pieces([Edge("e", "L", "x", "y"), Edge("f", "P", "y", "x")], _rules()),
+     "loop-boundary color 'L' colors the non-loop edge 'e'"),
+    (_pieces([Edge("e", "L", "x", "x"), Edge("f", "P", "x", "y")], _rules(q_src="i")),
+     "loop-boundary color 'L' colors the non-loop edge 'q'"),
+], ids=["undeclared color", "color without a rule", "missing boundary vertex", "iota is tau",
+        "loop color on a base edge", "loop color on a rule edge"])
+def test_malformed_systems_are_refused(pieces, message):
+    # each case breaks one thing of this system
+    ReplacementSystem(*_pieces([Edge("e", "L", "x", "x"), Edge("f", "P", "x", "y")], _rules()))
+    with pytest.raises(MalformedSystem, match=message):
+        ReplacementSystem(*pieces)
+
+
+def test_expansions_over_a_base_with_a_loop_color_on_a_non_loop_are_refused():
+    B = normalize_loops(catalog("basilica"))
+    bad = ColoredGraph(["b0", "b1"], [Edge("L", "1~", "b0", "b0"), Edge("R", "1~", "b0", "b1")])
+    with pytest.raises(MalformedSystem, match="loop-boundary color '1~' colors the non-loop edge 'R'"):
+        base_expansion(B, bad)
+    good = ColoredGraph(["b0", "b1"], [Edge("L", "1~", "b0", "b0"), Edge("R", "1", "b0", "b1")])
+    assert base_expansion(B, good).expand(("L",)).expand(("R",)).cells
 
 
 def test_leaf_graphs_have_no_isolated_vertices(rng):
