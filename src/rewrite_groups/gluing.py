@@ -7,7 +7,9 @@ the colors of the diverged edges and the adjacency type on each side, one of
 in / out / lp / db+ / db- (the shared vertex is the edge's head, its tail,
 its loop base, or the edges share both endpoints, parallel or antiparallel).
 Loop-uniformity is arranged first by splitting colors, so every boundary is a
-single vertex for loop colors and an (iota, tau) pair otherwise.
+single vertex for loop colors and an (iota, tau) pair otherwise.  Splitting
+only recolors: every letter keeps its name, so the automaton reads the
+sequences of the system it was built from as they are.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .replacement import (
     Rule,
     base_expansion,
     normalize_loops,
-    translate_word,
 )
 
 Word = tuple
@@ -49,6 +50,8 @@ class GluingAutomaton:
     (state, a) to the list of (b, next state) in transition order: the
     partner letters one letter of the first sequence allows.  ``build``
     derives it once; it is not part of equality, repr or the emitters.
+    ``system`` is ``original`` loop-normalized: the same letters, with the
+    loop edges of a split color recolored.
     """
 
     system: ReplacementSystem          # loop-normalized
@@ -223,41 +226,6 @@ def build(system: ReplacementSystem) -> GluingAutomaton:
 # -- running on rational sequences -------------------------------------------------
 
 
-def _normalized_sequence(aut: GluingAutomaton, s: RationalSequence) -> RationalSequence:
-    """Translate into the loop-normalized alphabet and re-detect the lasso.
-
-    Splitting a color can lengthen the preperiod and multiply the period (the
-    translation of a letter depends on which rule copy is being read), but the
-    context colors cycle with a bounded factor, so a window proportional to
-    the number of colors always contains the new lasso.
-
-    Translation goes letter by letter, so the scan translates only the
-    prefix it reads, doubling it up to ``n``.  The first prefix runs
-    ``len(colors) + 1`` periods past the preperiod: by then the run of the
-    original system has met some color twice at the start of a period, so
-    a sequence that leaves the language does so inside it, and
-    ``translate_word`` raises KeyError there, at the first letter outside.
-    """
-    if aut.system is aut.original:
-        return s
-    p = len(s.period)
-    factor = len(aut.system.colors) + 2
-    n = len(s.prefix) + (2 * factor + 2) * p * factor
-    size = min(n, len(s.prefix) + (len(aut.original.colors) + 1) * p)
-    word = translate_word(aut.system, aut.original, s.prefix_of_length(size))
-    for i in range(len(s.prefix), n):
-        for m in range(1, factor + 1):
-            q = m * p
-            if i + 2 * q > n:
-                break
-            while i + 2 * q > size:
-                size = min(n, 2 * size)
-                word = translate_word(aut.system, aut.original, s.prefix_of_length(size))
-            if word[i: i + q] == word[i + q: i + 2 * q]:
-                return RationalSequence.make(word[:i], word[i: i + q])
-    raise NotInSymbolSpace("translation did not stabilize; not periodic")
-
-
 def _automaton(system_or_aut) -> GluingAutomaton:
     """The automaton passed, or the system's own, compiled once and kept on it.
 
@@ -277,17 +245,24 @@ def glued(system_or_aut, s1: RationalSequence, s2: RationalSequence) -> bool:
     (automaton state, phase of each input) repeats, which decides acceptance.
     Given a system, the automaton is compiled on the first query and kept on
     the system, so later queries on it reuse it.
+
+    A run that never stops reads only edges of the current context graphs, so
+    both sequences lie in the symbol space; only a rejected pair is checked.
+    The color at a period start repeats within ``len(colors) + 1`` periods,
+    so a sequence that leaves the language does so by then.
     """
     aut = _automaton(system_or_aut)
+    if _run_lasso(aut, s1, s2):
+        return True
     for s in (s1, s2):
-        probe = len(s.prefix) + 2 * len(s.period) + 1
+        probe = len(s.prefix) + (len(aut.original.colors) + 1) * len(s.period)
         if not aut.original.language_contains(s.prefix_of_length(probe)):
             raise NotInSymbolSpace(f"{s} is not in the symbol space")
-    return _run_lasso(aut, _normalized_sequence(aut, s1), _normalized_sequence(aut, s2))
+    return False
 
 
 def _run_lasso(aut: GluingAutomaton, t1: RationalSequence, t2: RationalSequence) -> bool:
-    """Run two sequences of the loop-normalized alphabet on the automaton.
+    """Run two sequences on the automaton.
 
     A phase indexes ``prefix + period``: it steps by one and wraps from the
     end back to the start of the period, so the run stops when a triple
@@ -368,14 +343,15 @@ def gluing_class(system: ReplacementSystem, s: RationalSequence) -> set:
     distinct, so it never holds more than len(succ) - 1 labels and needs no
     cap.  Building, peeling and each enumerated path take time linear in the
     product.  Every partner found is re-checked by a run of the automaton.
+    The Type 0 transitions walk the language, so s is its own partner exactly
+    when it lies in the symbol space.
     """
     if not system.validate().finite_branching_sufficient:
         raise FiniteBranchingUnknown(
             "gluing classes are only enumerated under the degree-one condition")
     aut = _automaton(system)
-    t = _normalized_sequence(aut, s)
-    word = t.prefix + t.period
-    end, period_start = len(word), len(t.prefix)
+    word = s.prefix + s.period
+    end, period_start = len(word), len(s.prefix)
     index = aut.index
 
     # product nodes (state, phase), phase indexing ``word``; partner-labeled edges
@@ -429,33 +405,10 @@ def gluing_class(system: ReplacementSystem, s: RationalSequence) -> set:
                 position.popitem()
                 if labels:
                     labels.pop()
-    out = {c for c in out if _run_lasso(aut, t, c)}
-    out.add(RationalSequence.make(t.prefix, t.period))
-    if aut.system is aut.original:
-        return out
-    # translate partners back to the original alphabet
-    back = set()
-    for cand in out:
-        back.add(_translate_back(aut, cand))
-    return back
-
-
-def _translate_back(aut: GluingAutomaton, t: RationalSequence) -> RationalSequence:
-    origin = aut.system.letter_origin
-    n = len(t.prefix) + 2 * len(t.period)
-    letters = []
-    ctx = None
-    for i in range(n):
-        letter = t.letter(i)
-        letters.append(origin.get((ctx, letter), letter))
-        ctx = aut.system.letter_color(ctx, letter)
-    for k in range(len(t.prefix), n - len(t.period)):
-        if letters[k] != letters[k + len(t.period)]:
-            raise RuntimeError("translation not periodic")
-    return RationalSequence.make(
-        tuple(letters[: len(t.prefix)]),
-        tuple(letters[len(t.prefix): len(t.prefix) + len(t.period)]),
-    )
+    out = {c for c in out if _run_lasso(aut, s, c)}
+    if RationalSequence.make(s.prefix, s.period) not in out:
+        raise NotInSymbolSpace(f"{s} is not in the symbol space")
+    return out
 
 
 # -- emitters ------------------------------------------------------------------------

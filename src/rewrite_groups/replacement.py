@@ -116,13 +116,10 @@ class ValidationReport:
 
 
 class ReplacementSystem:
-    def __init__(self, colors: Sequence[str], base: ColoredGraph, rules: dict,
-                 letter_origin: Optional[dict] = None):
+    def __init__(self, colors: Sequence[str], base: ColoredGraph, rules: dict):
         self.colors = tuple(colors)
         self.base = base
         self.rules: dict[str, Rule] = dict(rules)
-        # for systems produced by normalize_loops: (context, new letter) -> old letter
-        self.letter_origin = letter_origin
         used = set(base.colors())
         for c, rule in self.rules.items():
             used |= rule.graph.colors()
@@ -356,24 +353,18 @@ def normalize_loops(system: ReplacementSystem) -> ReplacementSystem:
     """Split every color whose edges mix loops and non-loops.
 
     Loop edges of a split color c get a new color c~ whose rule is the old one
-    with iota and tau identified to a single vertex.  The produced system has
-    ``letter_origin`` filled so words can be translated back and forth.
+    with iota and tau identified to a single vertex.  Only colors change:
+    every edge keeps its name, so a word of the system is the same word, naming
+    the same cell, in the normalized system.
     """
     if system._loop_uniform():
         return system
 
     status = system._loop_status()
-
-    def needs_split(c):
-        return status.get(c) == {True, False}
-
-    def loop_only(c):
-        return status.get(c) == {True}
-
     loop_name = {}
     taken = set(system.colors)
     for c in system.colors:
-        if needs_split(c):
+        if status.get(c) == {True, False}:
             lc = f"{c}~"
             while lc in taken:
                 lc += "~"
@@ -382,75 +373,41 @@ def normalize_loops(system: ReplacementSystem) -> ReplacementSystem:
         else:
             loop_name[c] = c
 
-    def recolor(color: str, is_loop: bool) -> str:
-        return loop_name[color] if is_loop else color
+    def recolor(g: ColoredGraph, vmap=None) -> ColoredGraph:
+        vmap = vmap or {}
+        edges = []
+        for e in g.edges:
+            s, d = vmap.get(e.src, e.src), vmap.get(e.dst, e.dst)
+            edges.append(Edge(e.name, loop_name[e.color] if s == d else e.color, s, d))
+        return ColoredGraph([v for v in g.vertices if v not in vmap], edges)
+
+    def loop_rule(rule: Rule) -> Rule:
+        return Rule(recolor(rule.graph, {rule.tau: rule.iota}), ("loop", rule.iota))
 
     new_colors: list = []
     new_rules: dict = {}
-    origin: dict = {}
-
-    def convert_graph(g: ColoredGraph, ctx_key) -> ColoredGraph:
-        edges = []
-        for e in g.edges:
-            origin[(ctx_key, e.name)] = e.name
-            edges.append(Edge(e.name, recolor(e.color, e.is_loop), e.src, e.dst))
-        return ColoredGraph(g.vertices, edges)
-
-    def loop_rule_from_pair(rule: Rule, lc: str, fresh: bool) -> Rule:
-        g = rule.graph
-        lam = rule.iota
-        vmap = {v: (lam if v == rule.tau else v) for v in g.vertices}
-        verts = [v for v in g.vertices if v != rule.tau]
-        edges = []
-        for e in g.edges:
-            name = f"{lc}.{e.name}" if fresh else e.name
-            origin[(lc, name)] = e.name
-            s, d = vmap[e.src], vmap[e.dst]
-            edges.append(Edge(name, recolor(e.color, s == d), s, d))
-        return Rule(ColoredGraph(verts, edges), ("loop", lam))
-
     for c in system.colors:
         rule = system.rules[c]
-        if needs_split(c):
-            new_colors.append(c)
-            new_rules[c] = Rule(convert_graph(rule.graph, c), rule.boundary)
-            lc = loop_name[c]
-            new_colors.append(lc)
-            new_rules[lc] = loop_rule_from_pair(rule, lc, fresh=True)
-        elif loop_only(c) and rule.kind == "pair":
-            new_colors.append(c)
-            new_rules[c] = loop_rule_from_pair(rule, c, fresh=False)
+        new_colors.append(c)
+        if status.get(c) == {True} and rule.kind == "pair":
+            new_rules[c] = loop_rule(rule)
         else:
-            new_colors.append(c)
-            new_rules[c] = Rule(convert_graph(rule.graph, c), rule.boundary)
-
-    base = ColoredGraph(
-        system.base.vertices,
-        [Edge(e.name, recolor(e.color, e.is_loop), e.src, e.dst) for e in system.base.edges],
-    )
-    for e in system.base.edges:
-        origin[(None, e.name)] = e.name
-    return ReplacementSystem(new_colors, base, new_rules, letter_origin=origin)
+            new_rules[c] = Rule(recolor(rule.graph), rule.boundary)
+        if loop_name[c] != c:
+            new_colors.append(loop_name[c])
+            new_rules[loop_name[c]] = loop_rule(rule)
+    return ReplacementSystem(new_colors, recolor(system.base), new_rules)
 
 
 def translate_word(normalized: ReplacementSystem, original: ReplacementSystem, word: Word) -> Word:
-    """Lift a word of the original system into the loop-normalized system."""
-    if normalized.letter_origin is None:
-        return tuple(word)
-    out = []
-    ctx = None
-    for letter in word:
-        g = normalized.graph_of(ctx)
-        hit = None
-        for e in g.edges:
-            if normalized.letter_origin.get((ctx, e.name), e.name) == letter:
-                hit = e
-                break
-        if hit is None:
-            raise KeyError(f"letter {letter!r} has no image in context {ctx!r}")
-        out.append(hit.name)
-        ctx = hit.color
-    return tuple(out)
+    """A word of ``original`` as a word of its loop-normalized system: itself.
+
+    Normalization keeps every letter, so this only checks that the word reads
+    in ``normalized`` (KeyError outside its language) and returns it.
+    """
+    word = tuple(word)
+    normalized.walk(word)
+    return word
 
 
 # -- expanding repair ----------------------------------------------------------

@@ -718,7 +718,12 @@ def invert(d: StrandDiagram) -> StrandDiagram:
 
 
 def compose(f: StrandDiagram, g: StrandDiagram) -> StrandDiagram:
-    """``f after g``: glue the sinks of g onto the sources of f and reduce.
+    """``f after g``: glue the sinks of g onto the sources of f and reduce."""
+    return _glued_composite(f, g).reduce()
+
+
+def _glued_composite(f: StrandDiagram, g: StrandDiagram) -> StrandDiagram:
+    """``f after g`` glued, the sinks of g onto the sources of f, not reduced.
 
     Symbols of f are renamed by the procedure of the composition rule: the
     interface is unified positionwise, and a split of f whose branching label
@@ -864,8 +869,7 @@ def compose(f: StrandDiagram, g: StrandDiagram) -> StrandDiagram:
                                          (("f", s.dst[0]), s.dst[1]))
     sources = [("g", n) for n in g.sources]
     sinks = [("f", n) for n in f.sinks]
-    glued = StrandDiagram(f.system, nodes, strands, sources, sinks)
-    return glued.reduce()
+    return StrandDiagram(f.system, nodes, strands, sources, sinks)
 
 
 def decompose(d: StrandDiagram):

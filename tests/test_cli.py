@@ -117,6 +117,11 @@ def test_class_of_a_long_period():
     assert out.strip() == point
 
 
+def test_class_outside_the_symbol_space_is_a_computation_error():
+    code, out, err = run(["class", "--system", "airplane", "zz (0)"])
+    assert code == 3 and out == "" and "NotInSymbolSpace" in err
+
+
 def test_confluence_exit_codes():
     code, out, _ = run(["confluence", "--system", "interval_F"])
     assert code == 0 and out.strip() == "confluent"

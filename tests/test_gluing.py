@@ -1,5 +1,4 @@
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -7,7 +6,7 @@ from conftest import random_rational
 
 from rewrite_groups.catalog import catalog, dendrite_edge_base
 from rewrite_groups.rearrangement import random_rearrangement
-from rewrite_groups.replacement import RationalSequence as RS, translate_word
+from rewrite_groups.replacement import RationalSequence as RS
 from rewrite_groups import gluing as gl
 
 
@@ -52,8 +51,8 @@ def basilica_expected_rows():
     """The basilica automaton's full transition table, row by row.
 
     Letters: base L, R; non-loop rule '1' has edges 0, 1, 2 (1 is the red
-    loop); loop rule '1~' has edges 1~.0, 1~.1, 1~.2.  Colors: blue = 1,
-    red = 1~.
+    loop); loop rule '1~', its copy with iota and tau identified, keeps the
+    letters 0, 1, 2.  Colors: blue = 1, red = 1~.
     """
     B, R = "1", "1~"
     t = {}
@@ -79,30 +78,30 @@ def basilica_expected_rows():
     for pair, nxt in rows1.items():
         t[(q0(B), pair)] = nxt
     rows2 = {
-        ("1~.0", "1~.0"): q0(B), ("1~.0", "1~.1"): q1(B, "in", R, "lp"),
-        ("1~.0", "1~.2"): q1(B, "db+", B, "db-"),
-        ("1~.1", "1~.0"): q1(R, "lp", B, "in"), ("1~.1", "1~.1"): q0(R),
-        ("1~.1", "1~.2"): q1(R, "lp", B, "out"),
-        ("1~.2", "1~.0"): q1(B, "db+", B, "db-"),
-        ("1~.2", "1~.1"): q1(B, "out", R, "lp"), ("1~.2", "1~.2"): q0(B),
+        ("0", "0"): q0(B), ("0", "1"): q1(B, "in", R, "lp"),
+        ("0", "2"): q1(B, "db+", B, "db-"),
+        ("1", "0"): q1(R, "lp", B, "in"), ("1", "1"): q0(R),
+        ("1", "2"): q1(R, "lp", B, "out"),
+        ("2", "0"): q1(B, "db+", B, "db-"),
+        ("2", "1"): q1(B, "out", R, "lp"), ("2", "2"): q0(B),
     }
     for pair, nxt in rows2.items():
         t[(q0(R), pair)] = nxt
     # type 2
-    t[(q1(R, "lp", R, "lp"), ("1~.0", "1~.0"))] = q1(B, "out", B, "out")
-    t[(q1(R, "lp", R, "lp"), ("1~.0", "1~.2"))] = q1(B, "out", B, "in")
-    t[(q1(R, "lp", R, "lp"), ("1~.2", "1~.0"))] = q1(B, "in", B, "out")
-    t[(q1(R, "lp", R, "lp"), ("1~.2", "1~.2"))] = q1(B, "in", B, "in")
-    t[(q1(B, "in", R, "lp"), ("2", "1~.0"))] = q1(B, "in", B, "out")
-    t[(q1(B, "in", R, "lp"), ("2", "1~.2"))] = q1(B, "in", B, "in")
+    t[(q1(R, "lp", R, "lp"), ("0", "0"))] = q1(B, "out", B, "out")
+    t[(q1(R, "lp", R, "lp"), ("0", "2"))] = q1(B, "out", B, "in")
+    t[(q1(R, "lp", R, "lp"), ("2", "0"))] = q1(B, "in", B, "out")
+    t[(q1(R, "lp", R, "lp"), ("2", "2"))] = q1(B, "in", B, "in")
+    t[(q1(B, "in", R, "lp"), ("2", "0"))] = q1(B, "in", B, "out")
+    t[(q1(B, "in", R, "lp"), ("2", "2"))] = q1(B, "in", B, "in")
     t[(q1(B, "in", B, "out"), ("2", "0"))] = q1(B, "in", B, "out")
-    t[(q1(R, "lp", B, "in"), ("1~.0", "2"))] = q1(B, "out", B, "in")
-    t[(q1(R, "lp", B, "in"), ("1~.2", "2"))] = q1(B, "in", B, "in")
-    t[(q1(R, "lp", B, "out"), ("1~.0", "0"))] = q1(B, "out", B, "out")
-    t[(q1(R, "lp", B, "out"), ("1~.2", "0"))] = q1(B, "in", B, "out")
+    t[(q1(R, "lp", B, "in"), ("0", "2"))] = q1(B, "out", B, "in")
+    t[(q1(R, "lp", B, "in"), ("2", "2"))] = q1(B, "in", B, "in")
+    t[(q1(R, "lp", B, "out"), ("0", "0"))] = q1(B, "out", B, "out")
+    t[(q1(R, "lp", B, "out"), ("2", "0"))] = q1(B, "in", B, "out")
     t[(q1(B, "out", B, "in"), ("0", "2"))] = q1(B, "out", B, "in")
-    t[(q1(B, "out", R, "lp"), ("0", "1~.0"))] = q1(B, "out", B, "out")
-    t[(q1(B, "out", R, "lp"), ("0", "1~.2"))] = q1(B, "out", B, "in")
+    t[(q1(B, "out", R, "lp"), ("0", "0"))] = q1(B, "out", B, "out")
+    t[(q1(B, "out", R, "lp"), ("0", "2"))] = q1(B, "out", B, "in")
     t[(q1(B, "out", B, "out"), ("0", "0"))] = q1(B, "out", B, "out")
     t[(q1(B, "in", B, "in"), ("2", "2"))] = q1(B, "in", B, "in")
     t[(q1(B, "db+", B, "db-"), ("0", "2"))] = q1(B, "out", B, "in")
@@ -221,7 +220,7 @@ def test_automaton_emitters():
     ("basilica", (("R",), ("2",)), {"L (0)", "L (2)", "R (0)", "R (2)"}),
 ])
 def test_gluing_class_of_loop_normalized_systems(name, point, expected):
-    # these systems are loop-normalized first; classes come back in the original alphabet
+    # these systems are loop-normalized first, which keeps every letter
     S = catalog(name)
     s = RS.make(*point)
     cls = gl.gluing_class(S, s)
@@ -316,8 +315,7 @@ def reference_gluing_class(system, s):
     if not system.validate().finite_branching_sufficient:
         raise gl.FiniteBranchingUnknown("degree-one condition")
     aut = gl._automaton(system)
-    t = gl._normalized_sequence(aut, s)
-    L, P = len(t.prefix), len(t.period)
+    L, P = len(s.prefix), len(s.period)
 
     def phase(i):
         return i if i < L else L + (i - L) % P
@@ -330,7 +328,7 @@ def reference_gluing_class(system, s):
             continue
         nodes.add((state, ph))
         for (st, pair), nxt in aut.transitions.items():
-            if st != state or pair[0] != t.letter(ph):
+            if st != state or pair[0] != s.letter(ph):
                 continue
             succ.setdefault((state, ph), []).append((pair[1], (nxt, phase(ph + 1))))
             frontier.append((nxt, phase(ph + 1)))
@@ -372,11 +370,11 @@ def reference_gluing_class(system, s):
     root = (aut.initial, 0)
     if root in live:
         dfs(root, [root], [])
-    out = {c for c in out if reference_run_lasso(aut, t, c)}
-    out.add(RS.make(t.prefix, t.period))
-    if aut.system is aut.original:
-        return out
-    return {gl._translate_back(aut, c) for c in out}
+    out = {c for c in out if reference_run_lasso(aut, s, c)}
+    probe = L + (len(system.colors) + 1) * P
+    if not system.language_contains(s.prefix_of_length(probe)):
+        raise gl.NotInSymbolSpace(str(s))
+    return out
 
 
 REFERENCE_SYSTEMS = ["interval_F", "airplane", "dendrite:3", "vicsek:4", "bubble_bath",
@@ -404,13 +402,13 @@ def test_gluing_class_and_lasso_match_the_references(name):
     aut = gl.build(S)
     rng = random.Random(name)
     points = [random_rational(S, rng, 4, 3) for _ in range(8)] + constant_period_points(S, rng, 3)
-    normalized = []
+    members = []
     for s in points:
         cls = gl.gluing_class(S, s)
         assert cls == reference_gluing_class(S, s), (name, str(s))
-        normalized += [gl._normalized_sequence(aut, m) for m in cls]
-    for a in normalized:
-        for b in rng.sample(normalized, 6):
+        members += sorted(cls, key=str)
+    for a in members:
+        for b in rng.sample(members, 6):
             assert gl._run_lasso(aut, a, b) == reference_run_lasso(aut, a, b), (name, str(a), str(b))
 
 
@@ -427,22 +425,23 @@ def test_prefix_of_length_matches_letters(rng):
 
 # sha256 (first 16 hex digits) of json.dumps(automaton_to_json(build(system))),
 # as written by the scan-per-state build that predates the transition index
+# (the five loop-normalized systems with their letters kept)
 AUTOMATON_JSON_DIGESTS = {
     "airplane": "78d9143a82609608",
-    "basilica": "02a467c3f0be5d1b",
+    "basilica": "abde96b83972a904",
     "bubble_bath": "358b38ee958c2d67",
     "cantor_V": "193b2c600804e6ff",
-    "circle_T": "d6c9efdbac962bd2",
+    "circle_T": "411518b158c84e2a",
     "interval_F": "a9546a06486a1c0d",
     "trivial_N": "323256f0242ff011",
     "QF_expanding": "fc0563acc4ce868a",
-    "QT_expanding": "a75cfa93ba336ae9",
+    "QT_expanding": "34a8f51bdd3c074f",
     "QV_expanding": "e0504e19bf6a2303",
     "F:3,2": "f62fe86f19ca0dc7",
     "T:3,2": "c0c2882e81892c94",
     "V:2,2": "5fa0f50a0b30076b",
-    "rabbit:2": "0c942a10c924a48d",
-    "rabbit:3": "5046302e04acb4b8",
+    "rabbit:2": "8f9baaa869d61903",
+    "rabbit:3": "7771b447fa0b7565",
     "dendrite:3": "24db19f1529c1085",
     "dendrite:4": "28e5b6b92fdd8892",
     "dendrite_edge_base:3": "f6f0770b4500818c",
@@ -477,53 +476,9 @@ def test_automaton_json_unchanged_and_index_regroups_transitions(name):
     assert aut == gl.GluingAutomaton(aut.system, aut.original, aut.states, aut.transitions, {})
 
 
-# -- lazy translation into the loop-normalized alphabet ---------------------------
 
 
-def reference_normalized_sequence(aut, s):
-    """``_normalized_sequence`` translating the whole window up front."""
-    if aut.system is aut.original:
-        return s
-    p = len(s.period)
-    factor = len(aut.system.colors) + 2
-    n = len(s.prefix) + (2 * factor + 2) * p * factor
-    word = translate_word(aut.system, aut.original, s.prefix_of_length(n))
-    for i in range(len(s.prefix), n):
-        for m in range(1, factor + 1):
-            q = m * p
-            if i + 2 * q > n:
-                break
-            if word[i: i + q] == word[i + q: i + 2 * q]:
-                return RS.make(word[:i], word[i: i + q])
-    raise gl.NotInSymbolSpace("translation did not stabilize; not periodic")
-
-
-@pytest.mark.parametrize("name", ["circle_T", "basilica"])
-def test_lazy_translation_matches_the_full_window(name):
-    S = catalog(name)
-    aut = gl.build(S)
-    assert aut.system is not aut.original
-    rng = random.Random(name)
-    points = [random_rational(S, rng, 4, 3) for _ in range(30)] + constant_period_points(S, rng, 4)
-    points += [random_rational(S, rng, 6, 40) for _ in range(10)]
-    for s in points:
-        assert gl._normalized_sequence(aut, s) == reference_normalized_sequence(aut, s), str(s)
-
-
-def test_lazy_translation_of_a_long_period_reads_a_short_window(monkeypatch):
-    T = catalog("circle_T")
-    aut = gl.build(T)
-    s = RS.make(("s", "0"), _seeded_period(7, 300))
-    lengths = []
-
-    def counting(normalized, original, word):
-        lengths.append(len(word))
-        return translate_word(normalized, original, word)
-
-    monkeypatch.setattr(gl, "translate_word", counting)
-    assert gl._normalized_sequence(aut, s) == reference_normalized_sequence(aut, s)
-    full = len(s.prefix) + (2 * len(aut.system.colors) + 6) * 300 * (len(aut.system.colors) + 2)
-    assert max(lengths) < full // 4
+# -- sequences outside the symbol space ----------------------------------------------
 
 
 def _three_context_system():
@@ -532,28 +487,117 @@ def _three_context_system():
     Color 1 labels a loop and non-loops, so the system is loop-normalized.
     """
     from rewrite_groups.graphs import ColoredGraph, Edge
-    from rewrite_groups.replacement import ReplacementSystem, Rule, normalize_loops
+    from rewrite_groups.replacement import ReplacementSystem, Rule
 
     def rule(*edges):
         return Rule(ColoredGraph(["i", "c", "t"], [Edge(*e) for e in edges]), ("pair", "i", "t"))
 
-    S = ReplacementSystem(["1", "2", "3"], ColoredGraph(["x", "y"], [Edge("s", "1", "x", "y")]), {
+    return ReplacementSystem(["1", "2", "3"], ColoredGraph(["x", "y"], [Edge("s", "1", "x", "y")]), {
         "1": rule(("a", "2", "i", "c"), ("b", "1", "c", "c"), ("d", "1", "c", "t")),
         "2": rule(("a", "3", "i", "c"), ("d", "2", "c", "t")),
         "3": rule(("x", "3", "i", "c"), ("y", "3", "c", "t")),
     })
-    return SimpleNamespace(system=normalize_loops(S), original=S)
 
 
-def test_lazy_translation_raises_as_the_full_window_outside_the_language():
-    T = gl.build(catalog("circle_T"))
+def _four_color_chain():
+    """Base edges s and x of color 1; rule c has x of color c+1 then y of
+    color c, rule 4 has z in place of x.  So s (x) leaves the language at its
+    fourth x, and (x) at its fifth, one period past the colors' count."""
+    from rewrite_groups.graphs import ColoredGraph, Edge
+    from rewrite_groups.replacement import ReplacementSystem, Rule
+
+    def rule(c):
+        first = ("x", str(c + 1)) if c < 4 else ("z", "4")
+        edges = [Edge(*first, "i", "m"), Edge("y", str(c), "m", "t")]
+        return Rule(ColoredGraph(["i", "m", "t"], edges), ("pair", "i", "t"))
+
+    base = ColoredGraph(["a", "b", "c"], [Edge("s", "1", "a", "b"), Edge("x", "1", "b", "c")])
+    return ReplacementSystem(["1", "2", "3", "4"], base, {str(c): rule(c) for c in range(1, 5)})
+
+
+def test_sequences_outside_the_language_raise():
+    from rewrite_groups.replacement import normalize_loops
+
     toy = _three_context_system()
-    assert toy.system is not toy.original
-    # s a a reads, s a a a does not: the failure lies past the first window
-    for aut, s in ((T, RS.make(("s", "0"), ("2",))), (T, RS.make(("s",), ("0", "1", "7"))),
-                   (toy, RS.make(("s",), ("a",)))):
-        with pytest.raises(KeyError) as lazy:
-            gl._normalized_sequence(aut, s)
-        with pytest.raises(KeyError) as full:
-            reference_normalized_sequence(aut, s)
-        assert str(lazy.value) == str(full.value)
+    assert normalize_loops(toy) is not toy
+    cases = [
+        (catalog("circle_T"), RS.make(("s", "0"), ("2",))),
+        (catalog("circle_T"), RS.make(("s",), ("0", "1", "7"))),
+        (toy, RS.make(("s",), ("a",))),                 # s a a reads, s a a a does not
+        (catalog("airplane"), RS.make(("zz",), ("0",))),
+        (_four_color_chain(), RS.make(("s",), ("x",))),  # past the first 2 periods
+        (_four_color_chain(), RS.make((), ("x",))),
+    ]
+    for S, s in cases:
+        assert not S.language_contains(s.prefix_of_length(len(s.prefix) + 6 * len(s.period)))
+        with pytest.raises(gl.NotInSymbolSpace):
+            gl.glued(S, s, s)
+        with pytest.raises(gl.NotInSymbolSpace):
+            gl.gluing_class(S, s)
+        with pytest.raises(gl.NotInSymbolSpace):
+            reference_gluing_class(S, s)
+
+
+def test_glued_raises_when_one_sequence_lies_outside():
+    S = _four_color_chain()
+    inside, outside = RS.make(("s",), ("y",)), RS.make(("s",), ("x",))
+    assert gl.glued(S, inside, inside)
+    for a, b in ((inside, outside), (outside, inside)):
+        with pytest.raises(gl.NotInSymbolSpace):
+            gl.glued(S, a, b)
+
+
+# -- normalization keeps letters ------------------------------------------------------
+
+LOOP_NORMALIZED = ["circle_T", "basilica", "rabbit:2", "rabbit:3", "QT_expanding"]
+
+
+@pytest.mark.parametrize("name, point", [
+    ("basilica", (("L",), ("2",))),
+    ("circle_T", (("s",), ("0",))),
+])
+def test_normalized_system_survives_a_json_round_trip(name, point):
+    from rewrite_groups.replacement import normalize_loops, system_from_json, system_to_json
+
+    S = catalog(name)
+    reloaded = system_from_json(system_to_json(normalize_loops(S)))
+    assert normalize_loops(reloaded) is reloaded
+    assert len(gl.gluing_class(S, RS.make(*point))) > 1
+    rng = random.Random(name)
+    points = [random_rational(S, rng, 4, 3) for _ in range(12)] + constant_period_points(S, rng, 3)
+    for s in points + [RS.make(*point)]:
+        assert gl.gluing_class(reloaded, s) == gl.gluing_class(S, s), str(s)
+
+
+# sha256 (first 16 hex digits) over seeded points of the five loop-normalized
+# systems: each gluing class (members as sorted strings) or the name of the
+# exception raised, and glued on sampled pairs; recorded while normalization
+# still renamed the letters of a loop copy and gluing translated each query
+GLUING_DIGEST = "ed67e701d1220f2d"
+
+
+def test_gluing_outputs_of_loop_normalized_systems_are_pinned():
+    import hashlib
+
+    def outcome(f, *args):
+        try:
+            r = f(*args)
+        except ValueError as e:
+            return type(e).__name__
+        return sorted(map(str, r)) if isinstance(r, set) else r
+
+    h = hashlib.sha256()
+    for name in LOOP_NORMALIZED:
+        S = catalog(name)
+        rng = random.Random(name)
+        points = [random_rational(S, rng, 4, 3) for _ in range(12)] + constant_period_points(S, rng, 3)
+        partners = []
+        for s in points:
+            cls = outcome(gl.gluing_class, S, s)
+            h.update(repr((name, str(s), cls)).encode())
+            if isinstance(cls, list):
+                partners += sorted(gl.gluing_class(S, s), key=str)
+        for s in points:
+            for t in rng.sample(points, 4) + rng.sample(partners, min(4, len(partners))):
+                h.update(repr((name, str(s), str(t), outcome(gl.glued, S, s, t))).encode())
+    assert h.hexdigest()[:16] == GLUING_DIGEST

@@ -70,18 +70,27 @@ def test_normalize_toy_mixed_color_agrees_letterwise():
         Edge("a", "1", "i", "c"), Edge("b", "1", "c", "c"), Edge("d", "1", "c", "t"),
     ])
     base = ColoredGraph(["x", "y"], [Edge("s", "1", "x", "y")])
-    S = ReplacementSystem(["1"], base, {"1": Rule(rule, ("pair", "i", "t"))})
-    N = normalize_loops(S)
-    assert len(N.colors) == 2
-    # expansions agree letter-for-letter under the recorded relabeling
-    for word in [("s", "a"), ("s", "b"), ("s", "b", "d"), ("s", "b", "b", "a")]:
-        assert S.language_contains(word)
-        image = translate_word(N, S, word)
-        assert N.language_contains(image)
-        assert [N.letter_origin[(None, image[0])]] + [
-            N.letter_origin.get((N.word_color(image[: i]), image[i]), image[i])
-            for i in range(1, len(image))
-        ] == list(word)
+    toy = ReplacementSystem(["1"], base, {"1": Rule(rule, ("pair", "i", "t"))})
+    names = ["circle_T", "basilica", "rabbit:2", "rabbit:3", "QT_expanding"]
+    for S in [toy] + [catalog(name) for name in names]:
+        N = normalize_loops(S)
+        assert N is not S and len(N.colors) > len(S.colors)
+        letters = sorted({e.name for ctx in [None, *S.colors] for e in S.graph_of(ctx).edges})
+        assert letters == sorted({e.name for ctx in [None, *N.colors] for e in N.graph_of(ctx).edges})
+        # up to depth 4, the two languages hold the same words
+        level = [()]
+        for _ in range(4):
+            words = [w + (x,) for w in level for x in letters]
+            assert [S.language_contains(w) for w in words] == [N.language_contains(w) for w in words]
+            level = [w for w in words if S.language_contains(w)]
+            assert all(translate_word(N, S, w) == w for w in level)
+        # a word names the same cell, with the same ends, in both systems
+        e, f = full_expansion(S, 4), full_expansion(N, 4)
+        assert e.cells == f.cells
+        for w in e.cells:
+            (c, s, t), (cn, sn, tn) = e.cell_ends(w), f.cell_ends(w)
+            assert (s, t) == (sn, tn), (S, w)
+            assert cn == c or (N.rules[cn].kind == "loop" and s == t), (S, w)
 
 
 def test_make_expanding_qf():

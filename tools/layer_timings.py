@@ -20,6 +20,11 @@ median of those samples.  The curves:
   increasing depth;
 - ``full_expansion``: ``full_expansion(system, depth)`` itself, for
   interval_F at depths 4 to 10 and dendrite:3 at depths 2 to 6;
+- ``gluing_class``: ``gluing.gluing_class(system, s)`` for s = ``s 0 (p)``
+  with a seeded period p of 100, 300 and 900 letters over 0 and 1, for
+  circle_T (loop-normalized before its automaton is built) and interval_F
+  (a control that needs no normalization); the automaton is compiled
+  before the point is timed;
 - ``expansion_containing``: ``expansion_containing(F, [w])`` for one seeded
   word w of interval_F of length 64, 128, 256 and 512;
 - ``reduce``: ``rearrangement._reduce`` of the unreduced diagram of
@@ -74,9 +79,10 @@ POWERS = (32, 128, 512, 1024)
 PADDINGS = (6, 8, 10, 12)
 CANCELS = (8, 32, 128, 512)
 CLOSED = (8, 16, 32, 64, 128)
+GLUING_PERIODS = (100, 300, 900)
 OP_CURVES = ("reduce", "compose", "reduce_padded", "reduce_cancel", "reduce_closed",
              "expansion_containing", "is_torsion")
-BY_SYSTEM = ("expansion_build", "full_expansion")  # curves with one point list per system
+BY_SYSTEM = ("expansion_build", "full_expansion", "gluing_class")  # curves with one point list per system
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -102,10 +108,12 @@ def measure() -> dict:
     from rewrite_groups.analysis import is_torsion
     from rewrite_groups.catalog import catalog
     from rewrite_groups.conjugacy import close_element, reduce_closed
+    from rewrite_groups.gluing import gluing_class
     from rewrite_groups.rearrangement import (
         Rearrangement, _product_map, _reduce, compose, conjugate_by, from_cell_map, invert,
         power)
-    from rewrite_groups.replacement import GraphExpansion, expansion_containing, full_expansion
+    from rewrite_groups.replacement import (
+        GraphExpansion, RationalSequence, expansion_containing, full_expansion)
 
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     from hostspeed import HostSpeed
@@ -127,6 +135,15 @@ def measure() -> dict:
         for depth in depths:
             points.append({"depth": depth, "cells": len(full_expansion(S, depth).cells),
                            "ms": best(lambda: full_expansion(S, depth), speed)})
+    for name in ("circle_T", "interval_F"):
+        S = catalog(name)
+        points = curves["gluing_class"][name] = []
+        for length in GLUING_PERIODS:
+            rng = random.Random(length)
+            s = RationalSequence.make(("s", "0"), [rng.choice("01") for _ in range(length)])
+            partners = len(gluing_class(S, s))  # compiles the automaton, kept on S
+            points.append({"period": length, "partners": partners,
+                           "ms": best(lambda: gluing_class(S, s), speed)})
     F = catalog("interval_F")
     x0 = from_cell_map(F, [(("s", "0", "0"), ("s", "0")), (("s", "0", "1"), ("s", "1", "0")),
                            (("s", "1"), ("s", "1", "1"))])
