@@ -19,10 +19,10 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .graphs import ColoredGraph, Edge, UnionFind
-from .replacement import GraphExpansion, ReplacementSystem, base_expansion
+from .replacement import ReplacementSystem
 # compose is re-exported: callers reach it as conjugacy.compose
-from .rearrangement import (Rearrangement, compose, conjugate_by, invert,  # noqa: F401
-                            product, reduced_flipless)
+from .rearrangement import (Rearrangement, compose, conjugate_by, from_cell_map,  # noqa: F401
+                            invert, product, reduced_flipless)
 from .strand import (
     Diagram,
     NotXDiagram,
@@ -617,19 +617,14 @@ def _expansion_element(system: ReplacementSystem, old_base: ColoredGraph,
     With ``inverse`` the element's inverse is built instead, as ``invert``
     would give it: neither orientation has a pair to reduce.
     """
-    color = old_base.edge(letter).color
-    rule = system.rules[color]
-    phi = {}
-    for e in old_base.edges:
-        if e.name != letter:
-            phi[(e.name,)] = (e.name,)
+    rule = system.rules[old_base.edge(letter).color]
+    phi = {(e.name,): (e.name,) for e in old_base.edges if e.name != letter}
     for name, e in zip(child_names, rule.graph.edges):
         phi[(name,)] = (letter, e.name)
-    dom = base_expansion(system, new_base)
-    ran = GraphExpansion(system, list(phi.values()), old_base)
     if inverse:
-        return Rearrangement(ran, {v: w for w, v in phi.items()}, dom)
-    return Rearrangement(dom, phi, ran)
+        return from_cell_map(system, ((v, w) for w, v in phi.items()),
+                             dbase=old_base, rbase=new_base)
+    return from_cell_map(system, phi.items(), dbase=new_base, rbase=old_base)
 
 
 class Move:
@@ -865,9 +860,7 @@ def flip_loop(d: ClosedDiagram, bps: tuple) -> Move:
             psi = system.reversing_automorphism(color).edge_map
             for x in system.rules[color].graph.edges:
                 phi[(letter, x.name)] = (letter, psi[x.name])
-        dom = GraphExpansion(system, list(phi), new_base)
-        ran = GraphExpansion(system, list(phi.values()), old_base)
-        return Rearrangement(dom, phi, ran)
+        return from_cell_map(system, phi.items(), dbase=new_base, rbase=old_base)
 
     return Move("flip_loop", out_diag, conjugator)
 
@@ -891,24 +884,22 @@ def all_shifts(d: ClosedDiagram) -> list:
         kind = d.nodes[u.src[0]]
         if isinstance(kind, tuple) and kind[0] == "merge" and u.src[1] == 0:
             out.append(("shift_up_merge", bp))
-    for snode in d.splits():
-        try:
-            shift_up_split(d, snode)
-            out.append(("shift_up_split", snode))
-        except NotAdjacent:
-            pass
-    for mnode in d.merges():
-        try:
-            shift_down_merge(d, mnode)
-            out.append(("shift_down_merge", mnode))
-        except NotAdjacent:
-            pass
+    out += [("shift_up_split", n) for n in d.splits() if _attempt(shift_up_split, d, n)]
+    out += [("shift_down_merge", n) for n in d.merges() if _attempt(shift_down_merge, d, n)]
     return out
 
 
 def apply_shift(d: ClosedDiagram, move) -> Move:
     kind, target = move
     return globals()[kind](d, target)
+
+
+def _attempt(move, *args) -> Optional[Move]:
+    """``move(*args)``, or None where it raises NotAdjacent."""
+    try:
+        return move(*args)
+    except NotAdjacent:
+        return None
 
 
 def all_similarity_moves(d: ClosedDiagram) -> list:
@@ -1082,9 +1073,7 @@ def apply_type3(d: ClosedDiagram, match: Type3Match) -> Move:
                 _kind, lhs_edge, *child = vr.expansion_map[re.name]
                 letter = str(loops[lhs_index[lhs_edge]][0][r])
                 phi[(str(new_bps[r]), re.name)] = (letter, *child)
-        dom = GraphExpansion(system, list(phi), new_base)
-        ran = GraphExpansion(system, list(phi.values()), d.base_graph())
-        return Rearrangement(dom, phi, ran)
+        return from_cell_map(system, phi.items(), dbase=new_base, rbase=d.base_graph())
 
     return Move("type3", out_diag, conjugator)
 
@@ -1137,12 +1126,12 @@ def _chain(d: ClosedDiagram, nid, kind):
     return (end, c) if d.nodes[end] == ("split", kind[1]) else None
 
 
-def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None, collect=None):
+def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None):
     """The reduced diagram of the similarity class, with the log of its moves.
 
-    Returns (reduced diagram, log).  The log, which ``collect`` (a list)
-    receives when given, holds the Moves performed in order; a move's
-    conjugator is built only when its ``conj`` or ``inverse`` is read.
+    Returns (reduced diagram, log).  The log holds the Moves performed in
+    order; a move's conjugator is built only when its ``conj`` or
+    ``inverse`` is read.
     Raises if clearing shifts get stuck, which reduction-confluence rules out
     for the rule sets this library ships.
 
@@ -1155,7 +1144,7 @@ def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None, collect=None)
     reduction.  When none applies, the cut line is parked and the flips
     are oriented.  With ``rng`` each step picks its candidate at random.
     """
-    log = collect if collect is not None else []
+    log = []
 
     def pick(options):
         if not options:
@@ -1204,72 +1193,42 @@ def _clearing_shift(d: ClosedDiagram, chained: list) -> Optional[Move]:
     """The first shift that brings a pair of ``chained`` closer, or None."""
     for a, b, _count in chained:
         if d.nodes[a][0] == "split":
-            attempts = (lambda: shift_up_split(d, a), lambda: shift_down_merge(d, b))
+            mv = _attempt(shift_up_split, d, a) or _attempt(shift_down_merge, d, b)
         else:
-            attempts = (lambda: shift_up_merge(d, _first_bp_below(d, a)),)
-        for attempt in attempts:
-            try:
-                return attempt()
-            except NotAdjacent:
-                pass
+            mv = _attempt(lambda: shift_up_merge(d, _first_bp_below(d, a)))
+        if mv is not None:
+            return mv
     return None
 
 
 def _minimize_line(d: ClosedDiagram, log: list):
-    """Park the cut line at a reducing-shift fixpoint (fewest base points)."""
-    changed = True
-    while changed:
-        changed = False
-        for snode in sorted(d.splits(), key=repr):
-            try:
-                mv = shift_up_split(d, snode)
-            except NotAdjacent:
-                continue
-            d = mv.diagram
-            log.append(mv)
-            changed = True
-            break
-        if changed:
-            continue
-        for mnode in sorted(d.merges(), key=repr):
-            try:
-                mv = shift_down_merge(d, mnode)
-            except NotAdjacent:
-                continue
-            d = mv.diagram
-            log.append(mv)
-            changed = True
-            break
-    return d, log
+    """Park the cut line at a reducing-shift fixpoint (fewest base points).
+
+    Each round makes the first reducing shift, splits before merges, each
+    kind in ``repr`` order of its nodes.
+    """
+    while True:
+        shifts = [(shift_up_split, n) for n in sorted(d.splits(), key=repr)]
+        shifts += [(shift_down_merge, n) for n in sorted(d.merges(), key=repr)]
+        mv = next(filter(None, (_attempt(shift, d, n) for shift, n in shifts)), None)
+        if mv is None:
+            return d, log
+        d = mv.diagram
+        log.append(mv)
 
 
-def similarity_canonical_key(d: ClosedDiagram, slack: int = 8,
-                             max_states: int = 4000) -> tuple:
-    """Least canonical key over the similarity orbit (bounded exploration).
+def similarity_canonical_key(d: ClosedDiagram) -> tuple:
+    """Least canonical key over the similarity orbit that ``_similarity_walk`` reaches.
 
     Two reduced diagrams of the same similarity class get equal keys, so this
-    is the schedule-independent canonical form of a reduced class.
+    is the schedule-independent canonical form of a reduced class.  The key
+    is canonical only when the walk empties its frontier: a walk that
+    ``SIMILARITY_BUDGET`` stops, or whose orbit needs more than
+    ``SIMILARITY_SLACK`` base points beyond ``d``'s, takes the least key of
+    the part it reached.
     """
-    seen = {d.canonical_key()}
-    best_bps = len(d.bps())
-    frontier = deque([d])
-    explored = 0
-    while frontier and explored < max_states:
-        cur = frontier.popleft()
-        explored += 1
-        best_bps = min(best_bps, len(cur.bps()))
-        for spec in all_similarity_moves(cur):
-            try:
-                mv = apply_shift(cur, spec)
-            except NotAdjacent:
-                continue
-            if len(mv.diagram.bps()) > best_bps + slack:
-                continue
-            key = mv.diagram.canonical_key()
-            if key not in seen:
-                seen.add(key)
-                frontier.append(mv.diagram)
-    return min(seen)
+    sides, _hit = _similarity_walk([("orbit", d)])
+    return min(sides["orbit"])
 
 
 def _canonical_flip_orientation(d: ClosedDiagram, log: list):
@@ -1305,11 +1264,8 @@ def _canonical_flip_orientation(d: ClosedDiagram, log: list):
     while changed:
         changed = False
         for bps in flippable:
-            try:
-                mv = flip_loop(d, bps)
-            except NotAdjacent:
-                continue
-            if mv.diagram.canonical_key() < d.canonical_key():
+            mv = _attempt(flip_loop, d, bps)
+            if mv is not None and mv.diagram.canonical_key() < d.canonical_key():
                 d = mv.diagram
                 log.append(mv)
                 changed = True
@@ -1329,12 +1285,8 @@ def _first_bp_below(d: ClosedDiagram, mnode):
 def initial_renaming(system: ReplacementSystem, eta: ClosedDiagram,
                      g: Rearrangement) -> Rearrangement:
     """The base identification between a closure's base graph and g's own base."""
-    B = eta.base_graph()
-    phi = {}
-    for bp, e in zip(eta.bps(), g.domain.base.edges):
-        phi[(str(bp),)] = (e.name,)
-    return Rearrangement(base_expansion(system, B), phi,
-                         base_expansion(system, g.domain.base))
+    pairs = [((str(bp),), (e.name,)) for bp, e in zip(eta.bps(), g.domain.base.edges)]
+    return from_cell_map(system, pairs, dbase=eta.base_graph(), rbase=g.domain.base)
 
 
 def _bald_key(d: ClosedDiagram) -> tuple:
@@ -1430,25 +1382,29 @@ def _matching(d1: ClosedDiagram, d2: ClosedDiagram):
 
 def _correspondence_element(system, d_from: ClosedDiagram, d_to: ClosedDiagram, corr) -> Rearrangement:
     """P with o(d_from) = P^-1 o(d_to) P given bp correspondence d_from -> d_to."""
-    phi = {}
-    for bp in d_from.bps():
-        phi[(str(bp),)] = (str(corr[bp]),)
-    return Rearrangement(base_expansion(system, d_from.base_graph()), phi,
-                         base_expansion(system, d_to.base_graph()))
+    pairs = [((str(bp),), (str(corr[bp]),)) for bp in d_from.bps()]
+    return from_cell_map(system, pairs, dbase=d_from.base_graph(), rbase=d_to.base_graph())
 
 
-def similarity_search(eta: ClosedDiagram, zeta: ClosedDiagram,
-                      max_states: int = 3000, slack: int = 10):
-    """Meet-in-the-middle BFS over shifts; None or (corr, L_moves, M_moves).
+SIMILARITY_BUDGET = 3000  # diagrams a similarity walk explores at most
+SIMILARITY_SLACK = 10  # base points a walked diagram may have beyond its largest start
 
-    Returns the conjugator move lists from eta resp. zeta to a common diagram
-    together with the base-point correspondence at the meeting point.
+
+def _similarity_walk(starts: list) -> tuple:
+    """Breadth-first walk over similarity moves from (side, diagram) starts.
+
+    Returns (sides, hit): ``sides`` maps each side to {canonical key:
+    (diagram, path)} for every diagram it reached, a path being the
+    (diagram, Move) steps from its start; ``hit`` is the first key reached
+    from two sides, or None.  The walk stops at a hit, after exploring
+    ``SIMILARITY_BUDGET`` diagrams (the moves of each are listed once, by
+    ``all_similarity_moves``), or when its frontier empties; it never
+    enters a diagram with more than ``SIMILARITY_SLACK`` base points beyond
+    the largest start's.
     """
-    if _bald_key(eta) != _bald_key(zeta):
-        return None
-    bound = max(len(eta.bps()), len(zeta.bps())) + slack
-
-    sides = {"L": {}, "M": {}}
+    bound = max(len(d.bps()) for _side, d in starts) + SIMILARITY_SLACK
+    sides: dict = {side: {} for side, _d in starts}
+    reached = set()  # the keys of every side
     frontier = deque()
 
     def add(side, diag, path):
@@ -1456,28 +1412,41 @@ def similarity_search(eta: ClosedDiagram, zeta: ClosedDiagram,
         if key in sides[side]:
             return None
         sides[side][key] = (diag, path)
-        other = "M" if side == "L" else "L"
-        if key in sides[other]:
+        if key in reached:
             return key
+        reached.add(key)
         frontier.append((side, diag, path))
         return None
 
-    hit = add("L", eta, ())
-    hit = hit or add("M", zeta, ())
+    hit = None
+    for side, d in starts:
+        hit = hit or add(side, d, ())
     explored = 0
-    while frontier and explored < max_states and hit is None:
+    while frontier and explored < SIMILARITY_BUDGET and hit is None:
         side, diag, path = frontier.popleft()
         explored += 1
-        for mvspec in all_similarity_moves(diag):
-            try:
-                mv = apply_shift(diag, mvspec)
-            except NotAdjacent:
-                continue
-            if len(mv.diagram.bps()) > bound:
+        for spec in all_similarity_moves(diag):
+            mv = _attempt(apply_shift, diag, spec)
+            if mv is None or len(mv.diagram.bps()) > bound:
                 continue
             hit = add(side, mv.diagram, path + ((diag, mv),))
             if hit is not None:
                 break
+    return sides, hit
+
+
+def similarity_search(eta: ClosedDiagram, zeta: ClosedDiagram):
+    """Meet-in-the-middle walk over similarity moves; None or (dL, dM, corr, pathL, pathM).
+
+    dL and dM are the diagrams where the walks from eta and from zeta meet,
+    pathL and pathM the steps that reach them, and corr the node
+    correspondence dM -> dL.  None: the bald keys differ (a proof), the
+    meeting diagrams have no node correspondence, or ``_similarity_walk``
+    ended without a meeting (no proof).
+    """
+    if _bald_key(eta) != _bald_key(zeta):
+        return None
+    sides, hit = _similarity_walk([("L", eta), ("M", zeta)])
     if hit is None:
         return None
     dL, pathL = sides["L"][hit]
@@ -1489,12 +1458,19 @@ def similarity_search(eta: ClosedDiagram, zeta: ClosedDiagram,
 
 
 def conjugate(g: Rearrangement, h: Rearrangement, *, rules=None,
-              assume_confluent: bool = False, confluence_depth: int = 4,
-              max_states: int = 3000) -> Optional[Rearrangement]:
+              assume_confluent: bool = False) -> Optional[Rearrangement]:
     """Decide conjugacy; return a verified conjugator k with k^-1 g k = h.
 
     Requires reduction-confluent rules (checked unless ``assume_confluent`` or
     an AugmentedRules value is supplied); raises RulesNotConfluent otherwise.
+
+    None is not always a proof.  It is returned where ``similarity_search``
+    returns None for the reduced closures: their bald keys differ, which
+    proves g and h not conjugate; the diagrams where the two walks meet have
+    no node correspondence; or the walk ended without meeting, because
+    ``SIMILARITY_BUDGET`` diagrams were explored or every diagram left would
+    exceed the ``SIMILARITY_SLACK`` bound on base points.  The CLI prints
+    "not conjugate" in all three cases.
 
     Which of k and k^-1 the chain gives.  Write ab for "b, then a" and o(d)
     for the element of a closed diagram d.  Every logged or path conjugator
@@ -1523,16 +1499,16 @@ def conjugate(g: Rearrangement, h: Rearrangement, *, rules=None,
     if isinstance(rules, AugmentedRules):
         virtual = rules.virtual
     elif not assume_confluent:
-        verdict = check_reduction_confluence(system, confluence_depth)
+        verdict = check_reduction_confluence(system)
         if verdict.kind != "confluent":
             raise RulesNotConfluent(
                 "rules are not known to be reduction-confluent; pass augmented "
                 "rules or assume_confluent=True if confluence is known")
     eta0 = close_element(g)
     zeta0 = close_element(h)
-    eta, logg = reduce_closed(eta0, virtual, collect=[])
-    zeta, logh = reduce_closed(zeta0, virtual, collect=[])
-    found = similarity_search(eta, zeta, max_states=max_states)
+    eta, logg = reduce_closed(eta0, virtual)
+    zeta, logh = reduce_closed(zeta0, virtual)
+    found = similarity_search(eta, zeta)
     if found is None:
         return None
     dL, dM, corr, pathL, pathM = found

@@ -367,16 +367,9 @@ def _product_map(factors: list) -> tuple:
 
 
 def rearrangement_from_json(system: ReplacementSystem, data: dict) -> Rearrangement:
-    phi = {}
-    flips = []
-    for entry in data["phi"]:
-        w, v = tuple(entry[0]), tuple(entry[1])
-        phi[w] = v
-        if len(entry) > 2 and entry[2]:
-            flips.append(w)
-    domain = GraphExpansion(system, list(phi))
-    range_ = GraphExpansion(system, list(phi.values()))
-    return Rearrangement(domain, phi, range_, flips)
+    entries = data["phi"]
+    return from_cell_map(system, (e[:2] for e in entries),
+                         [e[0] for e in entries if len(e) > 2 and e[2]])
 
 
 # -- reduction -----------------------------------------------------------------
@@ -536,9 +529,7 @@ def product(factors) -> Rearrangement:
     if len(factors) == 1:
         return factors[0]
     phi, dbase, rbase = _product_map(factors)
-    system = factors[0].system
-    return Rearrangement(GraphExpansion(system, phi, dbase), phi,
-                         GraphExpansion(system, phi.values(), rbase))
+    return from_cell_map(factors[0].system, phi.items(), dbase=dbase, rbase=rbase)
 
 
 def commutator(a: Rearrangement, b: Rearrangement) -> Rearrangement:
@@ -546,12 +537,17 @@ def commutator(a: Rearrangement, b: Rearrangement) -> Rearrangement:
     return product([invert(a), invert(b), a, b])
 
 
-def from_cell_map(system: ReplacementSystem, pairs, flips=()) -> Rearrangement:
-    """Build an element from (domain word, range word) pairs."""
+def from_cell_map(system: ReplacementSystem, pairs, flips=(),
+                  dbase: Optional[ColoredGraph] = None,
+                  rbase: Optional[ColoredGraph] = None) -> Rearrangement:
+    """Build an element from (domain word, range word) pairs.
+
+    Domain words are read over ``dbase`` and range words over ``rbase``, each
+    the system's base graph unless given; other bases give groupoid elements.
+    """
     phi = {tuple(a): tuple(b) for a, b in pairs}
-    domain = GraphExpansion(system, list(phi))
-    range_ = GraphExpansion(system, list(phi.values()))
-    return Rearrangement(domain, phi, range_, flips)
+    return Rearrangement(GraphExpansion(system, phi, dbase), phi,
+                         GraphExpansion(system, phi.values(), rbase), flips)
 
 
 # -- random elements --------------------------------------------------------------

@@ -148,9 +148,6 @@ class ReplacementSystem:
         """The graph whose edges may follow ``context`` (None = base graph)."""
         return self.base if context is None else self.rules[context].graph
 
-    def letter_color(self, context: Optional[str], letter: str) -> str:
-        return self.graph_of(context).edge(letter).color
-
     def _check_loops(self, g: ColoredGraph) -> None:
         """Raise MalformedSystem if a loop-kind color labels a non-loop edge of ``g``."""
         for e in g.edges:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .graphs import ColoredGraph, UnionFind
-from .replacement import GraphExpansion, ReplacementSystem, Rule
-from .rearrangement import Rearrangement, reduced_flipless
+from .replacement import ReplacementSystem, Rule
+from .rearrangement import Rearrangement, from_cell_map, reduced_flipless
 
 Word = tuple
 
@@ -696,9 +696,7 @@ def to_rearrangement(d: StrandDiagram, base_in: Optional[ColoredGraph] = None,
         return (out_names[int(w[0])],) + w[1:]
 
     phi = {up_word(u): low_word(v) for u, v in phi_idx.items()}
-    dom = GraphExpansion(system, list(phi), base_in)
-    ran = GraphExpansion(system, list(phi.values()), base_out)
-    return Rearrangement(dom, phi, ran)
+    return from_cell_map(system, phi.items(), dbase=base_in, rbase=base_out)
 
 
 # -- groupoid operations -----------------------------------------------------------

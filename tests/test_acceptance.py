@@ -136,7 +136,22 @@ def test_criterion_06_conjugacy_round_trip():
         k2 = cj.conjugate(g, h, rules=aug)
         if k2 is not None and conjugate_by(g, k2) == h:
             good += 1
-    report(6, good == total, f"conjugacy search verifies {good}/{total} constructed pairs")
+    # most random draws in F are the identity, so F also gets pairs of words
+    F, x0, x1 = f_generators()
+    letters = [x0, x1, invert(x0), invert(x1)]
+    words = random.Random(SEED + 6)
+    moving = 0
+    for _ in range(100):
+        g, k = (product([words.choice(letters) for _ in range(4)]) for _ in "gk")
+        h = conjugate_by(g, k)
+        total += 1
+        moving += not g.is_identity()
+        k2 = cj.conjugate(g, h)
+        if k2 is not None and conjugate_by(g, k2) == h:
+            good += 1
+    report(6, good == total and moving >= 80,
+           f"conjugacy search verifies {good}/{total} constructed pairs "
+           f"({moving} of the 100 F word pairs move)")
 
 
 def test_criterion_07_conjugacy_negatives():

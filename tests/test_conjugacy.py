@@ -107,8 +107,7 @@ def test_move_conjugators_verified(rng):
         eta0 = cj.close_element(g)
         K = cj.initial_renaming(S, eta0, g)
         assert eta0.open_element() == conjugate_by(g, K)
-        log = []
-        eta, log = cj.reduce_closed(eta0, collect=log)
+        eta, log = cj.reduce_closed(eta0)
         for mv in log:
             K = compose(K, mv.conj)
         assert eta.open_element() == conjugate_by(g, K), name
@@ -301,6 +300,34 @@ def test_closed_reduction_schedule_independence(rng):
             keys = {cj.similarity_canonical_key(cj.reduce_closed(eta0, rng=random.Random(j))[0])
                     for j in range(5)}
             assert len(keys) == 1, (name, i)
+
+
+def test_similarity_walks_stop_at_the_budget(monkeypatch):
+    F, x0, x1 = f_generators()
+    g = product([x0, x1, x1])
+    h = conjugate_by(g, product([x0, x0]))
+    eta, _ = cj.reduce_closed(cj.close_element(g))
+    zeta, _ = cj.reduce_closed(cj.close_element(h))
+    states = []  # every diagram explored: the walk lists its moves once
+    moves = cj.all_similarity_moves
+    monkeypatch.setattr(cj, "all_similarity_moves", lambda d: states.append(d) or moves(d))
+
+    def explored(walk, *args):
+        states.clear()
+        out = walk(*args)
+        return len(states), out
+
+    orbit, _key = explored(cj.similarity_canonical_key, eta)
+    searched, found = explored(cj.similarity_search, eta, zeta)
+    assert orbit > 100 and searched > 2 and found is not None
+    assert cj.conjugate(g, h) is not None
+    for budget in (1, 2, 50):
+        monkeypatch.setattr(cj, "SIMILARITY_BUDGET", budget)
+        assert explored(cj.similarity_canonical_key, eta)[0] == budget
+        n, found = explored(cj.similarity_search, eta, zeta)
+        assert n <= budget and (found is None) == (budget < searched), budget
+        # the pair is conjugate, but a search stopped short of the meeting finds nothing
+        assert (cj.conjugate(g, h) is None) == (budget < searched), budget
 
 
 # -- type 3 matches are instances block by block ------------------------------------
@@ -774,7 +801,7 @@ def test_every_similarity_move_conjugator_verified(rng):
     for g in samples:
         eta0 = cj.close_element(g)
         K = cj.initial_renaming(g.system, eta0, g)
-        eta, log = cj.reduce_closed(eta0, collect=[])
+        eta, log = cj.reduce_closed(eta0)
         for mv in log:
             K = compose(K, mv.conj)
         # the reduced closure and its neighbours, with their conjugators
@@ -1010,7 +1037,7 @@ MOVE_KINDS = {"shift_down_split", "shift_up_split", "shift_up_merge", "shift_dow
 def test_move_inverses_match_inverted_conjugators(rng, monkeypatch):
     moves = []
     for g in _seeded_elements(rng, 2):
-        eta, log = cj.reduce_closed(cj.close_element(g), collect=[])
+        eta, log = cj.reduce_closed(cj.close_element(g))
         near = [cj.apply_shift(eta, spec) for spec in cj.all_similarity_moves(eta)]
         moves += log + near + [cj.apply_shift(mv.diagram, spec) for mv in near[:2]
                                for spec in cj.all_similarity_moves(mv.diagram)]

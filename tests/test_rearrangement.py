@@ -572,7 +572,7 @@ def test_groupoid_chains_of_closed_reduction_logs(rng):
     for g in samples:
         eta0 = cj.close_element(g)
         K0 = cj.initial_renaming(g.system, eta0, g)
-        _eta, log = cj.reduce_closed(eta0, collect=[])
+        _eta, log = cj.reduce_closed(eta0)
         logged += len(log) >= 2
         # K = K0 e1 .. en (apply en first) and its inverse
         _check_product([*(mv.conj for mv in reversed(log)), K0])

@@ -49,6 +49,13 @@ One curve times the closed-diagram reduction of the conjugacy layer:
   ``conjugate_by(compose(x0, x1), x1^n)`` in F, for n = 8, 16, 32, 64 and
   128 (37 to 397 strands): 2n + 3 logged moves.
 
+One curve times the similarity search that follows closed reduction:
+
+- ``similarity_search``: ``conjugacy.similarity_search`` of the reduced
+  closures of g = x0 x1^n and of ``conjugate_by(g, x1^-1 x0^3)`` in F, for
+  n = 4, 8, 16, 32 and 64; each point records the diagrams the search
+  explores (its calls of ``all_similarity_moves``).
+
 One curve times the torsion decision of the analysis layer, which refines
 through ``Rearrangement.expand_at``:
 
@@ -79,9 +86,10 @@ POWERS = (32, 128, 512, 1024)
 PADDINGS = (6, 8, 10, 12)
 CANCELS = (8, 32, 128, 512)
 CLOSED = (8, 16, 32, 64, 128)
+SEARCHED = (4, 8, 16, 32, 64)
 GLUING_PERIODS = (100, 300, 900)
 OP_CURVES = ("reduce", "compose", "reduce_padded", "reduce_cancel", "reduce_closed",
-             "expansion_containing", "is_torsion")
+             "similarity_search", "expansion_containing", "is_torsion")
 BY_SYSTEM = ("expansion_build", "full_expansion", "gluing_class")  # curves with one point list per system
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -107,11 +115,12 @@ def measure() -> dict:
 
     from rewrite_groups.analysis import is_torsion
     from rewrite_groups.catalog import catalog
-    from rewrite_groups.conjugacy import close_element, reduce_closed
+    from rewrite_groups import conjugacy
+    from rewrite_groups.conjugacy import close_element, reduce_closed, similarity_search
     from rewrite_groups.gluing import gluing_class
     from rewrite_groups.rearrangement import (
         Rearrangement, _product_map, _reduce, compose, conjugate_by, from_cell_map, invert,
-        power)
+        power, product)
     from rewrite_groups.replacement import (
         GraphExpansion, RationalSequence, expansion_containing, full_expansion)
 
@@ -180,6 +189,18 @@ def measure() -> dict:
         curves["reduce_closed"].append({"n": n, "strands": len(eta.strands),
                                         "moves": len(reduce_closed(eta)[1]),
                                         "ms": best(lambda: reduce_closed(eta), speed)})
+    k = product([invert(x1), power(x0, 3)])
+    all_moves = conjugacy.all_similarity_moves
+    for n in SEARCHED:
+        g = product([x0, power(x1, n)])
+        eta, zeta = (reduce_closed(close_element(x))[0] for x in (g, conjugate_by(g, k)))
+        states = []  # diagrams explored, counted on an untimed search
+        conjugacy.all_similarity_moves = lambda d: states.append(d) or all_moves(d)
+        similarity_search(eta, zeta)
+        conjugacy.all_similarity_moves = all_moves
+        curves["similarity_search"].append({"n": n, "strands": len(eta.strands),
+                                            "states": len(states),
+                                            "ms": best(lambda: similarity_search(eta, zeta), speed)})
     for length in WORD_LENGTHS:
         rng = random.Random(length)
         word = ("s",) + tuple(rng.choice("01") for _ in range(length - 1))
