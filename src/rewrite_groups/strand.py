@@ -3,7 +3,10 @@
 A strand diagram is a finite acyclic directed graph whose non-trivial nodes
 are splits (copies of a rule's replacement tree, read downward) and merges
 (the same, read upward); strands carry a color and a label (v, w, z) naming
-the endpoints of the edge they represent, with z separating parallel edges.
+the endpoints of the edge they represent.  z is the edge's index among the
+parallel edges of the graph it was read from.  It is kept for output, but
+ports, not z, tell parallel strands apart: neither the equality key nor the
+faithful-copy test reads it.
 Reduced diagrams cut uniquely into a pair of forest expansions and therefore
 represent generalized rearrangements between possibly different base graphs.
 
@@ -18,6 +21,7 @@ diagram built from outside; a cancellation or closed-diagram move makes an
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -77,9 +81,9 @@ def copy_defect(rule: Rule, kids: list, sub: dict) -> Optional[str]:
 
     Returns None for a faithful copy.  ``sub`` maps rule vertices to symbols;
     it may hold the branching endpoints already and is completed in place.
-    A faithful copy has the rule's colors, a consistent substitution that is
-    injective except on the rule's glue pair, and distinct z indices on
-    parallel strands.
+    A faithful copy has the rule's colors and a consistent substitution that
+    is injective except on the rule's glue pair.  The z indices are not read:
+    the port order already matches parallel strands to the rule's edges.
     """
     for e, strand in zip(rule.graph.edges, kids):
         if strand.color != e.color:
@@ -90,9 +94,6 @@ def copy_defect(rule: Rule, kids: list, sub: dict) -> Optional[str]:
                 return f"inconsistent substitution at {rv}"
     if not injective_except(sub, rule.glue):
         return "substitution not injective"
-    labels = [s.label for s in kids]
-    if len(set(labels)) != len(labels):
-        return "parallel strands share a z index"
     return None
 
 
@@ -404,48 +405,41 @@ class StrandDiagram(Diagram):
 
     # -- reductions ---------------------------------------------------------------
 
-    def _unify_mirror_labels(self, merge_nid, split_nid) -> "StrandDiagram":
-        """Rename symbols so a merge-above-split pair carries equal labels.
-
-        Reductions can bring a merge and a split face to face whose copies
-        were named independently (e.g. across a composition interface); the
-        mirrored-chain condition forces their labels equal, so the renaming
-        is the one the condition dictates: each symbol becomes the least
-        (by repr) symbol it is forced equal to.
-        """
-        uf = UnionFind()
-        for a, b in self.mirrored(merge_nid, split_nid):
-            for x, y in zip(self.strands[a].label[:2], self.strands[b].label[:2]):
-                uf.union(x, y)
-        mapping = {}
-        for members in uf.classes().values():
-            least = min(members, key=repr)
-            mapping.update((x, least) for x in members)
-        return self.rename(mapping)
-
-    def _apply_type2(self, merge_nid, split_nid) -> "StrandDiagram":
-        d = self
-        if any(self.strands[a].label[:2] != self.strands[b].label[:2]
-               for a, b in self.mirrored(merge_nid, split_nid)):
-            d = self._unify_mirror_labels(merge_nid, split_nid)
-        return d.cancel_type2(merge_nid, split_nid)
-
     def reduce(self, rng=None) -> "StrandDiagram":
-        """The unique reduced equivalent; candidate order may be randomized."""
+        """The unique reduced equivalent; candidate order may be randomized.
+
+        A merge and a split brought face to face (across a composition
+        interface, say) may carry copies named independently; the
+        mirrored-chain condition forces the labels of their mirrored strands
+        equal.  Each Type 2 cancellation records the symbols it so forces in
+        one union-find, and at the end each symbol is renamed to the least
+        (by repr) symbol of its class.  Moves are chosen by node ids alone,
+        so renaming once at the end gives what renaming at every pair gives.
+        """
         d = self
+        forced = UnionFind()
         while True:
             moves = [("1",) + c for c in d.type1_candidates()]
             moves += [("2",) + c for c in d.type2_candidates()]
             if not moves:
-                return d
+                break
             if rng is not None:
                 move = rng.choice(moves)
             else:
                 move = sorted(moves, key=repr)[0]
             if move[0] == "1":
                 d = d.cancel_type1(move[1], move[2])
-            else:
-                d = d._apply_type2(move[1], move[2])
+                continue
+            for a, b in d.mirrored(move[1], move[2]):
+                for x, y in zip(d.strands[a].label[:2], d.strands[b].label[:2]):
+                    if x != y:
+                        forced.union(x, y)
+            d = d.cancel_type2(move[1], move[2])
+        mapping = {}
+        for members in forced.classes().values():
+            least = min(members, key=repr)
+            mapping.update((x, least) for x in members)
+        return d.rename(mapping)
 
     def is_reduced(self) -> bool:
         return not self.type1_candidates() and not self.type2_candidates()
@@ -453,39 +447,28 @@ class StrandDiagram(Diagram):
     # -- identity and renaming -----------------------------------------------------
 
     def canonical_key(self) -> tuple:
-        """Equality key invariant under renaming symbols and node/strand ids."""
-        order: dict = {}
-        sym_order: dict = {}
-        out = []
+        """Equality key invariant under renaming symbols and node/strand ids.
 
-        def sym(x):
-            return sym_order.setdefault(x, len(sym_order))
-
-        frontier = [("src", i, self.out_strand(n)) for i, n in enumerate(self.sources)]
-        seen_nodes: dict = {}
-        queue = list(frontier)
+        A breadth-first walk from the sources numbers nodes and symbols as it
+        meets them.  Each strand gives one row: the node and port it leaves,
+        its color, its two symbols, and the node and port it enters.  Ports,
+        not the z index, tell parallel strands apart: z records how a
+        diagram was built, and diagrams built two ways may differ in it.
+        """
+        number = {n: ("src", i) for i, n in enumerate(self.sources)}
+        number.update((n, ("snk", i)) for i, n in enumerate(self.sinks))
+        syms: dict = {}
+        queue = collections.deque(self.out_strand(n) for n in self.sources)
         rows = []
-        seen_strands = set()
         while queue:
-            tag, idx, sid = queue.pop(0)
-            if sid in seen_strands:
-                continue
-            seen_strands.add(sid)
-            s = self.strands[sid]
-            rows.append((tag, idx, s.color, sym(s.label[0]), sym(s.label[1]), s.label[2]))
+            s = self.strands[queue.popleft()]
             nid = s.dst[0]
-            kind = self.nodes[nid]
-            if kind == "sink":
-                rows.append(("snk", self.sinks.index(nid)))
-            elif kind[0] == "split":
-                if nid not in seen_nodes:
-                    seen_nodes[nid] = len(seen_nodes)
-                    for p in range(self.arity(nid)):
-                        queue.append(("sp", (seen_nodes[nid], p), self.out_strand(nid, p)))
-            else:
-                if nid not in seen_nodes:
-                    seen_nodes[nid] = len(seen_nodes)
-                    queue.append(("mg", seen_nodes[nid], self.out_strand(nid)))
+            if nid not in number:
+                number[nid] = (len(number), self.nodes[nid])
+                queue.extend(sid for _, sid in sorted(self._out[nid].items()))
+            a, b, _ = s.label
+            rows.append((number[s.src[0]], s.src[1], s.color, syms.setdefault(a, len(syms)),
+                         syms.setdefault(b, len(syms)), number[nid], s.dst[1]))
         return tuple(rows)
 
     def __eq__(self, other):
@@ -716,17 +699,22 @@ def invert(d: StrandDiagram) -> StrandDiagram:
 
 
 def compose(f: StrandDiagram, g: StrandDiagram) -> StrandDiagram:
-    """``f after g``: glue the sinks of g onto the sources of f and reduce."""
+    """``f after g``: glue the sinks of g onto the sources of f and reduce.
+
+    Gluing gives the inner symbols of f fresh names; reduction makes them
+    equal to those of g wherever a Type 2 pair it cancels forces it.
+    """
     return _glued_composite(f, g).reduce()
 
 
 def _glued_composite(f: StrandDiagram, g: StrandDiagram) -> StrandDiagram:
     """``f after g`` glued, the sinks of g onto the sources of f, not reduced.
 
-    Symbols of f are renamed by the procedure of the composition rule: the
-    interface is unified positionwise, and a split of f whose branching label
-    matches a merge of g adopts that merge's symbols so that mirrored chains
-    stay equally labeled.
+    The interface binds each source symbol of f to the sink symbol of g at
+    its position (Incompatible unless the ends agree in number, color and a
+    consistent binding); every other symbol of f becomes a fresh one, used
+    neither by g nor by the binding.  Mirrored labels that gluing leaves
+    unequal are made equal by ``StrandDiagram.reduce``.
     """
     if f.system is not g.system:
         raise Incompatible("different systems")
@@ -745,99 +733,12 @@ def _glued_composite(f: StrandDiagram, g: StrandDiagram) -> StrandDiagram:
             raise Incompatible("requirement B fails: colors differ")
         bind(sf.label[0], sg.label[0])
         bind(sf.label[1], sg.label[1])
-    inverse_taken = set(ren.values())
-    merge_table: dict = {}
-    for nid in g.merges():
-        branch = g.strands[g.out_strand(nid)]
-        merge_table.setdefault((branch.color, branch.label[0], branch.label[1]), []).append(nid)
-    fresh = itertools.count()
-    g_symbols = g.symbols()
-
-    def fresh_symbol():
-        while True:
-            c = f"y{next(fresh)}"
-            if c not in g_symbols and c not in inverse_taken:
-                inverse_taken.add(c)
-                return c
-
-    # rename f's splits top-down
-    depth: dict = {}
-
-    def node_depth(nid):
-        if nid in depth:
-            return depth[nid]
-        kind = f.nodes[nid]
-        if kind == "source":
-            depth[nid] = 0
-        elif kind == "sink":
-            depth[nid] = 10 ** 9
-        else:
-            ins = [f.strands[f.in_strand(nid, p)].src[0]
-                   for p in f._in.get(nid, {})]
-            depth[nid] = 1 + max((node_depth(x) for x in ins), default=0)
-        return depth[nid]
-
-    # a split physically facing a merge through the interface must adopt that
-    # merge's symbols (labels alone can be ambiguous, e.g. equal base loops)
-    sink_index = {nid: i for i, nid in enumerate(g.sinks)}
-    source_index = {nid: i for i, nid in enumerate(f.sources)}
-    preferred: dict = {}
-    for nid in f.splits():
-        src_node = f.strands[f.in_strand(nid)].src[0]
-        if src_node in source_index:
-            gstrand = g.strands[g.in_strand(g.sinks[source_index[src_node]])]
-            up = gstrand.src[0]
-            if isinstance(g.nodes[up], tuple) and g.nodes[up][0] == "merge":
-                preferred[nid] = up
-
-    for nid in sorted(f.splits(), key=node_depth):
-        color = f.nodes[nid][1]
-        branch = f.strands[f.in_strand(nid)]
-        bl = (ren.get(branch.label[0], None), ren.get(branch.label[1], None))
-        rule = f.system.rules[color]
-        arity = len(rule.graph.edges)
-        kids = [f.strands[f.out_strand(nid, p)] for p in range(arity)]
-        candidates = []
-        if nid in preferred and g.nodes[preferred[nid]][1] == color:
-            candidates.append(preferred[nid])
-        if bl[0] is not None and bl[1] is not None:
-            for cand in merge_table.get((color, bl[0], bl[1]), []):
-                if cand not in candidates:
-                    candidates.append(cand)
-        adopted = None
-        for cand in candidates:
-            tops = [g.strands[g.in_strand(cand, p)] for p in range(arity)]
-            ok = True
-            trial = dict(ren)
-            for kid, top in zip(kids, tops):
-                for a, b in ((kid.label[0], top.label[0]), (kid.label[1], top.label[1])):
-                    if trial.setdefault(a, b) != b:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                ren.update(trial)
-                adopted = cand
-                break
-        if adopted is not None:
-            # propagate the physical pairing one level further on each port
-            for p in range(arity):
-                down = f.strands[f.out_strand(nid, p)].dst[0]
-                up = g.strands[g.in_strand(adopted, p)].src[0]
-                if (isinstance(f.nodes.get(down), tuple) and f.nodes[down][0] == "split"
-                        and isinstance(g.nodes.get(up), tuple) and g.nodes[up][0] == "merge"
-                        and down not in preferred):
-                    preferred[down] = up
-            continue
-        for kid in kids:
-            for a in (kid.label[0], kid.label[1]):
-                if a not in ren:
-                    ren[a] = fresh_symbol()
+    taken = g.symbols() | set(ren.values())
+    fresh = (f"y{i}" for i in itertools.count() if f"y{i}" not in taken)
     for s in f.strands.values():
-        for a in (s.label[0], s.label[1]):
+        for a in s.label[:2]:
             if a not in ren:
-                ren[a] = fresh_symbol()
+                ren[a] = next(fresh)
     # assemble the glued diagram
     nodes: dict = {}
     strands: dict = {}

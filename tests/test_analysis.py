@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from rewrite_groups.rearrangement import (
     reduced_flipless,
 )
 from rewrite_groups import analysis as an
+from rewrite_groups import conjugacy as cj
 
 
 def test_imbalance_identity():
@@ -140,6 +142,31 @@ def test_torsion_order_is_the_least_identity_power():
             torsion_count += 1
             flipped += bool(g.flips)
     assert torsion_count >= 80 and flipped >= 30
+
+
+def test_torsion_agrees_with_the_reduced_closure(rng):
+    # two routes to torsion: the forest route of is_torsion, and the reduced
+    # closed diagram of g, which for reduction-confluent rules has no split or
+    # merge exactly when g is torsion (Belk-Matucci for F, T and V); the
+    # order is then the lcm of the lengths of its pure loops
+    counts = [0, 0]
+    for name in ["interval_F", "circle_T", "cantor_V", "airplane", "basilica", "dendrite:3",
+                 "rabbit:3"]:
+        S = catalog(name)
+        virtual = cj.augment_airplane(S).virtual if name == "airplane" else ()
+        assert cj.check_reduction_confluence(S, 3, virtual=virtual).is_confluent, name
+        for i in range(20):
+            g = random_rearrangement(S, rng, 2, 2)
+            if g.is_identity():
+                continue
+            torsion, order = an.is_torsion(g)
+            reduced, _ = cj.reduce_closed(cj.close_element(g), virtual)
+            element = (name, g.to_json())
+            assert torsion == (not reduced.splits() and not reduced.merges()), element
+            if torsion:
+                assert order == math.lcm(*(len(bps) for bps, _ in cj.pure_loops(reduced))), element
+            counts[torsion] += 1
+    assert min(counts) >= 25, counts
 
 
 def _copying_chains(d):

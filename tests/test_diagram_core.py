@@ -36,15 +36,17 @@ def test_copy_defect_names_each_defect():
                           {"p0": "a", "p2": "d"}) == "inconsistent substitution at p2"
 
 
-def test_copy_defect_parallel_strands_need_distinct_z():
+def test_copy_defect_ignores_z_of_parallel_strands():
+    # ports tell parallel strands apart; z records only how a diagram was built
     tree = ColoredGraph(["i", "m", "t"], [Edge("e1", "a", "i", "m"), Edge("e2", "a", "i", "m"),
                                           Edge("e3", "a", "m", "t")])
     system = ReplacementSystem(["a"], ColoredGraph(["u", "v"], [Edge("s", "a", "u", "v")]),
                                {"a": Rule(tree, ("pair", "i", "t"))})
     rule = system.rules["a"]
     assert sd.copy_defect(rule, _kids("a", ("p", "q", 1), ("p", "q", 2), ("q", "r", 1)), {}) is None
-    assert sd.copy_defect(rule, _kids("a", ("p", "q", 1), ("p", "q", 1), ("q", "r", 1)), {}) == \
-        "parallel strands share a z index"
+    assert sd.copy_defect(rule, _kids("a", ("p", "q", 1), ("p", "q", 1), ("q", "r", 1)), {}) is None
+    assert sd.copy_defect(rule, _kids("a", ("p", "q", 1), ("p", "r", 1), ("q", "r", 1)), {}) == \
+        "inconsistent substitution at m"
 
 
 def test_faithful_copy_violation_is_condition_1():

@@ -9,9 +9,12 @@ from rewrite_groups.catalog import catalog
 from rewrite_groups.rearrangement import (
     Rearrangement,
     compose as rcompose,
+    from_cell_map,
     identity,
+    invert as rinvert,
     random_rearrangement,
 )
+from rewrite_groups.graphs import UnionFind
 from rewrite_groups.replacement import base_expansion
 from rewrite_groups import strand as sd
 
@@ -120,8 +123,74 @@ def test_reduction_confluence_random_orders(rng):
         assert unreduced, name
 
 
+def _unify_mirror_labels(d, merge_nid, split_nid):
+    """Rename symbols so that a merge above a split carries equal labels.
+
+    Each symbol becomes the least (by repr) symbol that the pair forces it
+    equal to.
+    """
+    uf = UnionFind()
+    for a, b in d.mirrored(merge_nid, split_nid):
+        for x, y in zip(d.strands[a].label[:2], d.strands[b].label[:2]):
+            uf.union(x, y)
+    mapping = {}
+    for members in uf.classes().values():
+        least = min(members, key=repr)
+        mapping.update((x, least) for x in members)
+    return d.rename(mapping)
+
+
+def _apply_type2(d, merge_nid, split_nid):
+    """Cancel a Type 2 pair, renaming first if its labels differ; and whether it renamed."""
+    renames = any(d.strands[a].label[:2] != d.strands[b].label[:2]
+                  for a, b in d.mirrored(merge_nid, split_nid))
+    if renames:
+        d = _unify_mirror_labels(d, merge_nid, split_nid)
+    return d.cancel_type2(merge_nid, split_nid), renames
+
+
+def _reduce_renaming_at_every_pair(d, rng=None):
+    """The reduction that renames at each Type 2 pair, and how often it renamed."""
+    renamings = 0
+    while True:
+        moves = [("1",) + c for c in d.type1_candidates()]
+        moves += [("2",) + c for c in d.type2_candidates()]
+        if not moves:
+            return d, renamings
+        move = rng.choice(moves) if rng is not None else sorted(moves, key=repr)[0]
+        if move[0] == "1":
+            d = d.cancel_type1(move[1], move[2])
+        else:
+            d, renamed = _apply_type2(d, move[1], move[2])
+            renamings += renamed
+
+
+def test_reduce_renames_once_as_at_every_pair(rng):
+    # glue_forests adds nodes in set order, which follows the hash seed, so
+    # both reductions run on the same diagrams in this one process
+    renamings = 0
+    for name in ["interval_F", "circle_T", "cantor_V", "airplane", "basilica", "dendrite:3",
+                 "rabbit:3"]:
+        S = catalog(name)
+        for i in range(5):
+            padded = []
+            for _ in range(2):
+                g = random_rearrangement(S, rng, 2, 2)
+                for _ in range(2):
+                    g = g.expand_at(rng.choice(sorted(g.phi)))
+                padded.append(sd.from_rearrangement(g, reduce=False))
+            for d in padded + [sd._glued_composite(*padded)]:
+                for order in (None, i):
+                    want, n = _reduce_renaming_at_every_pair(
+                        d, None if order is None else random.Random(order))
+                    got = d.reduce(None if order is None else random.Random(order))
+                    assert sd.strand_to_json(got) == sd.strand_to_json(want), (name, i, order)
+                    renamings += n
+    assert renamings
+
+
 def test_composition_homomorphism(rng):
-    for name in ["interval_F", "circle_T", "airplane", "dendrite:3"]:
+    for name in ["interval_F", "circle_T", "airplane", "dendrite:3", "basilica", "rabbit:3"]:
         S = catalog(name)
         for i in range(8):
             g = random_rearrangement(S, rng, 2, 2)
@@ -133,11 +202,34 @@ def test_composition_homomorphism(rng):
 
 
 def test_inverse_compose_is_identity(rng):
-    A = catalog("airplane")
-    for _ in range(6):
-        g = random_rearrangement(A, rng, 2, 2)
-        S = sd.from_rearrangement(g)
-        assert sd.compose(S, sd.invert(S)) == sd.from_rearrangement(identity(A))
+    # basilica and rabbit:3 have parallel loops, whose z indices differ
+    # between a diagram and its inverse
+    for name in ["airplane", "basilica", "rabbit:3"]:
+        S = catalog(name)
+        for i in range(6):
+            g = random_rearrangement(S, rng, 2, 2)
+            D = sd.from_rearrangement(g)
+            D.validate_r_branching()
+            assert sd.invert(D) == sd.from_rearrangement(rinvert(g)), (name, i)
+            assert sd.compose(D, sd.invert(D)) == sd.from_rearrangement(identity(S)), (name, i)
+
+
+def test_key_tells_parallel_merge_ports_apart():
+    # loops 1, 2 and 3 of the rabbit:3 rule are parallel, so the strands
+    # through them carry equal symbols; only the merge ports they enter tell
+    # which loop goes where
+    R = catalog("rabbit:3")
+    cells = [("A", e) for e in "01234"] + [("B",), ("C",), ("D",)]
+
+    def swapping(a, b):
+        phi = {c: c for c in cells}
+        phi[("A", a)], phi[("A", b)] = ("A", b), ("A", a)
+        return from_cell_map(R, phi.items())
+
+    g, h = swapping("1", "2"), swapping("2", "3")
+    assert g != h
+    assert sd.from_rearrangement(g) != sd.from_rearrangement(h)
+    assert sd.to_rearrangement(sd.from_rearrangement(h)) == h
 
 
 def test_cut_counts_paths():

@@ -56,6 +56,14 @@ One curve times the similarity search that follows closed reduction:
   n = 4, 8, 16, 32 and 64; each point records the diagrams the search
   explores (its calls of ``all_similarity_moves``).
 
+One curve times composition in the strand layer, which glues two diagrams
+and reduces:
+
+- ``strand_compose``: ``strand.compose(S(x0^n), S(x0^-n))`` (family
+  ``cancel``: it reduces to the identity) and ``strand.compose(S(x1 x0^n),
+  S(x0^n))`` (family ``mixed``, with x1 x0^n read as ``compose(x1, x0^n)``)
+  in F, where S is ``strand.from_rearrangement``, for n = 8, 32 and 128.
+
 One curve times the torsion decision of the analysis layer, which refines
 through ``Rearrangement.expand_at``:
 
@@ -85,11 +93,12 @@ TORSION = (32, 64, 128, 256)
 POWERS = (32, 128, 512, 1024)
 PADDINGS = (6, 8, 10, 12)
 CANCELS = (8, 32, 128, 512)
+STRAND_POWERS = (8, 32, 128)
 CLOSED = (8, 16, 32, 64, 128)
 SEARCHED = (4, 8, 16, 32, 64)
 GLUING_PERIODS = (100, 300, 900)
 OP_CURVES = ("reduce", "compose", "reduce_padded", "reduce_cancel", "reduce_closed",
-             "similarity_search", "expansion_containing", "is_torsion")
+             "similarity_search", "expansion_containing", "is_torsion", "strand_compose")
 BY_SYSTEM = ("expansion_build", "full_expansion", "gluing_class")  # curves with one point list per system
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -115,7 +124,7 @@ def measure() -> dict:
 
     from rewrite_groups.analysis import is_torsion
     from rewrite_groups.catalog import catalog
-    from rewrite_groups import conjugacy
+    from rewrite_groups import conjugacy, strand
     from rewrite_groups.conjugacy import close_element, reduce_closed, similarity_search
     from rewrite_groups.gluing import gluing_class
     from rewrite_groups.rearrangement import (
@@ -211,6 +220,14 @@ def measure() -> dict:
         g = conjugate_by(x1, power(x0, n))
         curves["is_torsion"].append({"n": n, "cells": len(g.phi),
                                      "ms": best(lambda: is_torsion(g), speed)})
+    S = strand.from_rearrangement
+    for n in STRAND_POWERS:
+        p = power(x0, n)
+        for family, (f, g) in (("cancel", (S(p), S(invert(p)))),
+                               ("mixed", (S(compose(x1, p)), S(p)))):
+            curves["strand_compose"].append({
+                "family": family, "n": n, "strands": len(f.strands) + len(g.strands),
+                "ms": best(lambda: strand.compose(f, g), speed)})
     return curves
 
 
