@@ -363,8 +363,11 @@ class StrandDiagram(Diagram):
 
     def _faithful(self, nid) -> Optional[str]:
         """Check one split/merge against its replacement tree; None if ok."""
-        rule = self.system.rules[self.nodes[nid][1]]
+        color = self.nodes[nid][1]
+        rule = self.system.rules[color]
         branch, kids = self.tree_strands(nid)
+        if branch.color != color:
+            return f"{nid}: branch color {branch.color!r} should be {color!r}"
         v, w, _ = branch.label
         if rule.kind == "loop" and v != w:
             return f"loop-colored strand at {nid} with distinct endpoints"

@@ -69,6 +69,22 @@ def test_not_r_branching_condition_2():
     assert err.value.condition == 2
 
 
+def test_not_r_branching_branch_color():
+    # a blue strand into a red split whose kids copy the red rule faithfully
+    A = catalog("airplane")
+    nodes = {"so": "source", "sp": ("split", "r"), "si1": "sink", "si2": "sink", "si3": "sink"}
+    strands = {
+        "t": sd.Strand("b", ("v", "w", 1), ("so", 0), ("sp", 0)),
+        "a": sd.Strand("r", ("v", "c", 1), ("sp", 0), ("si1", 0)),
+        "b": sd.Strand("r", ("c", "w", 1), ("sp", 1), ("si2", 0)),
+        "c": sd.Strand("b", ("c", "t", 1), ("sp", 2), ("si3", 0)),
+    }
+    d = sd.StrandDiagram(A, nodes, strands, ["so"], ["si1", "si2", "si3"])
+    with pytest.raises(sd.NotRBranching) as err:
+        d.validate_r_branching()
+    assert err.value.condition == 1
+
+
 def test_not_r_branching_condition_3():
     # the same symbol generated by two splits with different branching labels
     I = catalog("interval_F")
