@@ -205,31 +205,19 @@ class ClosedDiagram(Diagram):
         self.counter = counter
         self._traversal = None
         self._base = None
-        self._chains: dict = {}  # split or merge -> (end, count) of its chain or None
+        self._chains: dict = {}  # split or merge -> (end, count) of its chain or ()
         self._uses = None  # symbol -> number of label ends naming it, counted on first use
         self._wire()
 
     def _edit(self, drop_nodes=(), add_nodes=None, drop=(), put=None) -> "ClosedDiagram":
         """``Diagram._edit``; added nodes are base points numbered from ``counter`` on.
 
-        The successor keeps its parent's chains but those of dropped nodes and
-        of every head whose chain reaches a put strand, and patches its counts.
+        The successor also patches its parent's symbol counts.
         """
         add_nodes, put = add_nodes or {}, put or {}
         d = super()._edit(drop_nodes, add_nodes, drop, put)
         d.counter = self.counter + len(add_nodes)
         d._traversal = d._base = None
-        chains = d._chains = dict(self._chains)
-        nodes, strands, ins = d.nodes, d.strands, d._in
-        for nid in drop_nodes:
-            chains.pop(nid, None)
-        for s in put.values() if chains else ():
-            head = s  # walked back through base points to the strand out of the chain's head
-            while nodes[head.src[0]] == "bp":
-                head = strands[ins[head.src[0]][0]]
-                if head is s:  # a pure loop of base points: no head
-                    break
-            chains.pop(head.src[0], None)
         if self._uses is not None:
             uses = d._uses = dict(self._uses)
             gone = [self.strands[sid] for sid in drop]
@@ -1081,51 +1069,6 @@ def apply_type3(d: ClosedDiagram, match: Type3Match) -> Move:
 # -- reduction of closed diagrams ------------------------------------------------------
 
 
-def _strand_path_through_bps(d: ClosedDiagram, sid):
-    """Follow a strand through base points; returns (#bps crossed, end node, port)."""
-    count = 0
-    s = d.strands[sid]
-    while d.nodes[s.dst[0]] == "bp":
-        count += 1
-        s = d.strands[d.out_strand(s.dst[0])]
-    return count, s.dst[0], s.dst[1]
-
-
-def _chained_pairs(d: ClosedDiagram) -> list:
-    """Every Type 1 and Type 2 pair of ``d``, across base points, with its count.
-
-    Lists (split, merge, c) for each split whose out port p reaches port p
-    of one merge of its colour through c base points on every port, in
-    split order; then (merge, split, c) for each merge whose out strand
-    reaches a split of its colour through c base points, in merge order.
-    The pairs with c = 0 are the Type 1 pairs of ``type1_candidates`` and
-    the Type 2 pairs of ``type2_candidates``.  Each node's chain is read
-    from ``d._chains`` and followed only where no entry is kept.
-    """
-    chains = d._chains
-    splits, merges = [], []
-    for nid, kind in d.nodes.items():
-        if kind == "bp":
-            continue
-        if nid not in chains:
-            chains[nid] = _chain(d, nid, kind)
-        if chains[nid] is not None:
-            (splits if kind[0] == "split" else merges).append((nid, *chains[nid]))
-    return splits + merges
-
-
-def _chain(d: ClosedDiagram, nid, kind):
-    """(end, count) of the chained pair that split or merge nid leads, or None."""
-    if kind[0] == "split":
-        ends = [_strand_path_through_bps(d, d.out_strand(nid, p)) for p in range(d.arity(nid))]
-        c, end, _ = ends[0]
-        if d.nodes[end] == ("merge", kind[1]) and ends == [(c, end, p) for p in range(len(ends))]:
-            return end, c
-        return None
-    c, end, _ = _strand_path_through_bps(d, d.out_strand(nid))
-    return (end, c) if d.nodes[end] == ("split", kind[1]) else None
-
-
 def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None):
     """The reduced diagram of the similarity class, with the log of its moves.
 
@@ -1135,34 +1078,27 @@ def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None):
     Raises if clearing shifts get stuck, which reduction-confluence rules out
     for the rule sets this library ships.
 
-    Each round reads the chained pairs once (``_chained_pairs``, from the
-    chain cache that every move's ``_edit`` keeps up to date, so only chains
-    through the strands a move put are followed again) and makes the
-    first move that applies: a Type 1 cancellation (a split-led pair at
-    count 0), a Type 2 one (a merge-led pair at count 0), a shift that
+    Each round reads the chained pairs once (``Diagram._chained_pairs``, from
+    the chain cache that every move's ``_edit`` keeps up to date, so only
+    chains through the strands a move put are followed again) and makes the
+    first move that applies: the cancellation that ``StrandDiagram.reduce``
+    also picks (``Diagram._cancellation``: a Type 1 pair, a split-led pair
+    at count 0, else a Type 2 one, merge-led at count 0), a shift that
     brings a chained pair closer (all counts are then above 0), a Type 3
     reduction.  When none applies, the cut line is parked and the flips
     are oriented.  With ``rng`` each step picks its candidate at random.
     """
     log = []
-
-    def pick(options):
-        if not options:
-            return None
-        return rng.choice(options) if rng is not None else options[0]
-
     while True:
-        chained = _chained_pairs(d)
-        adjacent = [(a, b) for a, b, c in chained if c == 0]
-        c1 = pick([(a, b) for a, b in adjacent if d.nodes[a][0] == "split"])
-        if c1 is not None:
-            d = d.cancel_type1(*c1)
-            continue
-        c2 = pick(adjacent)
-        if c2 is not None:
-            if any(d.strands[a].label != d.strands[b].label for a, b in d.mirrored(*c2)):
+        chained = d._chained_pairs()
+        pair = d._cancellation(chained, rng)
+        if pair is not None:
+            if d.nodes[pair[0]][0] == "split":
+                d = d.cancel_type1(*pair)
+            elif d._mirror_labels_equal(*pair):
+                d = d.cancel_type2(*pair)
+            else:
                 raise NotAdjacent("type 2 with unequal labels")
-            d = d.cancel_type2(*c2)
             continue
         if rng is not None:
             rng.shuffle(chained)
@@ -1321,7 +1257,7 @@ def _bald_key(d: ClosedDiagram) -> tuple:
             s_ = d.strands[sid]
             if d.nodes[s_.src[0]] == "bp":
                 continue
-            _count, end, port = _strand_path_through_bps(d, sid)
+            _count, end, port = d._strand_path_through_bps(sid)
             edges.append((s_.src[0], s_.src[1], end, port, s_.color))
         adj: dict = {}
         for a, pa, b, pb, c in edges:

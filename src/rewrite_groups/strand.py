@@ -12,11 +12,14 @@ represent generalized rearrangements between possibly different base graphs.
 
 Open diagrams (``StrandDiagram``, ended by sources and sinks) and closed ones
 (``conjugacy.ClosedDiagram``, ended by base points) share one wiring and
-reduction core, ``Diagram``: the port index and its check, the faithful-copy
-test of a split or merge, the Type 1/Type 2 candidate scans and the splice
-that cancels a Type 1 or Type 2 pair.  ``_wire`` indexes and checks a
-diagram built from outside; a cancellation or closed-diagram move makes an
-``_edit`` of its parent, which patches the index where ports changed.
+reduction core, ``Diagram``: the port index and its check, one scan for
+Type 1 and Type 2 pairs (``_chained_pairs``, across base points in a closed
+diagram) with its chain cache, one rule that picks the pair to cancel, and
+the splice that cancels it.  ``_wire`` indexes and checks a diagram built
+from outside; a cancellation or closed-diagram move makes an ``_edit`` of its
+parent, which patches the index where ports changed and keeps the chains
+that no put strand reaches.  ``StrandDiagram.reduce`` only cancels;
+``conjugacy.reduce_closed`` adds shifts and Type 3 moves.
 """
 
 from __future__ import annotations
@@ -139,7 +142,9 @@ class Diagram:
         new ones are appended in order.  The port index is copied and patched,
         and each node whose ports changed gets ``_wire``'s check: NotXDiagram
         for a strand left at a dropped node, two strands on one port or a
-        strand to an unknown node.
+        strand to an unknown node.  The successor keeps its parent's chains
+        but those of dropped nodes and of every head whose chain reaches a put
+        strand.
         """
         add_nodes, put = add_nodes or {}, put or {}
         d = self._clone()
@@ -186,6 +191,17 @@ class Diagram:
                 raise NotXDiagram(f"a strand is left at dropped node {nid!r}")
             touched.pop(nid, None)
         d._check_ports(touched)
+        chains = d._chains = dict(self._chains)
+        for nid in drop_nodes:
+            chains.pop(nid, None)
+        ins = d._in
+        for s in put.values() if chains else ():
+            head = s  # walked back through base points to the strand out of the chain's head
+            while nodes[head.src[0]] == "bp":
+                head = strands[ins[head.src[0]][0]]
+                if head is s:  # a pure loop of base points: no head
+                    break
+            chains.pop(head.src[0], None)
         return d
 
     def _check_ports(self, nids) -> int:
@@ -279,29 +295,69 @@ class Diagram:
         d.__dict__.update(self.__dict__)
         return d
 
-    # -- type 1 and type 2 reductions ------------------------------------------
+    # -- type 1 and type 2 pairs ------------------------------------------------
 
-    def type1_candidates(self) -> list:
-        """(split, merge) pairs: out port p of the split feeds port p of the merge."""
-        out = []
-        for nid in self.splits():
-            ends = [self.strands[self.out_strand(nid, p)].dst for p in range(self.arity(nid))]
-            m = ends[0][0]
-            if (self.nodes[m] == ("merge", self.nodes[nid][1])
-                    and ends == [(m, p) for p in range(len(ends))]):
-                out.append((nid, m))
-        return out
+    def _strand_path_through_bps(self, sid) -> tuple:
+        """Follow a strand through base points; returns (#bps crossed, end node, port)."""
+        nodes, strands, outs, count = self.nodes, self.strands, self._out, 0
+        s = strands[sid]
+        while nodes[s.dst[0]] == "bp":
+            count += 1
+            s = strands[outs[s.dst[0]][0]]
+        return count, s.dst[0], s.dst[1]
 
-    def type2_candidates(self) -> list:
-        """(merge, split) pairs of one color: the merge's out strand feeds the split."""
-        out = []
-        for s in self.strands.values():
-            up, down = s.src[0], s.dst[0]
-            ku = self.nodes[up]
-            if (isinstance(ku, tuple) and ku[0] == "merge"
-                    and self.nodes[down] == ("split", ku[1])):
-                out.append((up, down))
-        return out
+    def _chained_pairs(self) -> list:
+        """Every Type 1 and Type 2 pair, across base points, with its count.
+
+        Lists (split, merge, c) for each split whose out port p reaches port p
+        of one merge of its colour through c base points on every port, in
+        split order; then (merge, split, c) for each merge whose out strand
+        reaches a split of its colour through c base points, in merge order.
+        An open diagram has no base points, so each c is 0.  Each node's
+        chain is read from ``_chains`` and followed only where no entry is
+        kept.
+        """
+        chains = self._chains
+        splits, merges = [], []
+        for nid, kind in self.nodes.items():
+            if type(kind) is str:  # an end
+                continue
+            chain = chains.get(nid)
+            if chain is None:
+                chain = chains[nid] = self._chain(nid, kind)
+            if chain:
+                (splits if kind[0] == "split" else merges).append((nid, *chain))
+        return splits + merges
+
+    def _chain(self, nid, kind):
+        """(end, count) of the chained pair that split or merge nid leads, or () if none."""
+        outs = self._out[nid]
+        c, end, port = self._strand_path_through_bps(outs[0])
+        if kind[0] == "merge":
+            return (end, c) if self.nodes[end] == ("split", kind[1]) else ()
+        if port != 0 or self.nodes[end] != ("merge", kind[1]):
+            return ()
+        for p in range(1, len(outs)):
+            if self._strand_path_through_bps(outs[p]) != (c, end, p):
+                return ()
+        return end, c
+
+    def _cancellation(self, chained: list, rng=None) -> Optional[tuple]:
+        """The pair of ``chained`` to cancel next, or None if none is at count 0.
+
+        The first split-led (Type 1) pair at count 0, else the first
+        merge-led (Type 2) one; with ``rng``, a random pair of that class.
+        """
+        adjacent = [(a, b) for a, b, c in chained if c == 0]
+        pairs = [(a, b) for a, b in adjacent if self.nodes[a][0] == "split"] or adjacent
+        if not pairs:
+            return None
+        return rng.choice(pairs) if rng is not None else pairs[0]
+
+    def _mirror_labels_equal(self, merge_nid, split_nid) -> bool:
+        """Whether each strand into a merge carries the label of its mirror out of the split."""
+        return all(self.strands[a].label == self.strands[b].label
+                   for a, b in self.mirrored(merge_nid, split_nid))
 
     def cancel_type1(self, split_nid, merge_nid) -> "Diagram":
         """Remove a type 1 pair; the split's in strand ends where the merge's out strand did."""
@@ -340,6 +396,7 @@ class StrandDiagram(Diagram):
         self.strands = dict(strands)
         self.sources = list(sources)
         self.sinks = list(sinks)
+        self._chains: dict = {}  # split or merge -> (end, count) of its chain or ()
         self._wire()
 
     # -- structure ------------------------------------------------------------
@@ -380,13 +437,11 @@ class StrandDiagram(Diagram):
             msg = self._faithful(nid)
             if msg:
                 raise NotRBranching(1, msg)
-        # condition 2: mirrored merge-then-split chains carry identical labels
-        for sid, s in self.strands.items():
-            up, down = s.src[0], s.dst[0]
-            ku, kd = self.nodes[up], self.nodes[down]
-            if isinstance(ku, tuple) and ku[0] == "merge" and isinstance(kd, tuple) and kd[0] == "split":
-                if not self._mirror_labels_equal(up, down):
-                    raise NotRBranching(2, f"merge {up} above split {down} differ in labels")
+        # condition 2: mirrored merge-then-split chains carry identical labels;
+        # by condition 1 a merge and the split it feeds have one colour
+        for up, down, _ in self._chained_pairs():
+            if self.nodes[up][0] == "merge" and not self._mirror_labels_equal(up, down):
+                raise NotRBranching(2, f"merge {up} above split {down} differ in labels")
         # condition 3: splits (and merges) generate each symbol under one label
         generated: dict = {"split": {}, "merge": {}}
         for nid in self.splits() + self.merges():
@@ -400,44 +455,37 @@ class StrandDiagram(Diagram):
             if len({(v, w) for v, w, _ in branches}) > 1:
                 raise NotRBranching(3, f"symbol {sym!r} generated under different labels")
 
-    def _mirror_labels_equal(self, merge_nid, split_nid) -> bool:
-        if self.nodes[merge_nid][1] != self.nodes[split_nid][1]:
-            return False
-        return all(self.strands[a].label == self.strands[b].label
-                   for a, b in self.mirrored(merge_nid, split_nid))
-
     # -- reductions ---------------------------------------------------------------
 
     def reduce(self, rng=None) -> "StrandDiagram":
-        """The unique reduced equivalent; candidate order may be randomized.
+        """The unique reduced equivalent; with ``rng``, cancellations in random order.
+
+        Each round reads the pairs of ``_chained_pairs``, whose chains each
+        cancellation's ``_edit`` keeps unless it put a strand on them, and
+        cancels the pair that ``_cancellation`` picks, as closed reduction
+        does: the first Type 1 pair, else the first Type 2 pair, in node
+        order; with ``rng``, a random pair of that type.
 
         A merge and a split brought face to face (across a composition
         interface, say) may carry copies named independently; the
         mirrored-chain condition forces the labels of their mirrored strands
         equal.  Each Type 2 cancellation records the symbols it so forces in
         one union-find, and at the end each symbol is renamed to the least
-        (by repr) symbol of its class.  Moves are chosen by node ids alone,
-        so renaming once at the end gives what renaming at every pair gives.
+        (by repr) symbol of its class.  Pairs are chosen by node order, never
+        by labels, so renaming once at the end gives what renaming at every
+        pair gives.
         """
         d = self
         forced = UnionFind()
-        while True:
-            moves = [("1",) + c for c in d.type1_candidates()]
-            moves += [("2",) + c for c in d.type2_candidates()]
-            if not moves:
-                break
-            if rng is not None:
-                move = rng.choice(moves)
-            else:
-                move = sorted(moves, key=repr)[0]
-            if move[0] == "1":
-                d = d.cancel_type1(move[1], move[2])
+        while (pair := d._cancellation(d._chained_pairs(), rng)) is not None:
+            if d.nodes[pair[0]][0] == "split":
+                d = d.cancel_type1(*pair)
                 continue
-            for a, b in d.mirrored(move[1], move[2]):
+            for a, b in d.mirrored(*pair):
                 for x, y in zip(d.strands[a].label[:2], d.strands[b].label[:2]):
                     if x != y:
                         forced.union(x, y)
-            d = d.cancel_type2(move[1], move[2])
+            d = d.cancel_type2(*pair)
         mapping = {}
         for members in forced.classes().values():
             least = min(members, key=repr)
@@ -445,7 +493,7 @@ class StrandDiagram(Diagram):
         return d.rename(mapping)
 
     def is_reduced(self) -> bool:
-        return not self.type1_candidates() and not self.type2_candidates()
+        return not self._chained_pairs()
 
     # -- identity and renaming -----------------------------------------------------
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import f_generators
+from conftest import f_generators, padded_and_glued, type1_candidates, type2_candidates
 
 from rewrite_groups.catalog import catalog
 from rewrite_groups.graphs import ColoredGraph, Edge
@@ -616,7 +616,7 @@ def _reference_bald_key(d):
         for sid in comp:
             s_ = d.strands[sid]
             if d.nodes[s_.src[0]] != "bp":
-                _count, end, port = cj._strand_path_through_bps(d, sid)
+                _count, end, port = d._strand_path_through_bps(sid)
                 edges.append((s_.src[0], s_.src[1], end, port, s_.color))
         adj = {}
         for a, pa, b, pb, c in edges:
@@ -722,7 +722,7 @@ def _reference_chained_type1(d):
         arity = len(d.system.rules[color].graph.edges)
         info = []
         for p in range(arity):
-            c, end, port = cj._strand_path_through_bps(d, d.out_strand(snode, p))
+            c, end, port = d._strand_path_through_bps(d.out_strand(snode, p))
             info.append((c, end, port))
         ends = {x[1] for x in info}
         counts = {x[0] for x in info}
@@ -740,33 +740,53 @@ def _reference_chained_type1(d):
 def _reference_chained_type2(d):
     """(merge, split, c): the merge's out strand reaches a split through c base points."""
     for mnode in d.merges():
-        c, end, port = cj._strand_path_through_bps(d, d.out_strand(mnode))
+        c, end, port = d._strand_path_through_bps(d.out_strand(mnode))
         kind = d.nodes.get(end)
         if (isinstance(kind, tuple) and kind[0] == "split" and port == 0
                 and kind[1] == d.nodes[mnode][1]):
             yield mnode, end, c
 
 
-def test_chained_pairs_match_the_separate_scans(rng, monkeypatch):
-    # every diagram that reduce_closed scans while the corpus is built, too
-    scanned, scan = [], cj._chained_pairs
+def _scanned(monkeypatch, work) -> list:
+    """The diagrams whose chained pairs are read while ``work()`` runs, each with
+    whether it held chains (kept from its parent) when first read."""
+    scanned, scan = [], sd.Diagram._chained_pairs
 
     def recording(d):
-        scanned.append(d)
+        scanned.append((d, bool(d._chains)))
         return scan(d)
 
-    monkeypatch.setattr(cj, "_chained_pairs", recording)
-    diagrams = _key_corpus(rng) + _corpus_closures()
+    monkeypatch.setattr(sd.Diagram, "_chained_pairs", recording)
+    work()
     monkeypatch.undo()
+    return scanned
+
+
+def _strand_reductions(rng):
+    """Reduce seeded padded diagrams and glued composites, in order and at random."""
+    for i, d in enumerate(padded_and_glued(rng)):
+        d.reduce()
+        d.reduce(random.Random(i))
+
+
+def test_chained_pairs_match_the_separate_scans(rng, monkeypatch):
+    # every diagram that reduce_closed scans while the corpus is built, and
+    # every one that StrandDiagram.reduce scans, too
+    diagrams = []
+    scanned = _scanned(monkeypatch, lambda: diagrams.extend(_key_corpus(rng) + _corpus_closures()))
+    opened = _scanned(monkeypatch, lambda: _strand_reductions(rng))
+    assert {type(d) for d, _ in scanned} == {cj.ClosedDiagram}
+    assert {type(d) for d, _ in opened} == {sd.StrandDiagram}
     adjacent = chained = 0
-    for d in diagrams + scanned:
-        pairs = list(cj._chained_pairs(d))
+    for d in diagrams + [d for d, _ in scanned + opened]:
+        pairs = d._chained_pairs()
         assert pairs == list(_reference_chained_type1(d)) + list(_reference_chained_type2(d))
         assert ({(a, b) for a, b, c in pairs if c == 0}
-                == set(d.type1_candidates()) | set(d.type2_candidates()))
+                == set(type1_candidates(d)) | set(type2_candidates(d)))
         adjacent += any(c == 0 for _, _, c in pairs)
         chained += any(c > 0 for _, _, c in pairs)
-    assert len(scanned) >= 500 and adjacent >= 100 and chained >= 100
+    assert len(scanned) >= 500 and len(opened) >= 700
+    assert adjacent >= 700 and chained >= 100
 
 
 def _reference_rename(d, mapping):
@@ -1009,11 +1029,17 @@ def test_chain_cache_matches_a_full_scan(rng, monkeypatch):
     inherited = chained = 0
     for d in _edited_and_corpus_diagrams(rng, monkeypatch):
         inherited += bool(d._chains)
-        pairs = cj._chained_pairs(d)
+        pairs = d._chained_pairs()
         fresh = cj.ClosedDiagram(d.system, d.nodes, d.strands, d.counter)
-        assert fresh._chains == {} and pairs == cj._chained_pairs(fresh)
+        assert fresh._chains == {} and pairs == fresh._chained_pairs()
         chained += any(c > 0 for _, _, c in pairs)
     assert inherited >= 500 and chained >= 200
+    # the same for every open diagram that StrandDiagram.reduce scans
+    opened = _scanned(monkeypatch, lambda: _strand_reductions(rng))
+    for d, _ in opened:
+        fresh = sd.StrandDiagram(d.system, d.nodes, d.strands, d.sources, d.sinks)
+        assert fresh._chains == {} and d._chained_pairs() == fresh._chained_pairs()
+    assert sum(kept for _, kept in opened) >= 500
 
 
 def test_fresh_symbols_match_a_full_scan(rng, monkeypatch):

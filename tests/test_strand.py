@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import f_generators
+from conftest import f_generators, padded_and_glued, type1_candidates, type2_candidates
 
 from rewrite_groups.catalog import catalog
 from rewrite_groups.rearrangement import (
@@ -12,6 +12,7 @@ from rewrite_groups.rearrangement import (
     from_cell_map,
     identity,
     invert as rinvert,
+    power,
     random_rearrangement,
 )
 from rewrite_groups.graphs import UnionFind
@@ -166,43 +167,54 @@ def _apply_type2(d, merge_nid, split_nid):
 
 
 def _reduce_renaming_at_every_pair(d, rng=None):
-    """The reduction that renames at each Type 2 pair, and how often it renamed."""
+    """The reduction that renames at each Type 2 pair, and how often it renamed.
+
+    It rescans every node for pairs after each move and lists them in the
+    library's order: Type 1 pairs in split order, else Type 2 pairs in merge
+    order; it takes the first, or with ``rng`` a random one.
+    """
     renamings = 0
     while True:
-        moves = [("1",) + c for c in d.type1_candidates()]
-        moves += [("2",) + c for c in d.type2_candidates()]
-        if not moves:
+        order = {n: i for i, n in enumerate(d.nodes)}
+        pairs = type1_candidates(d) or sorted(type2_candidates(d), key=lambda p: order[p[0]])
+        if not pairs:
             return d, renamings
-        move = rng.choice(moves) if rng is not None else sorted(moves, key=repr)[0]
-        if move[0] == "1":
-            d = d.cancel_type1(move[1], move[2])
+        pair = rng.choice(pairs) if rng is not None else pairs[0]
+        if d.nodes[pair[0]][0] == "split":
+            d = d.cancel_type1(*pair)
         else:
-            d, renamed = _apply_type2(d, move[1], move[2])
+            d, renamed = _apply_type2(d, *pair)
             renamings += renamed
 
 
 def test_reduce_renames_once_as_at_every_pair(rng):
-    # glue_forests adds nodes in set order, which follows the hash seed, so
-    # both reductions run on the same diagrams in this one process
     renamings = 0
-    for name in ["interval_F", "circle_T", "cantor_V", "airplane", "basilica", "dendrite:3",
-                 "rabbit:3"]:
-        S = catalog(name)
-        for i in range(5):
-            padded = []
-            for _ in range(2):
-                g = random_rearrangement(S, rng, 2, 2)
-                for _ in range(2):
-                    g = g.expand_at(rng.choice(sorted(g.phi)))
-                padded.append(sd.from_rearrangement(g, reduce=False))
-            for d in padded + [sd._glued_composite(*padded)]:
-                for order in (None, i):
-                    want, n = _reduce_renaming_at_every_pair(
-                        d, None if order is None else random.Random(order))
-                    got = d.reduce(None if order is None else random.Random(order))
-                    assert sd.strand_to_json(got) == sd.strand_to_json(want), (name, i, order)
-                    renamings += n
+    for i, d in enumerate(padded_and_glued(rng)):
+        for order in (None, i):
+            want, n = _reduce_renaming_at_every_pair(
+                d, None if order is None else random.Random(order))
+            got = d.reduce(None if order is None else random.Random(order))
+            assert sd.strand_to_json(got) == sd.strand_to_json(want), (i, order)
+            renamings += n
     assert renamings
+
+
+@pytest.mark.parametrize("n", [32, 128])
+def test_composition_follows_each_chain_about_once(n, monkeypatch):
+    # the cancel and mixed families of the strand_compose curve of
+    # tools/layer_timings.py: a cancellation follows again only the chains
+    # that reach a strand it put, so the whole reduction follows O(strands)
+    F, x0, x1 = f_generators()
+    p = power(x0, n)
+    S = sd.from_rearrangement
+    chain, calls = sd.Diagram._chain, []
+    monkeypatch.setattr(sd.Diagram, "_chain", lambda d, *args: calls.append(d) or chain(d, *args))
+    for f, g in ((S(p), S(rinvert(p))), (S(rcompose(x1, p)), S(p))):
+        glued = sd._glued_composite(f, g)
+        calls.clear()
+        glued.reduce()
+        # the first scan follows the chain of every split and merge
+        assert len(glued.splits()) + len(glued.merges()) <= len(calls) <= 2 * len(glued.strands)
 
 
 def test_composition_homomorphism(rng):
