@@ -566,11 +566,6 @@ def glue_forests(g: Rearrangement, closed: bool = False) -> tuple:
     """
     system = g.system
     dom, ran = g.domain, g.range_
-    dcells, rcells = set(dom.cells), set(ran.cells)
-    # the split and merge nodes are numbered in the iteration order of these
-    # sets, which fixes the node ids of closed diagrams
-    dprefix = {w[:k] for w in dcells for k in range(1, len(w))}
-    rprefix = {v[:k] for v in rcells for k in range(1, len(v))}
     # (color, s, t) of every word of each forest
     dends, rends = {**dom._inner, **dom._leaves}, {**ran._inner, **ran._leaves}
     # a symbol is a vertex of the domain leaf graph glued along phi to one of
@@ -601,8 +596,10 @@ def glue_forests(g: Rearrangement, closed: bool = False) -> tuple:
         nodes.update((n, "source") for n in sources)
         nodes.update((n, "sink") for n in sinks)
     split, merge = {}, {}
-    for nid_of, words, ends, kind, tag in ((split, dprefix, dends, "split", "sp"),
-                                           (merge, rprefix, rends, "merge", "mg")):
+    # interior words by length, each length in the order the expansion keeps
+    # them, which fixes the node ids of closed diagrams
+    for nid_of, words, ends, kind, tag in ((split, dom._inner, dends, "split", "sp"),
+                                           (merge, ran._inner, rends, "merge", "mg")):
         for w in sorted(words, key=len):
             nid = nid_of[w] = ("n", len(nodes)) if closed else (tag, w)
             nodes[nid] = (kind, ends[w][0])
@@ -624,12 +621,12 @@ def glue_forests(g: Rearrangement, closed: bool = False) -> tuple:
         return (sinks[i], 0)
 
     strands: dict = {}
-    for w in sorted(dprefix | dcells, key=lambda x: (len(x), x)):
+    for w in sorted(dends, key=lambda x: (len(x), x)):
         sid = f"s{len(strands)}"
-        dst = (split[w], 0) if w in dprefix else lower_end(g.phi[w], sid)
+        dst = (split[w], 0) if w in split else lower_end(g.phi[w], sid)
         strands[sid] = Strand(dends[w][0], label("D", dends, dom.base, w),
                               upper_end(w, sid), dst)
-    for v in sorted(rprefix, key=lambda x: (len(x), x)):
+    for v in sorted(ran._inner, key=lambda x: (len(x), x)):
         sid = f"s{len(strands)}"
         strands[sid] = Strand(rends[v][0], label("R", rends, ran.base, v),
                               (merge[v], 0), lower_end(v, sid))

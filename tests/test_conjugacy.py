@@ -1098,10 +1098,10 @@ def test_pairs_the_bald_key_separates_build_no_conjugators(monkeypatch):
 
 
 # The digest of conjugate's outputs on the generator-word pairs, recorded
-# before closures were built from the forests and conjugators on demand.
-# Which conjugator is found depends on set iteration order, so the digest
-# holds with PYTHONHASHSEED=0 and is taken in a child process that pins it.
-PINNED_CONJUGATORS = "ed5f6bbd81dbff9c20d64ca3cd121dcbb59f2c5a59753157ca9ae073dcf78223"
+# when strand.glue_forests began to number nodes in the order the expansions
+# keep their interior words rather than in set iteration order.  The digest
+# is taken in child processes that pin PYTHONHASHSEED.
+PINNED_CONJUGATORS = "d2682f84653853dd9110b2797ee80dcc343b7cf4af49913dc85a97ffc0cb3068"
 
 
 def _conjugator_digest() -> str:
@@ -1113,12 +1113,21 @@ def _conjugator_digest() -> str:
     return hashlib.sha256("\n".join(encodings).encode()).hexdigest()
 
 
-def test_conjugator_outputs_are_pinned():
+def _conjugator_digest_under(hash_seed: int) -> str:
+    """``_conjugator_digest()`` in a child process with the given PYTHONHASHSEED."""
     here = Path(__file__).resolve().parent
-    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=os.pathsep.join(
         p for p in (str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-c", "import test_conjugacy; print(test_conjugacy._conjugator_digest())"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == PINNED_CONJUGATORS
+    return proc.stdout.strip()
+
+
+def test_conjugator_outputs_are_pinned():
+    assert _conjugator_digest_under(0) == PINNED_CONJUGATORS
+
+
+def test_conjugator_outputs_do_not_follow_the_hash_seed():
+    assert {_conjugator_digest_under(seed) for seed in (0, 1, 2, 3)} == {PINNED_CONJUGATORS}

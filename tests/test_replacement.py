@@ -612,8 +612,12 @@ def _reference_from_rearrangement(g):
     system = g.system
     dom, ran = g.domain, g.range_
     dcells, rcells = set(dom.cells), set(ran.cells)
-    dprefix = {w[:k] for w in dcells for k in range(1, len(w))}
-    rprefix = {v[:k] for v in rcells for k in range(1, len(v))}
+    # each proper prefix of a cell, with the index of the first cell below it
+    dprefix, rprefix = {}, {}
+    for prefix, cells in ((dprefix, dom.cells), (rprefix, ran.cells)):
+        for i, w in enumerate(cells):
+            for k in range(1, len(w)):
+                prefix.setdefault(w[:k], i)
     duf, dends = _ref_forest_ends(system, dom.base, dcells, dprefix)
     ruf, rends = _ref_forest_ends(system, ran.base, rcells, rprefix)
     uf = UnionFind()
@@ -638,9 +642,10 @@ def _reference_from_rearrangement(g):
     for i, e in enumerate(ran.base.edges):
         nodes[("snk", i)] = "sink"
         sinks.append(("snk", i))
-    for w in sorted(dprefix, key=len):
+    # splits and merges by length, then in the order of the cells below them
+    for w in sorted(dprefix, key=lambda x: (len(x), dprefix[x])):
         nodes[("sp", w)] = ("split", dends[w][2])
-    for v in sorted(rprefix, key=len):
+    for v in sorted(rprefix, key=lambda x: (len(x), rprefix[x])):
         nodes[("mg", v)] = ("merge", rends[v][2])
 
     def upper_end(w):
@@ -652,7 +657,7 @@ def _reference_from_rearrangement(g):
         return (("snk", i), 0) if len(v) == 1 else (("mg", v[:-1]), i)
 
     sid = 0
-    for w in sorted(dprefix | dcells, key=lambda x: (len(x), x)):
+    for w in sorted(dprefix.keys() | dcells, key=lambda x: (len(x), x)):
         dst = (("sp", w), 0) if w in dprefix else lower_end(g.phi[w])
         strands[f"s{sid}"] = Strand(dends[w][2], label("D", duf, dends, dom.base, w),
                                     upper_end(w), dst)
