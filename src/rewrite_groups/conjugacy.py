@@ -205,7 +205,6 @@ class ClosedDiagram(Diagram):
         self.counter = counter
         self._traversal = None
         self._base = None
-        self._chains: dict = {}  # split or merge -> (end, count) of its chain or ()
         self._uses = None  # symbol -> number of label ends naming it, counted on first use
         self._wire()
 
@@ -1081,9 +1080,9 @@ def reduce_closed(d: ClosedDiagram, virtual: tuple = (), rng=None):
     Each round reads the chained pairs once (``Diagram._chained_pairs``, from
     the chain cache that every move's ``_edit`` keeps up to date, so only
     chains through the strands a move put are followed again) and makes the
-    first move that applies: the cancellation that ``StrandDiagram.reduce``
-    also picks (``Diagram._cancellation``: a Type 1 pair, a split-led pair
-    at count 0, else a Type 2 one, merge-led at count 0), a shift that
+    first move that applies: the cancellation that ``Diagram._cancellation``
+    picks, as in ``StrandDiagram.reduce`` (a Type 1 pair, split-led at count
+    0, before a Type 2 one, merge-led at count 0), a shift that
     brings a chained pair closer (all counts are then above 0), a Type 3
     reduction.  When none applies, the cut line is parked and the flips
     are oriented.  With ``rng`` each step picks its candidate at random.

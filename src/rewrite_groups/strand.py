@@ -123,7 +123,7 @@ class Diagram:
 
         Every node must have exactly the ports of its kind, and every strand
         must leave and enter a port of a node of the diagram that no other
-        strand uses.
+        strand uses.  The chain cache starts empty.
         """
         outs: dict = {}
         ins: dict = {}
@@ -131,6 +131,7 @@ class Diagram:
             outs.setdefault(s.src[0], {})[s.src[1]] = sid
             ins.setdefault(s.dst[0], {})[s.dst[1]] = sid
         self._out, self._in = outs, ins
+        self._chains: dict = {}  # split or merge -> (end, count) of its chain or ()
         if self._check_ports(self.nodes) != 2 * len(self.strands):
             raise NotXDiagram("a strand ends at no node, or two strands share a port")
 
@@ -396,7 +397,6 @@ class StrandDiagram(Diagram):
         self.strands = dict(strands)
         self.sources = list(sources)
         self.sinks = list(sinks)
-        self._chains: dict = {}  # split or merge -> (end, count) of its chain or ()
         self._wire()
 
     # -- structure ------------------------------------------------------------

@@ -749,7 +749,7 @@ def _reference_chained_type2(d):
 
 def _scanned(monkeypatch, work) -> list:
     """The diagrams whose chained pairs are read while ``work()`` runs, each with
-    whether it held chains (kept from its parent) when first read."""
+    whether it held chains (kept from its parent or an earlier read) then."""
     scanned, scan = [], sd.Diagram._chained_pairs
 
     def recording(d):
@@ -1097,10 +1097,10 @@ def test_pairs_the_bald_key_separates_build_no_conjugators(monkeypatch):
     assert logged >= 5 and built == []
 
 
-# The digest of conjugate's outputs on the generator-word pairs, recorded
-# when strand.glue_forests began to number nodes in the order the expansions
-# keep their interior words rather than in set iteration order.  The digest
-# is taken in child processes that pin PYTHONHASHSEED.
+# The digest of conjugate's outputs on the generator-word pairs.  Node ids,
+# which steer the conjugator found, follow no set iteration order, so the
+# digest holds under every hash seed; it is taken in child processes that
+# pin PYTHONHASHSEED.
 PINNED_CONJUGATORS = "d2682f84653853dd9110b2797ee80dcc343b7cf4af49913dc85a97ffc0cb3068"
 
 
