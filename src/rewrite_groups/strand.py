@@ -107,7 +107,7 @@ class Diagram:
     """Nodes joined port to port by strands: the core of open and closed diagrams.
 
     Node kinds are ("split", c) and ("merge", c) plus the end kinds in
-    ``END_PORTS``.  A split has one in strand (port 0) and one out strand per
+    ``END_PORTS``, which are strings.  A split has one in strand (port 0) and one out strand per
     edge of c's rule, in rule order; a merge is the mirror image; an end kind
     maps to its (in ports, out ports).  A diagram built from outside sets
     ``system``, ``nodes`` and ``strands`` and calls ``_wire``, which indexes
