@@ -46,21 +46,17 @@ class ImbalanceProfile:
 
 
 def _components_of(carets: set) -> tuple:
-    """Cluster a caret set into the maximal trees it forms."""
-    all_c = set(carets)
-    comps = []
-    roots = [w for w in all_c if w[:-1] not in all_c]
-    for root in sorted(roots, key=lambda w: (len(w), w)):
-        comp = [root]
-        queue = [root]
-        while queue:
-            w = queue.pop()
-            for v in all_c:
-                if v not in comp and len(v) > len(w) and v[: len(w)] == w and v[:-1] in comp:
-                    comp.append(v)
-                    queue.append(v)
-        comps.append(tuple(sorted(comp)))
-    return tuple(sorted(comps))
+    """Cluster a caret set into the maximal trees it forms.
+
+    Carets are met in order of length, so a caret's parent is met first: the
+    caret's root is its parent's root if the parent is a caret, else itself.
+    """
+    roots: dict = {}
+    comps: dict = {}
+    for w in sorted(carets, key=len):
+        root = roots[w] = roots.get(w[:-1], w)
+        comps.setdefault(root, []).append(w)
+    return tuple(sorted(tuple(sorted(comp)) for comp in comps.values()))
 
 
 def imbalance(g: Rearrangement, representative: Rearrangement = None) -> ImbalanceProfile:

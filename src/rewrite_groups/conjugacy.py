@@ -193,6 +193,8 @@ class ClosedDiagram(Diagram):
     incoming and one outgoing strand.  The base-point order along the cut line
     is immaterial here: permutations of the base line are similarities and our
     operations never depend on the order, so base points form a plain set.
+    A diagram may have none: ``_bald_key`` builds one with its base points
+    contracted.
     """
 
     END_PORTS = {"bp": (frozenset({0}), frozenset({0}))}
@@ -1225,80 +1227,26 @@ def initial_renaming(system: ReplacementSystem, eta: ClosedDiagram,
 
 
 def _bald_key(d: ClosedDiagram) -> tuple:
-    """Shift-invariant skeleton: labels dropped, base points contracted.
+    """The least traversal of d with its labels erased and its base points contracted.
 
-    The skeleton is canonically labeled (minimum over BFS anchors), so equal
-    keys mean the diagrams agree after forgetting the cut line entirely.
-    Every real node leaves port 0, so an anchor's least row is its port-0
-    edge, and that row depends only on the anchor's own sorted adjacency;
-    only the anchors whose row is least are searched from.
+    The contracted diagram keeps d's splits and merges, and runs each strand
+    leaving one through base points to its end.  Its key forgets symbols and
+    the cut line, so shifts and flips keep it.  Its rows record strand colours
+    only, which suffices because a split or merge has the colour of its
+    branch strand (``_faithful``).  A pure loop adds its least colour rotation.
     """
-    rows_out = []
-    loops = None
-    for comp in d.components():
-        nodes = set()
-        for sid in comp:
-            s_ = d.strands[sid]
-            nodes.add(s_.src[0])
-            nodes.add(s_.dst[0])
-        real = [n for n in nodes if d.nodes[n] != "bp"]
-        if not real:
-            if loops is None:
-                loops = pure_loops(d)
-            for bps, sids in loops:
-                if set(sids) <= comp:
-                    colors = [d.strands[x].color for x in sids]
-                    best = min(tuple(colors[i:] + colors[:i]) for i in range(len(colors)))
-                    rows_out.append(("loop", best))
-            continue
-        edges = []
-        for sid in comp:
-            s_ = d.strands[sid]
-            if d.nodes[s_.src[0]] == "bp":
-                continue
+    strands = {}
+    for sid, s in d.strands.items():
+        if d.nodes[s.src[0]] != "bp":
             _count, end, port = d._strand_path_through_bps(sid)
-            edges.append((s_.src[0], s_.src[1], end, port, s_.color))
-        adj: dict = {}
-        for a, pa, b, pb, c in edges:
-            adj.setdefault(a, []).append(("o", pa, b, pb, c))
-            adj.setdefault(b, []).append(("i", pb, a, pa, c))
-        # a node's (role, port) pairs are distinct, so this order ignores ids
-        for out in adj.values():
-            out.sort(key=repr)
-
-        def first_row(anchor):
-            """The anchor's port-0 row, with the ids the search gives its neighbours."""
-            ids = {anchor: 0}
-            for role, pp, other, po, c in adj[anchor]:
-                ids.setdefault(other, len(ids))
-                if role == "o" and pp == 0:
-                    return (0, 0, ids[other], po, c, d.nodes[anchor][0], d.nodes[other][0])
-
-        firsts = {a: first_row(a) for a in real}
-        least = min(firsts.values())
-        best = None
-        for anchor in real:
-            if firsts[anchor] != least:
-                continue
-            ids = {anchor: 0}
-            queue = deque([anchor])
-            while queue:
-                n = queue.popleft()
-                for role, pp, other, po, c in adj.get(n, ()):
-                    if other not in ids:
-                        ids[other] = len(ids)
-                        queue.append(other)
-            if len(ids) != len(real):
-                continue
-            rows = tuple(sorted((ids[a], pa, ids[b], pb, c,
-                                 d.nodes[a][0], d.nodes[b][0])
-                                for a, pa, b, pb, c in edges))
-            kinds = tuple(sorted((ids[n], d.nodes[n][0], d.nodes[n][1]) for n in real))
-            key = ("comp", rows, kinds)
-            if best is None or key < best:
-                best = key
-        rows_out.append(best)
-    return tuple(sorted(rows_out, key=repr))
+            strands[sid] = Strand(s.color, ("", "", 0), s.src, (end, port))
+    skeleton = ClosedDiagram(d.system, {n: k for n, k in d.nodes.items() if k != "bp"}, strands)
+    ports = skeleton._port_table()
+    rows = [("comp", skeleton._least_anchors(c, ports)[0]) for c in skeleton.components(ports)]
+    for _bps, sids in pure_loops(d):
+        colors = [d.strands[x].color for x in sids]
+        rows.append(("loop", min(tuple(colors[i:] + colors[:i]) for i in range(len(colors)))))
+    return tuple(sorted(rows))
 
 
 def _matching(d1: ClosedDiagram, d2: ClosedDiagram):

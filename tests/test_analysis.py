@@ -309,3 +309,36 @@ def test_wandering_words_prefix_disjoint(rng):
         x = x0.apply_word(x)
         k = min(len(x), len(w))
         assert x[:k] != w[:k]
+
+
+def _reference_components_of(carets):
+    """``_components_of`` as it grew each root by rescanning every caret, the reference."""
+    all_c = set(carets)
+    comps = []
+    roots = [w for w in all_c if w[:-1] not in all_c]
+    for root in sorted(roots, key=lambda w: (len(w), w)):
+        comp = [root]
+        queue = [root]
+        while queue:
+            w = queue.pop()
+            for v in all_c:
+                if v not in comp and len(v) > len(w) and v[: len(w)] == w and v[:-1] in comp:
+                    comp.append(v)
+                    queue.append(v)
+        comps.append(tuple(sorted(comp)))
+    return tuple(sorted(comps))
+
+
+def test_components_of_match_the_rescanning_reference(rng):
+    several = 0
+    for name in ["interval_F", "circle_T", "cantor_V", "basilica", "airplane",
+                 "dendrite:3", "vicsek:4"]:
+        S = catalog(name)
+        for _ in range(8):
+            g = random_rearrangement(S, rng, 4, 3)
+            fd, fr = g.domain._inner.keys(), g.range_._inner.keys()
+            for carets in (fd, fr, fd - fr, fr - fd):
+                comps = an._components_of(carets)
+                assert comps == _reference_components_of(carets)
+                several += len(comps) > 1
+    assert several >= 10  # caret sets of several trees

@@ -598,7 +598,7 @@ def test_bald_keys_survive_renaming(rng):
 
 
 def _reference_bald_key(d):
-    """Reference for _bald_key: a breadth-first search from every real node."""
+    """Reference for _bald_key's classes: a breadth-first search from every real node."""
     from collections import deque
 
     rows_out = []
@@ -662,12 +662,33 @@ def _corpus_closures():
 
 
 def test_bald_keys_match_the_all_anchors_reference(rng):
-    loops = 0
+    """The key splits each system's diagrams into the reference's classes.
+
+    The two keys are written differently, so their classes are compared,
+    not their values.
+    """
+    diagrams = _key_corpus(rng) + _corpus_closures()
+    keys = [cj._bald_key(d) for d in diagrams]
+    refs = [_reference_bald_key(d) for d in diagrams]
+    coarser = 0  # equal bald keys, different canonical keys
+    for i, j in itertools.combinations(range(len(diagrams)), 2):
+        if diagrams[i].system is diagrams[j].system:
+            assert (keys[i] == keys[j]) == (refs[i] == refs[j])
+            coarser += (keys[i] == keys[j]
+                        and diagrams[i].canonical_key() != diagrams[j].canonical_key())
+    assert coarser >= 50
+    loops = sum(sum(row[0] == "loop" for row in key) > 1 for key in keys)
+    assert loops >= 3  # several base-point-only components in one diagram
+
+
+def test_bald_keys_survive_similarity_moves(rng):
+    moves = 0
     for d in _key_corpus(rng) + _corpus_closures():
         key = cj._bald_key(d)
-        assert key == _reference_bald_key(d)
-        loops += sum(row[0] == "loop" for row in key) > 1
-    assert loops >= 3  # several base-point-only components in one diagram
+        for spec in cj.all_similarity_moves(d):
+            assert cj._bald_key(cj.apply_shift(d, spec).diagram) == key
+            moves += 1
+    assert moves >= 500
 
 
 def _reference_pure_loops(d):
