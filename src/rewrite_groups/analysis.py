@@ -150,11 +150,11 @@ def _find_move(d: Rearrangement, prof: ImbalanceProfile):
     moves.sort(key=lambda m: (m[0], m[1]))
     # a kept chain is a prefix of a list that only grew after it was kept
     _kind, n, chain, root, sub, _side = moves[0]
+    # copy the carets below root under each chain cell, one ``_refined`` per level
     out = d
-    rel = sorted({w[len(root):] for w in sub}, key=len)
-    for u in chain[:n]:
-        for suffix in rel:
-            out = out.expand_at(u + suffix)
+    rel = {w[len(root):] for w in sub}
+    for k in sorted({len(r) for r in rel}):
+        out = out._refined([u + r for u in chain[:n] for r in rel if len(r) == k])
     return out
 
 
@@ -193,7 +193,7 @@ def is_torsion(g: Rearrangement):
     """(True, order) for torsion elements, else (False, None).
 
     The minimized representative has equal forests exactly for torsion
-    elements.  It is flipless (``reduced_flipless`` is, and ``expand_at``
+    elements.  It is flipless (``reduced_flipless`` is, and a refinement
     keeps it so), so the order is then the order of its cell permutation.
     """
     d = minimize_representative(g)

@@ -288,8 +288,7 @@ def _run_lasso(aut: GluingAutomaton, t1: RationalSequence, t2: RationalSequence)
 
 
 def glued_brute_force(system: ReplacementSystem, s1: RationalSequence,
-                      s2: RationalSequence, depth: Optional[int] = None,
-                      state_bound: Optional[int] = None) -> bool:
+                      s2: RationalSequence, depth: Optional[int] = None) -> bool:
     """Independent oracle: level-by-level shared-vertex check on expansions.
 
     Adjacency of the two prefixes is eventually periodic: past both preperiods
@@ -304,25 +303,17 @@ def glued_brute_force(system: ReplacementSystem, s1: RationalSequence,
         joint = (len(s1.period) * len(s2.period)
                  // math.gcd(len(s1.period), len(s2.period)))
         depth = max(len(s1.prefix), len(s2.prefix)) + 4 * joint + 8
+    # level n splits the level n - 1 cells of both prefixes
     exp = base_expansion(system)
     for n in range(1, depth + 1):
         w1, w2 = s1.prefix_of_length(n), s2.prefix_of_length(n)
-        exp = _expand_along(system, exp, w1)
-        exp = _expand_along(system, exp, w2)
+        if n > 1:
+            exp = exp._split({w1[:-1], w2[:-1]})
         e1 = exp.cell_edge(w1)
         e2 = exp.cell_edge(w2)
         if not ({e1.src, e1.dst} & {e2.src, e2.dst}):
             return False
     return True
-
-
-def _expand_along(system, exp, word):
-    cells = set(exp.cells)
-    for k in range(1, len(word)):
-        if word[:k] in cells:
-            exp = exp.expand(word[:k])
-            cells = set(exp.cells)
-    return exp
 
 
 def gluing_class(system: ReplacementSystem, s: RationalSequence) -> set:

@@ -145,49 +145,36 @@ class Rearrangement:
         return iso
 
     def expand_at(self, w: Word) -> "Rearrangement":
-        """The one-level expansion of the diagram at a domain cell."""
-        w = tuple(w)
-        v = self.phi[w]
-        color = self.domain.cell_color(w)
-        rule = self.system.rules[color]
-        phi = dict(self.phi)
-        flips = set(self.flips)
-        del phi[w]
-        flipped = w in flips
-        flips.discard(w)
-        if flipped:
-            psi = self.psi(color).edge_map
-            for e in rule.graph.edges:
-                phi[w + (e.name,)] = v + (psi[e.name],)
-        else:
-            for e in rule.graph.edges:
-                phi[w + (e.name,)] = v + (e.name,)
-        return Rearrangement(self.domain.expand(w), phi, self.range_.expand(v), flips,
-                             _reduced=True)
+        """The one-level expansion of the diagram at a domain cell (``_refined``)."""
+        return self._refined([tuple(w)])
 
     def flipless(self) -> "Rearrangement":
-        """Equivalent diagram with every flip expanded away.
+        """Equivalent diagram with every flip expanded away: every flipped
+        pair is split one level through psi at once (``_refined``)."""
+        return self._refined(self.flips)
 
-        Every flipped pair is split one level through psi at once (see
-        ``_flipless_map``), and the new domain and range are built once.
+    def _refined(self, cells: Iterable[Word]) -> "Rearrangement":
+        """The diagram with the given domain cells and their images split one level.
+
+        The cell map is ``_split_map``'s, and the domain and range are edits
+        of this diagram's (``GraphExpansion._split``), not new walks.  The
+        diagram itself is returned when no cell is given.
         """
-        if not self.flips:
+        cells = set(cells)
+        if not cells:
             return self
-        phi = _flipless_map(self)
-        return Rearrangement(GraphExpansion(self.system, phi, self.domain.base), phi,
-                             GraphExpansion(self.system, phi.values(), self.range_.base),
-                             _reduced=True)
+        return Rearrangement(self.domain._split(cells), _split_map(self, cells),
+                             self.range_._split({self.phi[w] for w in cells}),
+                             self.flips - cells, _reduced=True)
 
     def expand_domain_to(self, cells: Iterable[Word]) -> "Rearrangement":
         """The diagram with its domain split down to the given cells.
 
         A domain cell is split into its rule children when it is not itself a
         target cell but lies strictly above one; its children are split the
-        same way.  A flipped cell that must be split is first expanded one
-        level through psi; below an unflipped pair (w, v) every leaf w+r pairs
-        with v+r.  The new domain and range are each built once, however
-        many cells are split, so one call is linear in the size of the
-        refined forest.
+        same way.  A flipped cell is split through psi and its children are
+        unflipped; below an unflipped pair (w, v) every leaf w+r pairs with
+        v+r.  Each level of the splitting is one ``_refined`` edit.
         """
         return self._expand_to(cells, on_domain=True)
 
@@ -208,28 +195,13 @@ class Rearrangement:
                 if t[:k] in above:
                     break
                 above.add(t[:k])
-
-        def split(c: Word) -> bool:
-            return c not in target and c in above
-
+        above -= target
         out = self
-        for w in sorted(self.flips):
-            if split(w if on_domain else self.phi[w]):
-                out = out.expand_at(w)
-        phi = {}
-        for w, v in out.phi.items():
-            c, side = (w, out.domain) if on_domain else (v, out.range_)
-            if not split(c):
-                phi[w] = v
-                continue
-            for leaf in _split_leaves(self.system, c, side.cell_color(c), split):
-                r = leaf[len(c):]
-                phi[w + r] = v + r
-        if phi == out.phi:
-            return out
-        domain = GraphExpansion(self.system, phi, out.domain.base)
-        range_ = GraphExpansion(self.system, phi.values(), out.range_.base)
-        return Rearrangement(domain, phi, range_, out.flips, _reduced=True)
+        while True:
+            split = [w for w, v in out.phi.items() if (w if on_domain else v) in above]
+            if not split:
+                return out
+            out = out._refined(split)
 
     # -- action on words and sequences ---------------------------------------
 
@@ -283,40 +255,25 @@ class Rearrangement:
         }
 
 
-def _split_leaves(system: ReplacementSystem, cell: Word, color: str, split) -> list:
-    """The leaves left when ``cell``, and every descendant passing ``split``, is split."""
-    out = []
+def _split_map(g: Rearrangement, cells) -> dict:
+    """g's cell map with each pair w -> v, w in ``cells``, split one level.
 
-    def walk(word, color):
-        for e in system.rules[color].graph.edges:
-            child = word + (e.name,)
-            if split(child):
-                walk(child, e.color)
-            else:
-                out.append(child)
-
-    walk(cell, color)
-    return out
-
-
-def _flipless_map(g: Rearrangement) -> dict:
-    """g's cell map with every flipped pair w -> v split into w+e -> v+psi(e).
-
-    e runs over the rule edges of w's color, and the children are unflipped,
-    as ``expand_at`` makes them.  The cell map itself is returned when g has
-    no flips.
+    The children are w+e -> v+e, or v+psi(e) for a flipped pair, for e over
+    the rule edges of w's color, in w's place, and they are unflipped.  The
+    cell map itself is returned when no cell is given.
     """
-    if not g.flips:
+    if not cells:
         return g.phi
+    rules = g.system.rules
     phi = {}
     for w, v in g.phi.items():
-        if w not in g.flips:
+        if w not in cells:
             phi[w] = v
             continue
         color = g.domain.cell_color(w)
-        psi = g.psi(color).edge_map
-        for e in g.system.rules[color].graph.edges:
-            phi[w + (e.name,)] = v + (psi[e.name],)
+        psi = g.psi(color).edge_map if w in g.flips else None
+        for e in rules[color].graph.edges:
+            phi[w + (e.name,)] = v + (e.name if psi is None else psi[e.name],)
     return phi
 
 
@@ -355,13 +312,13 @@ def _product_map(factors: list) -> tuple:
     base of the one before it.
     """
     first = prev = factors[0]
-    phi = _flipless_map(first)
+    phi = _split_map(first, first.flips)
     for g in factors[1:]:
         if g.system is not prev.system:
             raise SystemMismatch("elements live over different systems")
         if g.domain.base != prev.range_.base:
             raise SystemMismatch("inner base graphs do not match")
-        phi = _then(phi, _flipless_map(g))
+        phi = _then(phi, _split_map(g, g.flips))
         prev = g
     return phi, first.domain.base, prev.range_.base
 
@@ -465,15 +422,12 @@ def compose(g: Rearrangement, h: Rearrangement) -> Rearrangement:
 
 
 def invert(g: Rearrangement) -> Rearrangement:
-    gf = g
-    # flipped pairs invert through psi inverse; expand them unless psi is an involution
-    for w in sorted(gf.flips):
-        color = gf.domain.cell_color(w)
-        psi = gf.psi(color)
-        em = psi.edge_map
-        if any(em[em[e]] != e for e in em):
-            gf = gf.expand_at(w)
-            return invert(gf)
+    # flipped pairs invert through psi inverse; split those whose psi is not an involution
+    def involution(w):
+        em = g.psi(g.domain.cell_color(w)).edge_map
+        return all(em[em[e]] == e for e in em)
+
+    gf = g._refined([w for w in g.flips if not involution(w)])
     phi = {}
     flips = []
     for w, v in gf.phi.items():
@@ -504,7 +458,7 @@ def product(factors) -> Rearrangement:
     """Group word read left to right, leftmost factor applied first.
 
     The factors are multiplied as prefix exchanges on words: each is made
-    flipless at word level (``_flipless_map``), the cell maps are folded
+    flipless at word level (``_split_map``), the cell maps are folded
     into one map on their iterated common refinement (``_then``), the
     domain and range are built once from its cells, and ``Rearrangement``
     validates and reduces the result once.  No partial product is built,

@@ -562,7 +562,10 @@ def glue_forests(g: Rearrangement, closed: bool = False) -> tuple:
     ("snk", i), the splits ("sp", w) and the merges ("mg", v).  ``closed``
     glues end i of both bases into base point i and numbers the splits, then
     the merges, ("n", j) from the number of base points on, as
-    ``conjugacy.close`` numbers the nodes of the open diagram.
+    ``conjugacy.close`` numbers the nodes of the open diagram.  Splits and
+    merges are listed in forest order, by the length of their word and then
+    by the first cell below it, so the nodes do not depend on whether an
+    expansion was walked, merged or split.
     """
     system = g.system
     dom, ran = g.domain, g.range_
@@ -596,11 +599,17 @@ def glue_forests(g: Rearrangement, closed: bool = False) -> tuple:
         nodes.update((n, "source") for n in sources)
         nodes.update((n, "sink") for n in sinks)
     split, merge = {}, {}
-    # interior words by length, each length in the order the expansion keeps
-    # them, which fixes the node ids of closed diagrams
-    for nid_of, words, ends, kind, tag in ((split, dom._inner, dends, "split", "sp"),
-                                           (merge, ran._inner, rends, "merge", "mg")):
-        for w in sorted(words, key=len):
+    # interior words in forest order: by length, then by the first cell below
+    # them, however the expansion was built
+    for nid_of, exp, ends, kind, tag in ((split, dom, dends, "split", "sp"),
+                                         (merge, ran, rends, "merge", "mg")):
+        first: dict = {}
+        for i, c in enumerate(exp.cells):
+            for k in range(len(c) - 1, 0, -1):
+                if c[:k] in first:
+                    break
+                first[c[:k]] = i
+        for w in sorted(first, key=lambda x: (len(x), first[x])):
             nid = nid_of[w] = ("n", len(nodes)) if closed else (tag, w)
             nodes[nid] = (kind, ends[w][0])
     tops: dict = {}
@@ -645,17 +654,7 @@ def cut(d: StrandDiagram):
     """
     if not d.is_reduced():
         d = d.reduce()
-    upper = set(d.sources)
-    changed = True
-    while changed:
-        changed = False
-        for nid in d.splits():
-            if nid in upper:
-                continue
-            s = d.strands[d.in_strand(nid)]
-            if s.src[0] in upper:
-                upper.add(nid)
-                changed = True
+    # the upper forest: the splits reached from the sources through splits
     word_of_upper: dict = {}
     for i, n in enumerate(d.sources):
         word_of_upper[d.out_strand(n)] = (str(i),)
@@ -665,8 +664,9 @@ def cut(d: StrandDiagram):
         sid = stack.pop()
         s = d.strands[sid]
         nid = s.dst[0]
-        if nid in upper:
-            color = d.nodes[nid][1]
+        kind = d.nodes[nid]
+        if isinstance(kind, tuple) and kind[0] == "split":
+            color = kind[1]
             rule = d.system.rules[color]
             for p, e in enumerate(rule.graph.edges):
                 cid = d.out_strand(nid, p)
@@ -683,8 +683,9 @@ def cut(d: StrandDiagram):
         sid = stack.pop()
         s = d.strands[sid]
         nid = s.src[0]
-        if isinstance(d.nodes[nid], tuple) and d.nodes[nid][0] == "merge" and nid not in upper:
-            color = d.nodes[nid][1]
+        kind = d.nodes[nid]
+        if isinstance(kind, tuple) and kind[0] == "merge":
+            color = kind[1]
             rule = d.system.rules[color]
             for p, e in enumerate(rule.graph.edges):
                 cid = d.in_strand(nid, p)

@@ -264,38 +264,69 @@ def test_split_expansions_equal_the_walk_of_their_cells(name):
             _assert_as_walked(exp)
 
 
-def _walked_expand(self, word):
-    """``GraphExpansion.expand`` by a walk of the new cells, the reference."""
-    word = tuple(word)
-    if word not in self._leaves:
-        raise NotACell(f"{word} is not a cell of this expansion")
-    kids = [word + (e.name,) for e in self.system.rules[self._leaves[word][0]].graph.edges]
-    cells = [c for c in self.cells if c != word] + kids
-    return GraphExpansion(self.system, cells, self.base)
+def _walked_split(self, cells):
+    """``GraphExpansion._split`` by a walk of the new cells, the reference."""
+    split = set(cells)
+    if not split <= self._leaves.keys():
+        raise NotACell(f"{next(iter(split - self._leaves.keys()))} is not a cell of this expansion")
+    new = []
+    for c in self.cells:
+        if c in split:
+            new.extend(c + (e.name,) for e in self.system.rules[self._leaves[c][0]].graph.edges)
+        else:
+            new.append(c)
+    return GraphExpansion(self.system, new, self.base)
+
+
+def _refinement_steps(S, rng, flipped):
+    """(diagram, refinement) pairs: a chain of 12 ``expand_at`` from a seeded
+    element, and ``flipless``, ``expand_domain_to`` and ``expand_range_to`` of
+    that element and of each element of ``flipped``."""
+    g = h = random_rearrangement(S, rng)
+    steps = []
+    for _ in range(12):
+        steps.append((h, h.expand_at(rng.choice(h.domain.cells))))
+        h = steps[-1][1]
+    target = full_expansion(S, 2).cells
+    for f in [g] + flipped:
+        steps += [(f, f.flipless()), (f, f.expand_domain_to(target)),
+                  (f, f.expand_range_to(target))]
+    return steps
+
+
+def _assert_refines(g, h):
+    """h is a refinement of g: every cell of h maps where g sends it, and only
+    the unsplit flipped cells of g stay flipped."""
+    assert h.phi == {c: g.apply_word(c) for c in h.domain.cells}
+    assert h.flips == {c for c in h.domain.cells if c in g.flips}
 
 
 @pytest.mark.parametrize("name", ["interval_F", "circle_T", "cantor_V", "airplane", "basilica",
                                   "dendrite:3", "vicsek:4"])
 def test_expand_at_chains_equal_a_walked_reference(name, monkeypatch):
     S = catalog(name)
-    split = GraphExpansion.expand
+    flipped = [f for f in _bench_generators().get(name, []) if f.flips]
+    split, walked = GraphExpansion._split, []
+
+    def walking(self, cells):
+        walked.append(cells)
+        return _walked_split(self, cells)
+
     for seed in range(4):
-        chains = []
-        for expand in (split, _walked_expand):
-            monkeypatch.setattr(GraphExpansion, "expand", expand)
-            rng = random.Random(f"{name} {seed}")
-            g = random_rearrangement(S, rng)
-            chain = [g]
-            for _ in range(12):
-                g = g.expand_at(rng.choice(g.domain.cells))
-                chain.append(g)
-            chains.append(chain)
-        monkeypatch.setattr(GraphExpansion, "expand", split)
-        for g, ref in zip(*chains):
-            assert g == ref and repr(g) == repr(ref)
-            for side, ref_side in ((g.domain, ref.domain), (g.range_, ref.range_)):
+        runs = []
+        for refine in (split, walking):
+            monkeypatch.setattr(GraphExpansion, "_split", refine)
+            runs.append(_refinement_steps(S, random.Random(f"{name} {seed}"), flipped))
+        monkeypatch.setattr(GraphExpansion, "_split", split)
+        assert walked
+        for (g, h), (_, ref) in zip(*runs):
+            assert h == ref and repr(h) == repr(ref)
+            _assert_refines(g, h)
+            for side, ref_side in ((h.domain, ref.domain), (h.range_, ref.range_)):
                 assert side.cells == ref_side.cells
                 _assert_as_walked(side)
+    # the airplane and dendrite:3 chains split flipped pairs
+    assert bool(flipped) == (name in ("airplane", "dendrite:3"))
 
 
 @pytest.mark.parametrize("word", [("s",), ("s", "1"), ("s", "2"), ("s", "1", "0", "0"), (),

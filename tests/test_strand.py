@@ -16,7 +16,7 @@ from rewrite_groups.rearrangement import (
     random_rearrangement,
 )
 from rewrite_groups.graphs import UnionFind
-from rewrite_groups.replacement import base_expansion
+from rewrite_groups.replacement import GraphExpansion, base_expansion
 from rewrite_groups import strand as sd
 
 
@@ -258,6 +258,26 @@ def test_key_tells_parallel_merge_ports_apart():
     assert g != h
     assert sd.from_rearrangement(g) != sd.from_rearrangement(h)
     assert sd.to_rearrangement(sd.from_rearrangement(h)) == h
+
+
+@pytest.mark.parametrize("name", ["interval_F", "circle_T", "cantor_V", "airplane", "basilica",
+                                  "dendrite:3", "rabbit:3"])
+def test_glued_nodes_do_not_depend_on_how_the_expansions_were_built(name):
+    # split-built forests keep their interior words in another order than
+    # walked ones; the glued nodes and strands must not see it
+    S = catalog(name)
+    rng = random.Random(name)
+    for _ in range(10):
+        g = random_rearrangement(S, rng).flipless()
+        for _ in range(6):
+            g = g.expand_at(rng.choice(g.domain.cells))
+        walked = Rearrangement(GraphExpansion(S, g.phi, g.domain.base), g.phi,
+                               GraphExpansion(S, g.phi.values(), g.range_.base), _reduced=True)
+        for closed in (False, True):
+            nodes, strands, _, _ = sd.glue_forests(g, closed)
+            ref_nodes, ref_strands, _, _ = sd.glue_forests(walked, closed)
+            assert list(nodes.items()) == list(ref_nodes.items()), closed
+            assert list(strands.items()) == list(ref_strands.items()), closed
 
 
 def test_cut_counts_paths():

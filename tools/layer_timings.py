@@ -65,7 +65,7 @@ and reduces:
   in F, where S is ``strand.from_rearrangement``, for n = 8, 32 and 128.
 
 One curve times the torsion decision of the analysis layer, which refines
-through ``Rearrangement.expand_at``:
+through ``Rearrangement._refined``:
 
 - ``is_torsion``: ``analysis.is_torsion(conjugate_by(x1, x0^n))`` in F,
   for n = 32, 64, 128 and 256.
