@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .graphs import ColoredGraph, Edge, UnionFind
-from .replacement import ReplacementSystem
+from .replacement import GraphExpansion, ReplacementSystem, base_expansion
 # compose is re-exported: callers reach it as conjugacy.compose
 from .rearrangement import (Rearrangement, compose, conjugate_by, from_cell_map,  # noqa: F401
                             invert, product, reduced_flipless)
@@ -206,19 +206,22 @@ class ClosedDiagram(Diagram):
         self.strands = dict(strands)
         self.counter = counter
         self._traversal = None
-        self._base = None
+        self._base = [None]  # the base expansion, once built; one list per base graph
         self._uses = None  # symbol -> number of label ends naming it, counted on first use
         self._wire()
 
     def _edit(self, drop_nodes=(), add_nodes=None, drop=(), put=None) -> "ClosedDiagram":
         """``Diagram._edit``; added nodes are base points numbered from ``counter`` on.
 
-        The successor also patches its parent's symbol counts.
+        The successor also patches its parent's symbol counts, and shares its
+        parent's base expansion where ``_keeps_base`` holds.
         """
         add_nodes, put = add_nodes or {}, put or {}
         d = super()._edit(drop_nodes, add_nodes, drop, put)
         d.counter = self.counter + len(add_nodes)
-        d._traversal = d._base = None
+        d._traversal = None
+        if not self._keeps_base(drop_nodes, add_nodes, put):
+            d._base = [None]
         if self._uses is not None:
             uses = d._uses = dict(self._uses)
             gone = [self.strands[sid] for sid in drop]
@@ -234,9 +237,29 @@ class ClosedDiagram(Diagram):
                 uses[s.label[1]] -= 1
         return d
 
+    def _keeps_base(self, drop_nodes, add_nodes: dict, put: dict) -> bool:
+        """Whether an edit adds or drops no base point and leaves the colour
+        and label of every strand out of a base point as they were.
+
+        The base graph is spelled by exactly those strands, so the
+        successor's is then this diagram's.  Type 1 and Type 2 cancellations
+        always keep it.
+        """
+        nodes, outs = self.nodes, self._out
+        if "bp" in add_nodes.values() or any(nodes[n] == "bp" for n in drop_nodes):
+            return False
+        for s in put.values():
+            b = s.src[0]
+            if nodes.get(b) == "bp":
+                old = self.strands[outs[b][0]]
+                if (old.color, old.label) != (s.color, s.label):
+                    return False
+        return True
+
     def _relabelled(self, strands: dict) -> "ClosedDiagram":
         d = super()._relabelled(strands)
-        d._traversal = d._base = d._uses = None  # these read labels; the chains do not
+        d._traversal = d._uses = None  # these read labels; the chains do not
+        d._base = [None]
         return d
 
     def bps(self):
@@ -258,8 +281,24 @@ class ClosedDiagram(Diagram):
     # -- base graph and opening ------------------------------------------------------
 
     def base_graph(self) -> ColoredGraph:
-        """The graph spelled by the strands leaving the base points, built once."""
-        if self._base is None:
+        """The graph spelled by the strands leaving the base points.
+
+        It is the base of ``_base_expansion``, so it is built once and shared,
+        as one object, by this diagram and every edit that keeps it.
+        """
+        return self._base_expansion().base
+
+    def _base_expansion(self) -> GraphExpansion:
+        """The depth-0 expansion of the base graph, built and walked once.
+
+        Edge b of the base graph is the strand leaving base point b.  The
+        graph and its walked expansion are shared with every ``_edit`` that
+        keeps them (``_keeps_base``): they hold one list, filled by whichever
+        diagram asks first, so each distinct base graph is built and walked
+        once along a reduction.  The move conjugators, the
+        initial renamings and the correspondence element are built over them.
+        """
+        if self._base[0] is None:
             verts: dict = {}  # insertion-ordered set
             edges = []
             for b in self.bps():
@@ -268,8 +307,8 @@ class ClosedDiagram(Diagram):
                 for x in (f"v{v}", f"v{w}"):
                     verts[x] = None
                 edges.append(Edge(str(b), s.color, f"v{v}", f"v{w}"))
-            self._base = ColoredGraph(verts, edges)
-        return self._base
+            self._base[0] = base_expansion(self.system, ColoredGraph(verts, edges))
+        return self._base[0]
 
     def open_diagram(self) -> StrandDiagram:
         nodes = {}
@@ -322,71 +361,79 @@ class ClosedDiagram(Diagram):
         return self._traversal
 
     def _least_anchors(self, comp, ports: Optional[dict] = None) -> tuple:
-        """The least row sequence of a component and every anchor reaching it.
+        """The least row sequence of a component and the traversals reaching it.
 
         The first row of a traversal depends on its anchor strand alone
         (``_first_row``), so only the strands with the least first row are
         traversed.  Their rows are compared with the best so far one row at a
         time, and an anchor is dropped at its first larger row.  Every
         traversal of a component gives one row per strand, so all its row
-        sequences have the same length.
+        sequences have the same length.  Returns (rows, kept): ``kept`` holds,
+        per anchor that reaches the least rows, the (node ids, symbol ids)
+        its traversal numbered, each in first-met order, so that
+        ``_least_traversal`` renumbers the rows rather than walking again.
         """
         if ports is None:
             ports = self._port_table()
         firsts = {a: self._first_row(a) for a in comp}
         least = min(firsts.values())
         best = None
-        anchors = []
+        kept = []
         for a in sorted((a for a in comp if firsts[a] == least), key=repr):
-            rows = self._rows_from(a, ports=ports)
+            node_ids, sym_ids = numbered = {}, {}
+            rows = self._rows_from(a, sym_ids, node_ids, ports)
             if best is None:
-                best, anchors = tuple(rows), [a]
+                best, kept = tuple(rows), [numbered]
                 continue
             for i, row in enumerate(rows):
                 if row != best[i]:
                     if row < best[i]:
-                        best, anchors = best[:i] + (row,) + tuple(rows), [a]
+                        best, kept = best[:i] + (row,) + tuple(rows), [numbered]
                     break
             else:
-                anchors.append(a)
-        return best, anchors
+                kept.append(numbered)
+        return best, kept
 
     def _least_traversal(self):
+        """(key, node order) of the least traversal.
+
+        Tied components are tried in every order up to 4 of them, and in one
+        order beyond that, each with every kept anchor.  Each component is traversed from its kept anchors once
+        (``_least_anchors``).  A sequence of anchors is keyed with one symbol
+        table shared across components: ``emit`` renumbers each kept
+        traversal's symbols into it, first-met order, which is what walking
+        the component again with the shared table would number.
+        """
         ports = self._port_table()
-        locals_ = []
-        for c in self.components(ports):
-            best, anchors = self._least_anchors(c, ports)
-            locals_.append((best, anchors, c))
+        locals_ = [self._least_anchors(c, ports) for c in self.components(ports)]
         locals_.sort(key=lambda x: x[0])
         groups = []
-        for lk, anchors, c in locals_:
+        for lk, kept in locals_:
             if groups and groups[-1][0] == lk:
-                groups[-1][1].append((anchors, c))
+                groups[-1][1].append(kept)
             else:
-                groups.append((lk, [(anchors, c)]))
+                groups.append((lk, [kept]))
         best_key = None
         best_order = None
+        nodes = self.nodes
 
         def emit(sequence):
             sym_ids: dict = {}
             rows_all = []
             node_order = []
-            for anchor in sequence:
-                rows_all.append(tuple(self._rows_from(anchor, sym_ids, node_order, ports)))
+            for rows, (node_ids, syms) in sequence:
+                new = [sym_ids.setdefault(x, len(sym_ids)) for x in syms]
+                if new != list(range(len(new))):  # always equal for the first component
+                    rows = tuple((*r[:7], new[r[7]], new[r[8]]) for r in rows)
+                rows_all.append(rows)
+                node_order += [(n, nodes[n]) for n in node_ids]
             return tuple(rows_all), node_order
 
         choices_per_group = []
-        for _lk, members in groups:
-            if len(members) == 1:
-                choices_per_group.append([[a] for a in members[0][0]])
-            else:
-                perms = itertools.permutations(members) if len(members) <= 4 else [tuple(members)]
-                opts = []
-                for perm in perms:
-                    anchor_lists = [m[0] for m in perm]
-                    for combo in itertools.product(*anchor_lists):
-                        opts.append(list(combo))
-                choices_per_group.append(opts)
+        for lk, members in groups:
+            perms = itertools.permutations(members) if len(members) <= 4 else [tuple(members)]
+            choices_per_group.append([[(lk, t) for t in combo]
+                                      for perm in perms for combo in itertools.product(*perm)])
         for combo in itertools.product(*choices_per_group):
             seq = [a for part in combo for a in part]
             key, order = emit(seq)
@@ -421,18 +468,20 @@ class ClosedDiagram(Diagram):
                 s.color, 0, 0 if s.label[0] == s.label[1] else 1)
 
     def _rows_from(self, start_sid, sym_ids: Optional[dict] = None,
-                   node_order: Optional[list] = None, ports: Optional[dict] = None):
+                   node_ids: Optional[dict] = None, ports: Optional[dict] = None):
         """The rows of a breadth-first traversal from one strand, one at a time.
 
         A node is numbered when first met, and its strands (``_port_table``
-        order) are queued then; a symbol is numbered when first met.
+        order) are queued then; a symbol is numbered when first met.  The
+        numberings go into ``node_ids`` and ``sym_ids`` where given.
         """
         if ports is None:
             ports = self._port_table()
         if sym_ids is None:
             sym_ids = {}
+        if node_ids is None:
+            node_ids = {}
         nodes, strands = self.nodes, self.strands
-        node_ids: dict = {}
         seen = set()
         queue = deque([start_sid])
         while queue:
@@ -445,14 +494,10 @@ class ClosedDiagram(Diagram):
             iu = node_ids.get(u)
             if iu is None:
                 iu = node_ids[u] = len(node_ids)
-                if node_order is not None:
-                    node_order.append((u, nodes[u]))
                 queue.extend(ports[u])
             iv = node_ids.get(v)
             if iv is None:
                 iv = node_ids[v] = len(node_ids)
-                if node_order is not None:
-                    node_order.append((v, nodes[v]))
                 queue.extend(ports[v])
             a, b, _z = s.label
             ia = sym_ids.get(a)
@@ -573,7 +618,8 @@ def close_element(g: Rearrangement) -> ClosedDiagram:
 # tests in both roles, see _expansion_element for the orientation actually
 # constructed).  Searches probe and explore many moves but keep few, and
 # ``conjugate`` reads the kept ones only once the search has met, so only
-# the moves of a found chain pay for their conjugators.
+# the moves of a found chain pay for their conjugators.  A conjugator is
+# built over the two diagrams' shared base expansions (``_base_expansion``).
 
 
 def _instantiate(system, color, v, w, fresh_syms):
@@ -596,24 +642,26 @@ def _instantiate(system, color, v, w, fresh_syms):
     return labels
 
 
-def _expansion_element(system: ReplacementSystem, old_base: ColoredGraph,
-                       new_base: ColoredGraph, letter: str, child_names: list,
+def _expansion_element(old: ClosedDiagram, new: ClosedDiagram, letter: str, children: list,
                        inverse: bool = False) -> Rearrangement:
-    """The groupoid element identifying Omega(new base) with Omega(old base).
+    """The groupoid element identifying Omega(new's base) with Omega(old's base).
 
-    ``letter``'s cone in the old base is split; child ``child_names[i]`` of the
-    new base corresponds to the word (letter, rule edge i) of the old base.
-    With ``inverse`` the element's inverse is built instead, as ``invert``
-    would give it: neither orientation has a pair to reduce.
+    ``letter``'s cone in old's base is split; child ``children[i]`` of new's
+    base corresponds to the word (letter, rule edge i) of old's base.  The
+    sides are new's base expansion and an edit of old's that splits
+    ``letter`` (``GraphExpansion._split``).  With ``inverse`` the element's
+    inverse is built instead, as ``invert`` would give it.  Neither
+    orientation has a pair to reduce: the split side's one family has single
+    letters as images.  So the element is built reduced, and validated.
     """
-    rule = system.rules[old_base.edge(letter).color]
-    phi = {(e.name,): (e.name,) for e in old_base.edges if e.name != letter}
-    for name, e in zip(child_names, rule.graph.edges):
+    exp, word = old._base_expansion(), (letter,)
+    phi = {w: w for w in exp.cells if w != word}
+    for name, e in zip(children, old.system.rules[exp.cell_color(word)].graph.edges):
         phi[(name,)] = (letter, e.name)
     if inverse:
-        return from_cell_map(system, ((v, w) for w, v in phi.items()),
-                             dbase=old_base, rbase=new_base)
-    return from_cell_map(system, phi.items(), dbase=new_base, rbase=old_base)
+        return Rearrangement(exp._split([word]), {v: w for w, v in phi.items()},
+                             new._base_expansion(), _reduced=True)
+    return Rearrangement(new._base_expansion(), phi, exp._split([word]), _reduced=True)
 
 
 class Move:
@@ -653,8 +701,7 @@ def _shift_move(kind: str, d: ClosedDiagram, out_diag: ClosedDiagram, letter,
     old, new = (out_diag, d) if reducing else (d, out_diag)
 
     def element(inverse: bool) -> Rearrangement:
-        return _expansion_element(d.system, old.base_graph(), new.base_graph(), str(letter),
-                                  [str(b) for b in children], inverse)
+        return _expansion_element(old, new, str(letter), [str(b) for b in children], inverse)
 
     return Move(kind, out_diag, lambda: element(reducing), lambda: element(not reducing))
 
@@ -835,21 +882,11 @@ def flip_loop(d: ClosedDiagram, bps: tuple) -> Move:
     out_diag = d._relabelled(strands)
 
     def conjugator():
-        # each flipped letter's cone maps through psi one level down
-        old_base, new_base = d.base_graph(), out_diag.base_graph()
-        phi = {}
-        system = d.system
-        flipped = set(str(b) for b in b_list)
-        for e in new_base.edges:
-            if e.name not in flipped:
-                phi[(e.name,)] = (e.name,)
-        for b in b_list:
-            letter = str(b)
-            color = old_base.edge(letter).color
-            psi = system.reversing_automorphism(color).edge_map
-            for x in system.rules[color].graph.edges:
-                phi[(letter, x.name)] = (letter, psi[x.name])
-        return from_cell_map(system, phi.items(), dbase=new_base, rbase=old_base)
+        # each flipped letter's cone maps through psi one level down; reduced,
+        # that is the letter itself, flipped, between the two base expansions
+        new = out_diag._base_expansion()
+        return Rearrangement(new, {w: w for w in new.cells}, d._base_expansion(),
+                             [(str(b),) for b in b_list], _reduced=True)
 
     return Move("flip_loop", out_diag, conjugator)
 
@@ -1221,9 +1258,14 @@ def _first_bp_below(d: ClosedDiagram, mnode):
 
 def initial_renaming(system: ReplacementSystem, eta: ClosedDiagram,
                      g: Rearrangement) -> Rearrangement:
-    """The base identification between a closure's base graph and g's own base."""
-    pairs = [((str(bp),), (e.name,)) for bp, e in zip(eta.bps(), g.domain.base.edges)]
-    return from_cell_map(system, pairs, dbase=eta.base_graph(), rbase=g.domain.base)
+    """The base identification between a closure's base graph and g's own base.
+
+    Both sides are depth-0 expansions (eta's the one it shares), so the
+    element is reduced as built; it is validated.
+    """
+    phi = {(str(bp),): (e.name,) for bp, e in zip(eta.bps(), g.domain.base.edges)}
+    return Rearrangement(eta._base_expansion(), phi, base_expansion(system, g.domain.base),
+                         _reduced=True)
 
 
 def _bald_key(d: ClosedDiagram) -> tuple:
@@ -1263,10 +1305,14 @@ def _matching(d1: ClosedDiagram, d2: ClosedDiagram):
     return corr
 
 
-def _correspondence_element(system, d_from: ClosedDiagram, d_to: ClosedDiagram, corr) -> Rearrangement:
-    """P with o(d_from) = P^-1 o(d_to) P given bp correspondence d_from -> d_to."""
-    pairs = [((str(bp),), (str(corr[bp]),)) for bp in d_from.bps()]
-    return from_cell_map(system, pairs, dbase=d_from.base_graph(), rbase=d_to.base_graph())
+def _correspondence_element(d_from: ClosedDiagram, d_to: ClosedDiagram, corr) -> Rearrangement:
+    """P with o(d_from) = P^-1 o(d_to) P given bp correspondence d_from -> d_to.
+
+    Its sides are the two diagrams' base expansions, both of depth 0, so it
+    is reduced as built; it is validated.
+    """
+    phi = {(str(bp),): (str(corr[bp]),) for bp in d_from.bps()}
+    return Rearrangement(d_from._base_expansion(), phi, d_to._base_expansion(), _reduced=True)
 
 
 SIMILARITY_BUDGET = 3000  # diagrams a similarity walk explores at most
@@ -1326,8 +1372,13 @@ def similarity_search(eta: ClosedDiagram, zeta: ClosedDiagram):
     correspondence dM -> dL.  None: the bald keys differ (a proof), the
     meeting diagrams have no node correspondence, or ``_similarity_walk``
     ended without a meeting (no proof).
+
+    The canonical keys of eta and zeta are compared first: the walk needs
+    them anyway, and equal canonical keys imply equal bald keys, so the bald
+    keys are computed only when the canonical keys differ.  Equal keys end
+    the walk at its start.
     """
-    if _bald_key(eta) != _bald_key(zeta):
+    if eta.canonical_key() != zeta.canonical_key() and _bald_key(eta) != _bald_key(zeta):
         return None
     sides, hit = _similarity_walk([("L", eta), ("M", zeta)])
     if hit is None:
@@ -1371,9 +1422,17 @@ def conjugate(g: Rearrangement, h: Rearrangement, *, rules=None,
     reduced once.  The logs and paths hold Moves, and no conjugator is
     built until the search has met: then each factor E is read as the
     move's ``conj`` and each E^-1 as its ``inverse``, which the shifts build
-    directly rather than by inverting E.  Every factor is a validated,
-    reduced Rearrangement.  The final check ``conjugate_by(g, k) == h``
-    stays and raises ConjugatorInvalid if it fails.
+    directly rather than by inverting E.  The factors share their base
+    graphs and depth-0 base expansions with the diagrams they join
+    (``ClosedDiagram._base_expansion``): each distinct base graph is built
+    and walked once, a shift's split side is a ``GraphExpansion._split``
+    edit of it, a flip is its flipped letters over the two base expansions,
+    and the renamings and P are maps between base expansions.  None of
+    these has a pair to reduce, so each is built reduced; a Type 3
+    conjugator is built by ``from_cell_map``.  Every factor is still run
+    through ``Rearrangement._validate``.  The final check
+    ``conjugate_by(g, k) == h`` stays and raises ConjugatorInvalid if it
+    fails.
     """
     system = g.system
     if h.system is not system:
@@ -1397,7 +1456,7 @@ def conjugate(g: Rearrangement, h: Rearrangement, *, rules=None,
     dL, dM, corr, pathL, pathM = found
     Kg0 = initial_renaming(system, eta0, g)
     Kh0 = initial_renaming(system, zeta0, h)
-    P = _correspondence_element(system, dM, dL, corr)
+    P = _correspondence_element(dM, dL, corr)
     chain = [invert(Kh0), *(mv.inverse for mv in logh), *(mv.inverse for _d, mv in pathM), P,
              *(mv.conj for _d, mv in reversed(pathL)), *(mv.conj for mv in reversed(logg)), Kg0]
     k = product(chain)

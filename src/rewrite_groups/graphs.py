@@ -102,6 +102,7 @@ class ColoredGraph:
         if touched != vset:
             raise ValueError(f"isolated vertices: {sorted(vset - touched)}")
         self._degrees: Optional[tuple] = None
+        self._parallel: Optional[dict] = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -133,15 +134,18 @@ class ColoredGraph:
         return [e for e in self.edges if e.src == v or e.dst == v]
 
     def parallel_index(self, name: str) -> int:
-        """1-based index among edges sharing (color, src, dst), in edge order."""
-        e = self.edge(name)
-        z = 0
-        for f in self.edges:
-            if (f.color, f.src, f.dst) == (e.color, e.src, e.dst):
-                z += 1
-                if f.name == name:
-                    return z
-        raise KeyError(name)
+        """1-based index among edges sharing (color, src, dst), in edge order.
+
+        The index of every edge is counted in one pass on first use; the
+        graph never changes.  KeyError for a name that is no edge's.
+        """
+        if self._parallel is None:
+            seen: Counter = Counter()
+            self._parallel = {}
+            for e in self.edges:
+                seen[e.color, e.src, e.dst] += 1
+                self._parallel[e.name] = seen[e.color, e.src, e.dst]
+        return self._parallel[name]
 
     def colors(self) -> set[str]:
         return {e.color for e in self.edges}

@@ -989,7 +989,8 @@ def test_close_element_matches_closing_the_open_diagram(rng):
     # a groupoid element between different base graphs does not close up
     F = catalog("interval_F")
     B = base_expansion(F).expand(("s",)).leaf_graph
-    g = cj._expansion_element(F, F.base, B, "s", [e.name for e in B.edges])
+    # B's edges are named after the cells of F they are, "s 0" and "s 1"
+    g = from_cell_map(F, [((e.name,), tuple(e.name.split(" "))) for e in B.edges], dbase=B)
     with pytest.raises(cj.NotXDiagram) as ref_error:
         cj.close(sd.from_rearrangement(g))
     with pytest.raises(cj.NotXDiagram) as error:
@@ -1116,6 +1117,174 @@ def test_pairs_the_bald_key_separates_build_no_conjugators(monkeypatch):
         logged += sum(mv.kind.startswith("shift") for mv in log_g + log_h)
         assert cj.conjugate(g, h, assume_confluent=True) is None
     assert logged >= 5 and built == []
+
+
+# -- factors over shared base expansions -----------------------------------------------
+
+
+def _reference_expansion_element(system, old_base, new_base, letter, children, inverse):
+    """A shift's conjugator as ``from_cell_map`` builds it over the two base graphs."""
+    rule = system.rules[old_base.edge(letter).color]
+    phi = {(e.name,): (e.name,) for e in old_base.edges if e.name != letter}
+    for name, e in zip(children, rule.graph.edges):
+        phi[(name,)] = (letter, e.name)
+    if inverse:
+        return from_cell_map(system, [(v, w) for w, v in phi.items()],
+                             dbase=old_base, rbase=new_base)
+    return from_cell_map(system, phi.items(), dbase=new_base, rbase=old_base)
+
+
+def _reference_flip(d, out, bps):
+    """A flip's conjugator as ``from_cell_map`` of the depth-one psi map."""
+    system, old_base, new_base = d.system, d.base_graph(), out.base_graph()
+    flipped = [str(b) for b in bps]
+    phi = {(e.name,): (e.name,) for e in new_base.edges if e.name not in flipped}
+    for letter in flipped:
+        color = old_base.edge(letter).color
+        psi = system.reversing_automorphism(color).edge_map
+        for x in system.rules[color].graph.edges:
+            phi[(letter, x.name)] = (letter, psi[x.name])
+    return from_cell_map(system, phi.items(), dbase=new_base, rbase=old_base)
+
+
+def _augmented_airplane_closures(rng):
+    """Closures of seeded airplane elements, unreduced and reduced with the augmented rules."""
+    aug = cj.augment_airplane(catalog("airplane"))
+    out = []
+    for _ in range(4):
+        eta0 = cj.close_element(random_rearrangement(aug.system, rng, 3, 2))
+        out.append((eta0, aug.virtual))
+        out.append((cj.reduce_closed(eta0, aug.virtual)[0], aug.virtual))
+    return out
+
+
+def _move_corpus(rng):
+    """(diagram, virtual reductions) for the key corpus, the corpus closures
+    (F, T, V, basilica, airplane, dendrite:3) and augmented airplane closures."""
+    return ([(d, ()) for d in _key_corpus(rng) + _corpus_closures()]
+            + _augmented_airplane_closures(rng))
+
+
+def _logs_and_moves(corpus) -> list:
+    """Every move of each diagram's ``reduce_closed`` log and of ``all_similarity_moves``."""
+    moves = []
+    for d, virtual in corpus:
+        moves += cj.reduce_closed(d, virtual)[1]
+        moves += [cj.apply_shift(d, spec) for spec in cj.all_similarity_moves(d)]
+    return moves
+
+
+def test_factors_match_from_cell_map_over_their_cell_maps(rng, monkeypatch):
+    # every factor is built reduced over shared base expansions; equal
+    # encodings with the reduced from_cell_map element show that no
+    # reduction was skipped
+    checks = []  # (kind, built, reference)
+    element, flip = cj._expansion_element, cj.flip_loop
+    renaming, correspondence = cj.initial_renaming, cj._correspondence_element
+    flips = []
+
+    def shift_element(old, new, letter, children, inverse=False):
+        e = element(old, new, letter, children, inverse)
+        checks.append(("shift", e, _reference_expansion_element(
+            old.system, old.base_graph(), new.base_graph(), letter, children, inverse)))
+        return e
+
+    def flip_move(d, bps):
+        mv = flip(d, bps)
+        flips.append((d, bps, mv))
+        return mv
+
+    def initial(system, eta, g):
+        e = renaming(system, eta, g)
+        pairs = [((str(bp),), (x.name,)) for bp, x in zip(eta.bps(), g.domain.base.edges)]
+        checks.append(("renaming", e, from_cell_map(system, pairs, dbase=eta.base_graph(),
+                                                    rbase=g.domain.base)))
+        return e
+
+    def corresponding(d_from, d_to, corr):
+        e = correspondence(d_from, d_to, corr)
+        pairs = [((str(bp),), (str(corr[bp]),)) for bp in d_from.bps()]
+        checks.append(("correspondence", e, from_cell_map(
+            d_from.system, pairs, dbase=d_from.base_graph(), rbase=d_to.base_graph())))
+        return e
+
+    monkeypatch.setattr(cj, "_expansion_element", shift_element)
+    monkeypatch.setattr(cj, "flip_loop", flip_move)
+    monkeypatch.setattr(cj, "initial_renaming", initial)
+    monkeypatch.setattr(cj, "_correspondence_element", corresponding)
+    for mv in _logs_and_moves(_move_corpus(rng)):
+        mv.conj, mv.inverse
+    aug = cj.augment_airplane(catalog("airplane"))
+    pairs = [(g, h, {}) for _n, g, h in _ftv_word_pairs(rng) + _dendrite_word_pairs(rng)]
+    pairs += [(g, h, {}) for conjugate, g, h in _corpus_pairs() if conjugate]
+    for _ in range(3):
+        g = random_rearrangement(aug.system, rng, 2, 2)
+        pairs.append((g, conjugate_by(g, random_rearrangement(aug.system, rng, 2, 2)),
+                      {"rules": aug}))
+    for g, h, rules in pairs:
+        assert cj.conjugate(g, h, assume_confluent=True, **rules) is not None
+    for d, bps, mv in flips:
+        ref = _reference_flip(d, mv.diagram, bps)
+        checks += [("flip", mv.conj, ref), ("flip", mv.inverse, invert(ref))]
+    for kind, built, ref in checks:
+        assert built.encoding() == ref.encoding(), kind
+    counts = collections.Counter(kind for kind, _b, _r in checks)
+    assert counts["shift"] >= 2000 and counts["flip"] >= 1000, counts
+    assert counts["renaming"] == 2 * len(pairs) and counts["correspondence"] == len(pairs)
+
+
+def _spelled_base(d) -> dict:
+    """Base point -> colour and label of the strand leaving it: what spells the base graph."""
+    return {b: (s.color, s.label) for b in d.bps() for s in [d.strands[d.out_strand(b)]]}
+
+
+def test_edits_share_the_base_graph_exactly_when_they_keep_it(rng, monkeypatch):
+    made = {}
+    for name in ("_edit", "_relabelled"):
+        build = getattr(cj.ClosedDiagram, name)
+
+        def recording(self, *args, _build=build, _made=made.setdefault(name, [])):
+            d = _build(self, *args)
+            _made.append((self, d))
+            return d
+
+        monkeypatch.setattr(cj.ClosedDiagram, name, recording)
+    _logs_and_moves(_move_corpus(rng))
+    monkeypatch.undo()
+    kept = 0
+    for parent, d in made["_edit"] + made["_relabelled"]:
+        fresh = cj.ClosedDiagram(d.system, d.nodes, d.strands, d.counter)
+        assert d.base_graph() == fresh.base_graph()
+    for parent, d in made["_edit"]:
+        keeps = _spelled_base(parent) == _spelled_base(d)
+        assert (d.base_graph() is parent.base_graph()) == keeps
+        kept += keeps
+    assert kept >= 500 and len(made["_edit"]) - kept >= 1000 and len(made["_relabelled"]) >= 400
+
+
+def test_searches_of_equal_keys_compute_no_bald_key(rng, monkeypatch):
+    bald = []
+    key = cj._bald_key
+    monkeypatch.setattr(cj, "_bald_key", lambda d: bald.append(d) or key(d))
+    equal = 0
+    pairs = _ftv_word_pairs(rng) + _dendrite_word_pairs(rng)
+    for _name, g, h in pairs:
+        eta, zeta = (cj.reduce_closed(cj.close_element(x))[0] for x in (g, h))
+        bald.clear()
+        assert cj.similarity_search(eta, zeta) is not None
+        same = eta.canonical_key() == zeta.canonical_key()
+        assert len(bald) == (0 if same else 2)
+        equal += same
+    assert equal >= 20 and equal < len(pairs)
+    # x0 and x0^-1 in F have different slopes at 0: the bald keys tell them
+    # apart, and no similarity walk starts
+    _F, x0, _x1 = f_generators()
+    walked = []
+    moves = cj.all_similarity_moves
+    monkeypatch.setattr(cj, "all_similarity_moves", lambda d: walked.append(d) or moves(d))
+    bald.clear()
+    assert cj.conjugate(x0, invert(x0)) is None
+    assert len(bald) == 2 and bald[0] != bald[1] and walked == []
 
 
 # The digest of conjugate's outputs on the generator-word pairs.  Node ids,

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from rewrite_groups.graphs import (
     ColoredGraph,
     Edge,
@@ -155,3 +157,28 @@ def test_equal_distinct_graphs_compare_by_encoding():
     assert g == g
     assert g != triangle("d")
     assert g != "not a graph"
+
+
+def _scanned_parallel_index(g: ColoredGraph, name: str) -> int:
+    """``parallel_index`` as a scan of every edge, the reference."""
+    e = g.edge(name)
+    same = [f.name for f in g.edges if (f.color, f.src, f.dst) == (e.color, e.src, e.dst)]
+    return same.index(name) + 1
+
+
+def test_parallel_indices_match_a_scan_of_every_edge():
+    from rewrite_groups.catalog import catalog
+    from test_reduction import SYSTEMS
+
+    graphs = []
+    for name in SYSTEMS:
+        S = catalog(name)
+        graphs += [S.base, *(rule.graph for rule in S.rules.values())]
+    parallel = 0
+    for g in graphs:
+        for e in g.edges:
+            assert g.parallel_index(e.name) == _scanned_parallel_index(g, e.name)
+            parallel += g.parallel_index(e.name) > 1
+    assert parallel >= 5
+    with pytest.raises(KeyError):
+        graphs[0].parallel_index("no such edge")

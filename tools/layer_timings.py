@@ -56,6 +56,13 @@ One curve times the similarity search that follows closed reduction:
   n = 4, 8, 16, 32 and 64; each point records the diagrams the search
   explores (its calls of ``all_similarity_moves``).
 
+One curve times the whole conjugacy decision, as the CLI makes it:
+
+- ``conjugate``: ``conjugacy.conjugate(g, conjugate_by(g, x1^-1 x0^3))``
+  in F for g = x0 x1^n, n = 4, 8, 16, 32 and 64; each point records the
+  length of the conjugator chain (the factors ``conjugate`` multiplies
+  into k).
+
 One curve times composition in the strand layer, which glues two diagrams
 and reduces:
 
@@ -98,7 +105,8 @@ CLOSED = (8, 16, 32, 64, 128)
 SEARCHED = (4, 8, 16, 32, 64)
 GLUING_PERIODS = (100, 300, 900)
 OP_CURVES = ("reduce", "compose", "reduce_padded", "reduce_cancel", "reduce_closed",
-             "similarity_search", "expansion_containing", "is_torsion", "strand_compose")
+             "similarity_search", "conjugate", "expansion_containing", "is_torsion",
+             "strand_compose")
 BY_SYSTEM = ("expansion_build", "full_expansion", "gluing_class")  # curves with one point list per system
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -125,7 +133,8 @@ def measure() -> dict:
     from rewrite_groups.analysis import is_torsion
     from rewrite_groups.catalog import catalog
     from rewrite_groups import conjugacy, strand
-    from rewrite_groups.conjugacy import close_element, reduce_closed, similarity_search
+    from rewrite_groups.conjugacy import (close_element, conjugate, reduce_closed,
+                                          similarity_search)
     from rewrite_groups.gluing import gluing_class
     from rewrite_groups.rearrangement import (
         Rearrangement, _product_map, _reduce, compose, conjugate_by, from_cell_map, invert,
@@ -210,6 +219,15 @@ def measure() -> dict:
         curves["similarity_search"].append({"n": n, "strands": len(eta.strands),
                                             "states": len(states),
                                             "ms": best(lambda: similarity_search(eta, zeta), speed)})
+    for n in SEARCHED:
+        g = product([x0, power(x1, n)])
+        h = conjugate_by(g, k)
+        chains = []  # factors of the conjugator chain, counted on an untimed call
+        conjugacy.product = lambda factors: chains.append(len(factors)) or product(factors)
+        conjugate(g, h)
+        conjugacy.product = product
+        curves["conjugate"].append({"n": n, "cells": len(g.phi), "chain": chains[0],
+                                    "ms": best(lambda: conjugate(g, h), speed)})
     for length in WORD_LENGTHS:
         rng = random.Random(length)
         word = ("s",) + tuple(rng.choice("01") for _ in range(length - 1))
